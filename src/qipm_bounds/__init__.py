@@ -19,8 +19,7 @@ from .newton import (BasisSelection, Iterate, NewtonOperator, NewtonStep,
                      build_oss, canonical_iterate, null_space_matrix,
                      recover_updates_mnes, recover_updates_nes,
                      recover_updates_oss, select_basis)
-from .qcost import (QuantumCostInputs, QuantumCostResult, duration_grid,
-                    evaluate_cost, hermitian_dilation_params,
+from .qcost import (duration_grid, hermitian_dilation_params,
                     qlsa_query_count, runtime_lower_bound,
                     total_quantum_cycles)
 from .report import emit_report, report_from_json
@@ -37,12 +36,12 @@ __all__ = [
     "AnalysisConfig", "BasisSelection", "DifficultyEstimate",
     "FormulationResult", "GeneralLP", "InfeasibleProblem", "InstanceRecord",
     "IpmConfig", "Iterate", "KappaBound", "MpsParseError", "NewtonOperator",
-    "NewtonStep", "NumericalError", "QuantumCostInputs", "QuantumCostResult",
-    "RankDeficiencyError", "SolveOutcome", "SparseMatrix", "StandardLP",
+    "NewtonStep", "NumericalError", "RankDeficiencyError", "SolveOutcome",
+    "SparseMatrix", "StandardLP",
     "SuiteReport", "UnboundedProblem", "analyze_instance", "build_fbar",
     "build_mnes", "build_nes", "build_oss", "canonical_iterate",
     "duration_grid", "emit_mps", "emit_report", "ensure_full_row_rank", "report_from_json",
-    "evaluate_cost", "exclusion_curve", "hermitian_dilation_params",
+    "exclusion_curve", "hermitian_dilation_params",
     "kappa_lower_mnes", "kappa_lower_oss", "null_space_matrix", "parse_mps",
     "presolve", "qlsa_query_count", "recover_updates_mnes",
     "recover_updates_nes", "recover_updates_oss", "run_suite",

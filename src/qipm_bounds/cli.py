@@ -63,10 +63,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float,
                    help="QLSA target precision (default 0.1)")
     p.add_argument("--sigma-min-timeout", dest="sigma_min_timeout",
-                   type=float, help="iterative sigma_min timeout in seconds "
-                   "(default 60)")
+                   type=float, help="seconds after which the sigma_min "
+                   "Lanczos iteration stops and keeps its current bound; "
+                   "<= 0 selects random sampling instead (default 60)")
     p.add_argument("--sigma-min-samples", dest="sigma_min_samples", type=int,
-                   help="random unit vectors in the fallback (default 10000)")
+                   help="random unit vectors drawn for sigma_min, used only "
+                   "when --sigma-min-timeout <= 0 (default 10000)")
     p.add_argument("--classical-cmd", dest="classical_cmd",
                    help="external solver command template with {mps}")
     p.add_argument("--classical-timeout", dest="classical_timeout",

@@ -165,10 +165,6 @@ class NewtonOperator:
     def to_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.shape[1]))
 
-    def aslinearoperator(self) -> splinalg.LinearOperator:
-        return splinalg.LinearOperator(
-            self.shape, matvec=self._matvec, rmatvec=self._rmatvec)
-
 
 def _dmul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
     """diag(d) @ v for vector or stacked-columns v."""

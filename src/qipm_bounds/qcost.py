@@ -19,7 +19,6 @@ copy-access tomography model multiplies the bracket by 8 (d - 1) / eps^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -207,43 +206,3 @@ def duration_grid(d_min: float = DEFAULT_DURATION_MIN,
     if reference is not None and reference not in grid:
         grid.append(reference)
     return sorted(grid)
-
-
-@dataclass
-class QuantumCostInputs:
-    """Inputs of the cycle bound; defaults encode the quantum-favourable
-    assumptions: single QAA round, one refinement step, one IPM iteration,
-    eps = 0.1."""
-    d: int
-    s: int
-    kappa: float
-    epsilon: Rational = Fraction(1, 10)
-    n_qaa: int = 1
-    ir_steps: int = 1
-    ipm_iterations: int = 1
-
-
-@dataclass
-class QuantumCostResult:
-    query_count: int
-    total_cycles: int
-    gamma: float
-    runtime_at: dict[float, float] = field(default_factory=dict)
-
-
-def evaluate_cost(inputs: QuantumCostInputs,
-                  durations: list[float] | None = None) -> QuantumCostResult:
-    """Evaluate query count and cycle bound; no hidden multipliers.
-
-    Multi-step refinement and multi-iteration IPMs are out of scope; the
-    quantum-favourable single-step values are required.
-    """
-    if inputs.ir_steps != 1 or inputs.ipm_iterations != 1:
-        raise ValueError("only the single-step lower-bound model is supported "
-                         "(ir_steps = ipm_iterations = 1)")
-    gamma = inputs.s * to_fraction(inputs.kappa)
-    q = qlsa_query_count(inputs.s, inputs.kappa, inputs.epsilon, inputs.n_qaa)
-    cycles = total_quantum_cycles(inputs.d, gamma, inputs.epsilon)
-    runtime = {t: runtime_lower_bound(cycles, t) for t in (durations or [])}
-    return QuantumCostResult(query_count=q, total_cycles=cycles,
-                             gamma=float(gamma), runtime_at=runtime)

@@ -2,13 +2,15 @@
 
 Sparsity of the solved systems follows structural counting rules (the
 basis-inverse blocks are treated as fully dense). Extreme singular values
-are estimated one-sidedly: sigma_max from below via Krylov iteration on the
-Gram operator (any Rayleigh quotient underestimates the top eigenvalue),
-sigma_min from above via converged smallest Ritz values or, past a wall-clock
-timeout, via the minimum of ||op w|| over seeded random unit vectors. Both
-directions combine into a condition-number estimate that never exceeds the
-true kappa, so the derived difficulty gamma = s * kappa is itself a lower
-bound.
+are estimated one-sidedly from Rayleigh quotients ||op v|| / ||v||, which
+never leave the interval [sigma_min, sigma_max]: sigma_max from below at the
+top Ritz vector of a Krylov iteration on the Gram operator, sigma_min from
+above at the smallest Ritz vector, wherever that iteration stops
+(convergence, iteration cap, breakdown or wall-clock timeout). Only a
+non-positive timeout replaces the iteration by the minimum of ||op w|| over
+seeded random unit vectors. Both directions combine into a
+condition-number estimate that never exceeds the true kappa, so the derived
+difficulty gamma = s * kappa is itself a lower bound.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ DEFAULT_MAX_ITERS = 300
 DEFAULT_RITZ_TOL = 1e-8
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_SAMPLES = 10000
-# acceptance gate for the iterative sigma_min stage (relative to sigma_max)
-RITZ_RESIDUAL_GATE = 1e-6
 _SAMPLE_CHUNK = 256
 # floating-point safety: matvec cancellation perturbs computed Rayleigh
 # values by O(eps * dim * sigma_max) in absolute terms, so sigma_min upper
@@ -39,10 +39,6 @@ _FP_SHAVE = 1e-12
 
 class NumericalError(RuntimeError):
     """A matvec produced non-finite values during estimation."""
-
-
-class _Timeout(Exception):
-    pass
 
 
 @dataclass
@@ -179,20 +175,21 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
                      deadline: float | None):
     """Krylov iteration on the Gram operator with full reorthogonalization.
 
-    Returns (sigma_value, ritz_residual, sigma_max_ritz) where sigma_value is
-    the certified Rayleigh-quotient bound at the extreme Ritz vector.
+    Stops at convergence of the extreme Ritz value, at the iteration cap, on
+    breakdown or, after at least one step, past the deadline. Returns
+    (sigma_value, sigma_max_ritz) where sigma_value is the certified
+    Rayleigh-quotient bound at the extreme Ritz vector of the steps taken.
     """
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
-    Q = np.zeros((min(max_iters, dim), dim))
+    cap = min(max_iters, dim)
+    Q = np.zeros((cap, dim))
     alphas: list[float] = []
     betas: list[float] = []
     prev = None
     theta_prev = None
     k = 0
-    while k < min(max_iters, dim):
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Timeout
+    while True:
         Q[k] = q
         u = _check_finite(gram(q), "gram matvec")
         alpha = float(q @ u)
@@ -207,20 +204,18 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
         converged = (theta_prev is not None
                      and abs(theta - theta_prev) <= tol * max(abs(theta), 1e-300))
         theta_prev = theta
-        if beta <= 1e-14 * max(abs(alpha), 1.0) or converged or \
-                k >= min(max_iters, dim):
+        if beta <= 1e-14 * max(abs(alpha), 1.0) or converged or k >= cap or \
+                (deadline is not None and time.monotonic() > deadline):
             ritz_vec = Q[:k].T @ yvec
             nrm = np.linalg.norm(ritz_vec)
             if nrm > 0.0:
                 ritz_vec /= nrm
-            resid = float(np.linalg.norm(gram(ritz_vec) - theta * ritz_vec))
             smax_ritz, _ = _extreme_ritz(alphas, betas, "max")
-            return _rayleigh_sigma(image, ritz_vec), resid, \
+            return _rayleigh_sigma(image, ritz_vec), \
                 float(np.sqrt(max(smax_ritz, 0.0)))
         betas.append(beta)
         prev = q
         q = u / beta
-    raise AssertionError("unreachable")
 
 
 def _extreme_ritz(alphas, betas, which: str):
@@ -242,8 +237,8 @@ def sigma_max_lower(op: NewtonOperator, max_iters: int = DEFAULT_MAX_ITERS,
     if dim == 0 or op.shape[0] == 0:
         return 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    value, _, _ = _lanczos_extreme(gram, image, dim, "max", max_iters, tol,
-                                   rng, deadline=None)
+    value, _ = _lanczos_extreme(gram, image, dim, "max", max_iters, tol,
+                                rng, deadline=None)
     return value
 
 
@@ -254,37 +249,32 @@ def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                     sigma_max_hint: float | None = None) -> tuple[float, str]:
     """Certified upper bound on the smallest singular value of op.
 
-    First runs a Krylov iteration targeting the smallest Ritz value, accepted
-    only if it converges within the wall-clock timeout and its Ritz residual
-    passes the acceptance gate; a timeout discards the partial result
-    entirely. The fallback takes the minimum of ||op w|| over seeded random
-    unit vectors, an upper bound by the min-max principle.
+    With timeout > 0, runs a Krylov iteration targeting the smallest Ritz
+    value and returns the Rayleigh quotient at its Ritz vector, wherever the
+    iteration stops: convergence, max_iters, breakdown or the timeout, which
+    ends the iteration early (after at least one step) without discarding
+    it. Every Rayleigh quotient bounds sigma_min from above by the min-max
+    principle. With timeout <= 0, takes instead the minimum of ||op w|| over
+    n_samples seeded random unit vectors. Either value is padded by a
+    floating-point safety margin scaled by sigma_max_hint or the largest
+    value observed.
     """
     dim, gram, image = _gram_side(op)
     if dim == 0 or op.shape[0] == 0:
         return 0.0, "rank_deficiency_exact"
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    deadline = time.monotonic() + timeout if timeout > 0 else time.monotonic()
     scale_ref = sigma_max_hint or 0.0
-    iterative_value = None
     if timeout > 0:
-        try:
-            value, resid, smax_ritz = _lanczos_extreme(
-                gram, image, dim, "min", max_iters, tol, rng, deadline)
-            scale_ref = max(scale_ref, smax_ritz)
-            gate = sigma_max_hint if sigma_max_hint is not None else smax_ritz
-            if resid <= RITZ_RESIDUAL_GATE * max(gate, 1e-300):
-                iterative_value = value
-        except _Timeout:
-            iterative_value = None
-    if iterative_value is not None:
-        pad = _FP_PAD * (dim + 10) * scale_ref
-        return iterative_value + pad, "iterative"
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        value, smax_ritz = _lanczos_extreme(
+            gram, image, dim, "min", max_iters, tol, rng,
+            deadline=time.monotonic() + timeout)
+        pad = _FP_PAD * (dim + 10) * max(scale_ref, smax_ritz)
+        return value + pad, "iterative"
 
     if n_samples < 1:
         raise NumericalError(
             "sigma_min estimation produced no certified value: iterative "
-            "stage unavailable and random sampling disabled")
+            "stage disabled by timeout <= 0 and random sampling disabled")
     sample_rng = np.random.Generator(
         np.random.Philox(key=(seed + 0x9E3779B97F4A7C15) % (1 << 64)))
     best = np.inf

@@ -1,12 +1,15 @@
 """Internal IPM against the HiGHS oracle, and the external-solver adapter."""
 
+import shlex
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import qipm_bounds
 from conftest import random_standard_lp
 from qipm_bounds.classical import (IpmConfig, solve_external,
                                    solve_internal_ipm, standard_to_general)
@@ -82,9 +85,14 @@ ENDATA
 
 
 def _write_stub(tmp_path, body: str) -> str:
+    """Command template running `body` as a solver. The adapter runs it in a
+    temporary working directory, so the package is put on PYTHONPATH by its
+    absolute path."""
     path = tmp_path / "stub_solver.py"
     path.write_text(textwrap.dedent(body))
-    return f"{sys.executable} {path} {{mps}}"
+    src = Path(qipm_bounds.__file__).resolve().parent.parent
+    return (f"env PYTHONPATH={shlex.quote(str(src))} "
+            f"{shlex.quote(sys.executable)} {shlex.quote(str(path))} {{mps}}")
 
 
 class TestSolveExternal:

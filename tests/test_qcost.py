@@ -6,8 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from qipm_bounds.qcost import (QuantumCostInputs, chebyshev_bracket,
-                               duration_grid, evaluate_cost,
+from qipm_bounds.qcost import (chebyshev_bracket, duration_grid,
                                hermitian_dilation_params, qlsa_query_count,
                                runtime_lower_bound, to_fraction,
                                total_quantum_cycles)
@@ -170,16 +169,3 @@ class TestExactnessGrid:
             gamma = s * to_fraction(kappa)
             assert total_quantum_cycles(d, gamma, eps) == \
                 oracle_cycles(d, gamma, eps)
-
-
-class TestEvaluateCost:
-    def test_no_hidden_multipliers(self):
-        inputs = QuantumCostInputs(d=6, s=3, kappa=2.0)
-        res = evaluate_cost(inputs, durations=[8e-10])
-        assert res.total_cycles == total_quantum_cycles(6, 3 * 2, Fraction(1, 10))
-        assert res.query_count == qlsa_query_count(3, 2.0, Fraction(1, 10))
-        assert res.runtime_at[8e-10] == pytest.approx(res.total_cycles * 8e-10)
-
-    def test_multistep_models_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_cost(QuantumCostInputs(d=4, s=2, kappa=1.0, ir_steps=2))

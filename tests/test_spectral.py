@@ -102,6 +102,27 @@ class TestSigmaMinUpper:
             smin = np.linalg.svd(mat, compute_uv=False)[-1]
             assert val >= smin * (1.0 - 1e-12)
 
+    def test_unconverged_lanczos_value_is_kept(self):
+        # 10 steps on a 60 x 60 Gaussian operator stop far from convergence
+        # (about 100x the true sigma_min), yet the Rayleigh quotient at the
+        # Ritz vector is still a certified bound, and tighter than 10000
+        # random samples
+        mat = rng_for(11).normal(size=(60, 60))
+        op = op_from_dense(mat)
+        smin = np.linalg.svd(mat, compute_uv=False)[-1]
+        val, method = sigma_min_upper(op, max_iters=10, seed=11)
+        sampled, _ = sigma_min_upper(op, timeout=0.0, seed=11)
+        assert method == "iterative"
+        assert val >= smin * (1.0 - 1e-12)
+        assert val <= sampled
+
+    def test_expired_timeout_keeps_first_lanczos_step(self):
+        mat = rng_for(11).normal(size=(60, 60))
+        val, method = sigma_min_upper(op_from_dense(mat), timeout=1e-9,
+                                      seed=11)
+        assert method == "iterative"
+        assert val >= np.linalg.svd(mat, compute_uv=False)[-1]
+
     def test_zero_timeout_zero_samples_fails_loudly(self):
         with pytest.raises(NumericalError):
             sigma_min_upper(op_from_dense(np.eye(4)), timeout=0.0, n_samples=0)
