@@ -1,10 +1,10 @@
 """Classical comparison runtimes.
 
 A built-in infeasible-start primal-dual path-following IPM (exact NES solves
-by dense Cholesky, conjugate gradient above a size cutoff) provides a
-dependency-free baseline; an adapter shells out to any external LP solver
-executable through a command template and regex-configurable output parsing.
-Wall time is measured around the solve only.
+by one sparse LU, with a diagonal-shift retry on an exactly singular factor)
+provides a dependency-free baseline; an adapter shells out to any external
+LP solver executable through a command template and regex-configurable
+output parsing. Wall time is measured around the solve only.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import linalg as dense_linalg
+from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .lp_model import ColumnDef, GeneralLP, RowDef, StandardLP, emit_mps
 from .newton import Iterate, build_nes, canonical_iterate, recover_updates_nes
 
-DENSE_CHOLESKY_MAX_M = 2000
+# relative diagonal shift of the NES retry after an exactly singular factor
+NES_SHIFT = 1e-14
 
 DEFAULT_OBJECTIVE_PATTERN = (
     r"(?:[Oo]bjective(?:\s+value)?|[Oo]ptimal(?:\s+objective)?)\s*[:=]?\s*"
@@ -68,10 +69,12 @@ def solve_internal_ipm(std: StandardLP,
                        cfg: IpmConfig | None = None) -> SolveOutcome:
     """Primal-dual path-following IPM from the all-ones start.
 
-    Each iteration solves the normal equation system exactly, recovers the
-    full Newton step, and advances by the fraction-to-boundary rule capped at
-    a full step. Terminates when the duality gap and both feasibility
-    residuals are below tolerance.
+    Each iteration solves the normal equation system by one sparse LU of
+    A D^2 A' (retried once with a diagonal shift when the factor is exactly
+    singular, which happens near the optimum), recovers the full Newton
+    step, and advances by the fraction-to-boundary rule capped at a full
+    step. Terminates when the duality gap and both feasibility residuals
+    are below tolerance.
     """
     cfg = cfg or IpmConfig()
     m, n = std.m, std.n
@@ -90,7 +93,6 @@ def solve_internal_ipm(std: StandardLP,
     it = canonical_iterate(m, n)
     x, y, s = it.x, it.y, it.s
 
-    use_dense = m <= DENSE_CHOLESKY_MAX_M
     t0 = time.perf_counter()
     status = "iteration_limit"
     message = ""
@@ -122,8 +124,8 @@ def solve_internal_ipm(std: StandardLP,
         trial = Iterate(x, y, s)
         nes = build_nes(std, trial, beta_mu)
         try:
-            dy = _solve_nes(A, trial.d2, nes.rhs, use_dense)
-        except (dense_linalg.LinAlgError, np.linalg.LinAlgError,
+            dy = _solve_nes(A, trial.d2, nes.rhs)
+        except (RuntimeError, np.linalg.LinAlgError,
                 FloatingPointError) as exc:
             status = "error"
             message = f"NES solve breakdown: {exc}"
@@ -145,22 +147,17 @@ def solve_internal_ipm(std: StandardLP,
                         wall_time=wall, solver="internal_ipm", message=message)
 
 
-def _solve_nes(A, d2: np.ndarray, rhs: np.ndarray, use_dense: bool) -> np.ndarray:
-    if use_dense:
-        M = (A.multiply(d2) @ A.T).toarray()
-        cho = dense_linalg.cho_factor(M, check_finite=False)
-        return dense_linalg.cho_solve(cho, rhs, check_finite=False)
-    scale = np.asarray((A.multiply(d2) @ A.T).diagonal())
-    scale[scale <= 0.0] = 1.0
-    op = splinalg.LinearOperator(
-        (A.shape[0], A.shape[0]), matvec=lambda v: A @ (d2 * (A.T @ v)))
-    pre = splinalg.LinearOperator(
-        (A.shape[0], A.shape[0]), matvec=lambda v: v / scale)
-    dy, info = splinalg.cg(op, rhs, rtol=1e-12, atol=0.0, maxiter=10 * A.shape[0],
-                           M=pre)
-    if info != 0:
-        raise dense_linalg.LinAlgError(f"conjugate gradient failed (info={info})")
-    return dy
+def _solve_nes(A, d2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (A D^2 A') dy = rhs. SuperLU raises RuntimeError on an exactly
+    singular factor; the retry shifts the diagonal by NES_SHIFT * max(diag)."""
+    M = (A.multiply(d2) @ A.T).tocsc()
+    try:
+        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:
+        shift = NES_SHIFT * float(M.diagonal().max())
+        M = M + shift * sparse.identity(M.shape[0], format="csc")
+        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
+    return lu.solve(rhs)
 
 
 def _max_step(x, dx, s, ds) -> float:

@@ -23,21 +23,17 @@ CONFIG_ENV_VAR = "QIPM_BOUNDS_CONFIG"
 
 
 def _load_config(path: str | None) -> AnalysisConfig:
-    cfg = AnalysisConfig()
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
-        return cfg
+        return AnalysisConfig()
     data = json.loads(Path(path).read_text())
-    ipm_data = data.pop("ipm", None)
     known = {f.name for f in dataclasses.fields(AnalysisConfig)}
     unknown = set(data) - known
     if unknown:
         raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        setattr(cfg, key, value)
-    if ipm_data:
-        cfg.ipm = IpmConfig(**ipm_data)
-    return cfg
+    if "ipm" in data:
+        data["ipm"] = IpmConfig(**(data["ipm"] or {}))
+    return AnalysisConfig(**data)
 
 
 def _apply_flags(cfg: AnalysisConfig, args: argparse.Namespace) -> None:

@@ -54,6 +54,10 @@ class AnalysisConfig:
     workers: int = 1
     ipm: IpmConfig = field(default_factory=IpmConfig)
 
+    def __post_init__(self):
+        if self.sigma_max_iters < 1:
+            raise ValueError("sigma_max_iters must be at least 1")
+
     def durations(self) -> list[float]:
         return qcost.duration_grid(self.duration_min, self.duration_max,
                                    self.duration_points,

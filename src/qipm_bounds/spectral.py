@@ -114,21 +114,6 @@ def sparsity_oss(A: SparseMatrix, m: int, n: int,
     return best
 
 
-def oss_pattern_dense(A: SparseMatrix, basis: BasisSelection) -> np.ndarray:
-    """Boolean structural pattern of O with the dense-block convention.
-
-    First m columns: pattern of A'; last n - m columns: all-ones rows at
-    basic positions, identity at nonbasic positions.
-    """
-    m, n = A.shape
-    pat = np.zeros((n, n), dtype=bool)
-    pat[:, :m] = A.to_dense().T != 0.0
-    if n > m:
-        pat[basis.basic, m:] = True
-        pat[basis.nonbasic, m:] = np.eye(n - m, dtype=bool)
-    return pat
-
-
 # ---------------------------------------------------------------------------
 # extreme singular value estimation
 
@@ -180,6 +165,8 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
     (sigma_value, sigma_max_ritz) where sigma_value is the certified
     Rayleigh-quotient bound at the extreme Ritz vector of the steps taken.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
     cap = min(max_iters, dim)

@@ -7,14 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
 import qipm_bounds
 from conftest import random_standard_lp
-from qipm_bounds.classical import (IpmConfig, solve_external,
+from qipm_bounds.classical import (IpmConfig, _solve_nes, solve_external,
                                    solve_internal_ipm, standard_to_general)
 from qipm_bounds.lp_model import emit_mps, parse_mps
 from qipm_bounds.standardize import standardize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import generators  # noqa: E402
 
 
 def highs_oracle(std):
@@ -65,18 +69,34 @@ ENDATA
         out = solve_internal_ipm(std, IpmConfig(check_interior=True))
         assert out.status == "optimal"
 
-    def test_cg_solve_path_matches_dense(self):
-        # the conjugate-gradient branch only triggers above the dense cutoff;
-        # drive it directly against the Cholesky branch
-        from qipm_bounds.classical import _solve_nes
-        std = random_standard_lp(44, 8, 16)
-        rng = np.random.default_rng(44)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nes_solve_matches_dense_reference(self, seed):
+        std = random_standard_lp(44 + seed, 8, 16)
+        rng = np.random.default_rng(44 + seed)
         a = std.A.tocsr()
-        d2 = rng.uniform(0.5, 2.0, size=16)
+        d2 = 10.0 ** rng.uniform(-3.0, 3.0, size=16)
         rhs = rng.normal(size=8)
-        dense = _solve_nes(a, d2, rhs, use_dense=True)
-        cg = _solve_nes(a, d2, rhs, use_dense=False)
-        np.testing.assert_allclose(cg, dense, rtol=1e-8, atol=1e-10)
+        dense = std.A.to_dense()
+        ref = np.linalg.solve((dense * d2) @ dense.T, rhs)
+        np.testing.assert_allclose(_solve_nes(a, d2, rhs), ref,
+                                   rtol=1e-8, atol=1e-12)
+
+    def test_nes_solve_survives_exactly_singular_matrix(self):
+        # A D^2 A' rounds to [[1e9, 1e9], [1e9, 1e9]], which is exactly
+        # singular; the shifted retry must still return a finite step
+        a = sparse.csr_matrix([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        d2 = np.array([1e9, 1e-9, 1e-9])
+        dy = _solve_nes(a, d2, np.array([1.0, 2.0]))
+        assert np.all(np.isfinite(dy))
+
+    @pytest.mark.parametrize("width,layers,seed", [(2, 8, 1), (2, 6, 3)])
+    def test_flow_grid_solves_to_optimum(self, width, layers, seed):
+        # the NES matrices of these grids turn semidefinite in floating
+        # point at the last iteration (12)
+        std = standardize(parse_mps(generators.flow_grid(width, layers, seed)))
+        out = solve_internal_ipm(std)
+        assert out.status == "optimal", out.message
+        assert out.objective == pytest.approx(highs_oracle(std).fun, rel=1e-6)
 
     def test_wall_time_positive_and_bounded(self):
         std = random_standard_lp(43, 5, 10)

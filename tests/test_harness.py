@@ -39,6 +39,10 @@ class TestAnalyzeInstance:
         assert set(rec.exclusion) == {"mnes", "oss"}
         assert "parse" in rec.stage_seconds
 
+    def test_config_rejects_zero_sigma_max_iters(self):
+        with pytest.raises(ValueError, match="sigma_max_iters"):
+            AnalysisConfig(sigma_max_iters=0)
+
     def test_unreadable_file(self, tmp_path):
         rec = analyze_instance(tmp_path / "missing.mps", FAST)
         assert rec.status == "error"
@@ -325,3 +329,20 @@ class TestCli:
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg_path))
         path = corpus_dir() / "tiny" / "tiny_min.mps"
         assert cli.main(["analyze", str(path)]) == 0
+
+    def test_config_file_rejects_zero_sigma_max_iters(self, tmp_path):
+        from qipm_bounds import cli
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sigma_max_iters": 0}))
+        path = corpus_dir() / "tiny" / "tiny_min.mps"
+        with pytest.raises(ValueError, match="sigma_max_iters"):
+            cli.main(["analyze", str(path), "--config", str(cfg_path)])
+
+    def test_config_file_builds_ipm_config(self, tmp_path):
+        from qipm_bounds import cli
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"sigma_max_iters": 40, "ipm": {"max_iterations": 7}}))
+        cfg = cli._load_config(str(cfg_path))
+        assert cfg.sigma_max_iters == 40
+        assert cfg.ipm.max_iterations == 7

@@ -9,9 +9,8 @@ from qipm_bounds.newton import (build_fbar, build_oss, canonical_iterate,
                                 select_basis)
 from qipm_bounds.spectral import (NumericalError, difficulty_estimate,
                                   kappa_lower_mnes, kappa_lower_oss,
-                                  oss_pattern_dense, sigma_max_lower,
-                                  sigma_min_upper, sparsity_mnes,
-                                  sparsity_oss)
+                                  sigma_max_lower, sigma_min_upper,
+                                  sparsity_mnes, sparsity_oss)
 
 
 def oss_pattern_oracle(a: np.ndarray, basic, nonbasic) -> np.ndarray:
@@ -52,7 +51,6 @@ class TestSparsityRules:
         pat = oss_pattern_oracle(std.A.to_dense(), basis.basic, basis.nonbasic)
         oracle = max(pat.sum(axis=0).max(), pat.sum(axis=1).max())
         assert sparsity_oss(std.A, m, n, basis) == oracle
-        np.testing.assert_array_equal(oss_pattern_dense(std.A, basis), pat)
         # the basis-free rule is an upper bound of the basis-aware one
         assert sparsity_oss(std.A, m, n) >= oracle
 
@@ -74,6 +72,13 @@ class TestSigmaMaxLower:
         val = sigma_max_lower(op_from_dense(mat), seed=seed)
         smax = np.linalg.svd(mat, compute_uv=False)[0]
         assert val <= smax * (1.0 + 1e-12)
+
+    def test_zero_max_iters_rejected(self):
+        op = op_from_dense(np.eye(4))
+        with pytest.raises(ValueError, match="max_iters"):
+            sigma_max_lower(op, max_iters=0)
+        with pytest.raises(ValueError, match="max_iters"):
+            sigma_min_upper(op, max_iters=0)
 
     def test_nonfinite_matvec_raises(self):
         bad = op_from_dense(np.eye(3))
