@@ -3,7 +3,9 @@
 A JSON config file (via --config or the QIPM_BOUNDS_CONFIG environment
 variable) can preset any analysis option, including the objective/status
 regex patterns of the external-solver adapter; command-line flags override
-it. Exit code is 0 on full success and 2 when any instance errored.
+it. Exit code is 0 on full success, 1 when the config file is unreadable
+JSON, names an unknown key or holds an invalid value, and 2 when any
+instance errored.
 """
 
 from __future__ import annotations
@@ -26,14 +28,17 @@ def _load_config(path: str | None) -> AnalysisConfig:
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return AnalysisConfig()
-    data = json.loads(Path(path).read_text())
-    known = {f.name for f in dataclasses.fields(AnalysisConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-    if "ipm" in data:
-        data["ipm"] = IpmConfig(**(data["ipm"] or {}))
-    return AnalysisConfig(**data)
+    try:
+        data = json.loads(Path(path).read_text())
+        known = {f.name for f in dataclasses.fields(AnalysisConfig)}
+        unknown = set(data) - known
+        if unknown:
+            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        if "ipm" in data:
+            data["ipm"] = IpmConfig(**(data["ipm"] or {}))
+        return AnalysisConfig(**data)
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise SystemExit(f"invalid config {path}: {exc}") from None
 
 
 def _apply_flags(cfg: AnalysisConfig, args: argparse.Namespace) -> None:

@@ -3,9 +3,10 @@
 The pipeline order is fixed: presolve -> to_standard_form -> ensure_full_row_rank.
 Presolve removes empty rows/columns, substitutes fixed variables and merges
 positively scaled duplicate rows; standardization introduces slack/surplus
-columns, shifts or splits bounded/free variables; rank repair drops rows that
-are linear combinations of earlier ones after checking right-hand-side
-consistency.
+columns, shifts or splits bounded/free variables; rank repair keeps a maximal
+independent set of rows, picked by a column-pivoted QR (largest residual
+relative to the row's norm first, ties toward the earlier row), and drops the
+rest after checking right-hand-side consistency.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import linalg
 
 from .lp_model import INF, ColumnDef, GeneralLP, SparseMatrix, StandardLP
 
-# residual threshold for declaring a row dependent on earlier rows
+# residual, relative to the row's norm, below which a row is dependent on
+# the rows already kept
 RANK_TOL = 1e-10
 # consistency tolerance for the rhs of a dependent row
 RHS_CONSISTENCY_TOL = 1e-9
@@ -321,58 +324,38 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
 
 
 def ensure_full_row_rank(std: StandardLP) -> StandardLP:
-    """Drop rows linearly dependent on earlier rows, checking rhs consistency.
+    """Keep a maximal independent set of rows, checking rhs consistency.
 
-    A row is dependent when its residual after projection onto the kept rows
-    falls below RANK_TOL relative to its norm; its rhs must then match the
-    implied combination to RHS_CONSISTENCY_TOL or the LP is infeasible.
+    One column-pivoted Householder QR of the row-normalized A^T picks the
+    rows: each step takes the row with the largest residual against the rows
+    already picked, relative to its own norm (LAPACK breaks ties toward the
+    earlier row), and stops once that residual falls to RANK_TOL. Every other
+    row is a combination of the kept ones, read off the same R; its rhs must
+    match the implied combination to RHS_CONSISTENCY_TOL or the LP is
+    infeasible. Kept rows stay in their original order.
     """
-    m, n = std.m, std.n
+    m = std.m
     if m == 0:
         return std
     dense = std.A.to_dense()
-    kept: list[int] = []
-    q_rows = np.zeros((0, n))
+    norms = np.linalg.norm(dense, axis=1)
+    scale = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
+    dense *= scale[:, None]
+    r, piv = linalg.qr(dense.T, mode="r", pivoting=True, overwrite_a=True)
+    rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
+    # dropped row d = sum_k w[k, d] * kept row k, both rows scaled to unit norm
+    w = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    implied = norms[piv[rank:]] * ((std.b * scale)[piv[:rank]] @ w)
     log = list(std.transform_log)
-    for i in range(m):
-        r = dense[i]
-        nrm = np.linalg.norm(r)
-        if nrm == 0.0:
-            resid = r
-            resid_norm = 0.0
-        else:
-            coeff = q_rows @ r
-            resid = r - q_rows.T @ coeff
-            # second orthogonalization pass for numerical safety
-            coeff2 = q_rows @ resid
-            resid = resid - q_rows.T @ coeff2
-            resid_norm = np.linalg.norm(resid)
-        if nrm > 0.0 and resid_norm > RANK_TOL * nrm:
-            kept.append(i)
-            q_rows = np.vstack([q_rows, resid / resid_norm])
-            continue
-        # dependent row: express it through the kept rows and test the rhs
-        if kept:
-            w, *_ = np.linalg.lstsq(dense[kept].T, r, rcond=None)
-            implied = float(np.dot(w, std.b[kept]))
-        else:
-            implied = 0.0
-        if abs(std.b[i] - implied) > RHS_CONSISTENCY_TOL * (1.0 + abs(std.b[i])):
+    for i, value in sorted(zip(piv[rank:].tolist(), implied.tolist())):
+        if abs(std.b[i] - value) > RHS_CONSISTENCY_TOL * (1.0 + abs(std.b[i])):
             raise InfeasibleProblem(
-                f"row {i} is dependent on earlier rows but its rhs "
-                f"{std.b[i]} conflicts with the implied value {implied}")
+                f"row {i} is dependent on the kept rows but its rhs "
+                f"{std.b[i]} conflicts with the implied value {value}")
         log.append(f"drop dependent row {i}")
-    if len(kept) == m:
-        return StandardLP(
-            A=std.A, b=std.b, c=std.c,
-            column_provenance=std.column_provenance,
-            column_names=std.column_names, name=std.name,
-            objective_sign=std.objective_sign,
-            objective_constant=std.objective_constant,
-            transform_log=log)
-    A = SparseMatrix(std.A.tocsr()[kept])
+    kept = np.sort(piv[:rank])
     return StandardLP(
-        A=A, b=std.b[kept], c=std.c,
+        A=SparseMatrix(std.A.tocsr()[kept]), b=std.b[kept], c=std.c,
         column_provenance=std.column_provenance,
         column_names=std.column_names, name=std.name,
         objective_sign=std.objective_sign,

@@ -333,10 +333,17 @@ class TestCli:
     def test_config_file_rejects_zero_sigma_max_iters(self, tmp_path):
         from qipm_bounds import cli
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"sigma_max_iters": 0}))
         path = corpus_dir() / "tiny" / "tiny_min.mps"
-        with pytest.raises(ValueError, match="sigma_max_iters"):
-            cli.main(["analyze", str(path), "--config", str(cfg_path)])
+        # a bad value, an unknown ipm key and malformed JSON all end in one
+        # clean message instead of a traceback
+        for text, match in [(json.dumps({"sigma_max_iters": 0}),
+                             "sigma_max_iters"),
+                            (json.dumps({"ipm": {"bogus": 1}}), "bogus"),
+                            ("{not json", "invalid config")]:
+            cfg_path.write_text(text)
+            with pytest.raises(SystemExit, match=match) as exc:
+                cli.main(["analyze", str(path), "--config", str(cfg_path)])
+            assert str(exc.value).startswith(f"invalid config {cfg_path}: ")
 
     def test_config_file_builds_ipm_config(self, tmp_path):
         from qipm_bounds import cli

@@ -178,6 +178,11 @@ class TestEnsureFullRowRank:
         out = ensure_full_row_rank(std)
         assert out.m == 1
         np.testing.assert_allclose(out.A.to_dense(), [[1.0, 1.0]])
+        # a dependent row ahead of an independent one: e2 must be kept
+        out = ensure_full_row_rank(
+            self._std([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 2.0]))
+        assert out.m == 2
+        assert [0.0, 1.0] in out.A.to_dense().tolist()
 
     def test_contradictory_dependence_infeasible(self):
         std = self._std([[1.0, 1.0], [2.0, 2.0]], [2.0, 5.0])
@@ -185,15 +190,33 @@ class TestEnsureFullRowRank:
             ensure_full_row_rank(std)
 
     def test_random_stacked_combinations(self):
+        # dependent rows shuffled in among independent ones, with row scales
+        # of 10^-4..10^4
         rng = rng_for(7)
         for trial in range(10):
             a = rng.normal(size=(10, 20))
             w = rng.normal(size=(3, 10))
-            stacked = np.vstack([a, w @ a])
+            stacked = np.vstack([w @ a, a])[rng.permutation(13)]
+            stacked *= (10.0 ** rng.uniform(-4.0, 4.0, size=13))[:, None]
             x0 = rng.uniform(0.5, 1.5, size=20)
             b = stacked @ x0
             out = ensure_full_row_rank(self._std(stacked, b))
             assert out.m == np.linalg.matrix_rank(stacked) == 10
+            kept = out.A.to_dense()
+            np.testing.assert_allclose(kept @ x0, out.b, rtol=1e-12)
+            # the kept rows imply the dropped ones: a solution of the kept
+            # system (rows scaled to unit norm) reproduces every rhs
+            norms = np.linalg.norm(kept, axis=1)
+            x1, *_ = np.linalg.lstsq(kept / norms[:, None], out.b / norms,
+                                     rcond=None)
+            resid = (stacked @ x1 - b) / np.linalg.norm(stacked, axis=1)
+            assert np.abs(resid).max() <= 1e-10 * np.linalg.norm(x1)
+            dropped = [int(e.split()[-1]) for e in out.transform_log
+                       if e.startswith("drop dependent row")]
+            assert len(dropped) == 3
+            b[dropped[0]] += 1e-6 * (1.0 + abs(b[dropped[0]]))
+            with pytest.raises(InfeasibleProblem):
+                ensure_full_row_rank(self._std(stacked, b))
 
 
 class TestPipelineProperties:
