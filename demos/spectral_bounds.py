@@ -1,11 +1,14 @@
 """Certified one-sided condition-number estimates vs dense truth.
 
 sigma_max is estimated from below (Rayleigh quotients cannot exceed it),
-sigma_min from above (the Rayleigh quotient at the smallest Ritz vector
-wherever the Lanczos iteration stops, or, with a zero timeout, the minimum of
-||O w|| over random unit vectors). Both directions push the estimated
-condition number below the true one, so gamma = s * kappa is a certified
-lower bound on the difficulty entering the quantum cost formulas.
+sigma_min from above (the forward Rayleigh quotient at the top Ritz vector of
+a Lanczos iteration on the inverse Gram operator, which one sparse
+factorization of A D^2 A' applies, wherever that iteration stops; or, with a
+zero timeout, the minimum of ||O w|| over random unit vectors). The inverse
+only chooses the vector, so its accuracy never affects the bound. Both
+directions push the estimated condition number below the true one, so
+gamma = s * kappa is a certified lower bound on the difficulty entering the
+quantum cost formulas.
 """
 
 import numpy as np

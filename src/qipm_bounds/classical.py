@@ -1,10 +1,11 @@
 """Classical comparison runtimes.
 
 A built-in infeasible-start primal-dual path-following IPM (exact NES solves
-by one sparse LU, with a diagonal-shift retry on an exactly singular factor)
-provides a dependency-free baseline; an adapter shells out to any external
-LP solver executable through a command template and regex-configurable
-output parsing. Wall time is measured around the solve only.
+by one sparse LU, `newton.factor_nes`, with a diagonal-shift retry on an
+exactly singular factor) provides a dependency-free baseline; an adapter
+shells out to any external LP solver executable through a command template
+and regex-configurable output parsing. Wall time is measured around the
+solve only.
 """
 
 from __future__ import annotations
@@ -18,14 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as splinalg
 
 from .lp_model import ColumnDef, GeneralLP, RowDef, StandardLP, emit_mps
-from .newton import Iterate, build_nes, canonical_iterate, recover_updates_nes
-
-# relative diagonal shift of the NES retry after an exactly singular factor
-NES_SHIFT = 1e-14
+from .newton import (Iterate, build_nes, canonical_iterate, factor_nes,
+                     recover_updates_nes)
 
 DEFAULT_OBJECTIVE_PATTERN = (
     r"(?:[Oo]bjective(?:\s+value)?|[Oo]ptimal(?:\s+objective)?)\s*[:=]?\s*"
@@ -124,7 +121,7 @@ def solve_internal_ipm(std: StandardLP,
         trial = Iterate(x, y, s)
         nes = build_nes(std, trial, beta_mu)
         try:
-            dy = _solve_nes(A, trial.d2, nes.rhs)
+            dy = factor_nes(A, trial.d2)(nes.rhs)
         except (RuntimeError, np.linalg.LinAlgError,
                 FloatingPointError) as exc:
             status = "error"
@@ -145,19 +142,6 @@ def solve_internal_ipm(std: StandardLP,
     wall = time.perf_counter() - t0
     return SolveOutcome(status=status, objective=float(c @ x), iterations=k,
                         wall_time=wall, solver="internal_ipm", message=message)
-
-
-def _solve_nes(A, d2: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (A D^2 A') dy = rhs. SuperLU raises RuntimeError on an exactly
-    singular factor; the retry shifts the diagonal by NES_SHIFT * max(diag)."""
-    M = (A.multiply(d2) @ A.T).tocsc()
-    try:
-        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError:
-        shift = NES_SHIFT * float(M.diagonal().max())
-        M = M + shift * sparse.identity(M.shape[0], format="csc")
-        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
-    return lu.solve(rhs)
 
 
 def _max_step(x, dx, s, ds) -> float:

@@ -65,7 +65,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="QLSA target precision (default 0.1)")
     p.add_argument("--sigma-min-timeout", dest="sigma_min_timeout",
                    type=float, help="seconds after which the sigma_min "
-                   "Lanczos iteration stops and keeps its current bound; "
+                   "Lanczos iteration, including the sparse factorization "
+                   "of its inverse operator, stops and keeps its current "
+                   "bound (the sigma_max estimate is not under this limit); "
                    "<= 0 selects random sampling instead (default 60)")
     p.add_argument("--sigma-min-samples", dest="sigma_min_samples", type=int,
                    help="random unit vectors drawn for sigma_min, used only "

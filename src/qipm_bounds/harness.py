@@ -39,6 +39,8 @@ class AnalysisConfig:
     epsilon: float = 0.1
     beta: float = 0.5  # beta_mu = beta * (x's / n) at the build iterate
     seed: int = 0
+    # bounds the sigma_min iteration, including the lazy NES factorization
+    # of its inverse operator; sigma_max_lower runs outside it
     sigma_min_timeout: float = 60.0
     sigma_min_samples: int = 10000
     sigma_max_iters: int = 300

@@ -11,11 +11,13 @@ of each system back to full Newton updates (dx, dy, ds).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy import linalg as dense_linalg
+from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .lp_model import SparseMatrix, StandardLP
@@ -24,6 +26,8 @@ from .lp_model import SparseMatrix, StandardLP
 BASIS_SOLVE_TOL = 1e-10
 # pivot threshold for declaring rank deficiency during basis selection
 BASIS_RANK_TOL = 1e-10
+# relative diagonal shift of the NES retry after an exactly singular factor
+NES_SHIFT = 1e-14
 
 
 class RankDeficiencyError(ValueError):
@@ -126,13 +130,32 @@ def select_basis(A: SparseMatrix, rank_tol: float = BASIS_RANK_TOL) -> BasisSele
         _solve_t=lambda v: lu.solve(np.asarray(v, dtype=float), trans="T"))
 
 
+def factor_nes(A, d2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor M = A D^2 A' by one sparse LU and return its solve.
+
+    A is a SciPy sparse matrix. SuperLU raises RuntimeError on an exactly
+    singular factor; the one retry shifts the diagonal by
+    NES_SHIFT * max(diag M), and a second failure propagates.
+    """
+    M = (A.multiply(d2) @ A.T).tocsc()
+    try:
+        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError:
+        shift = NES_SHIFT * float(M.diagonal().max())
+        M = M + shift * sparse.identity(M.shape[0], format="csc")
+        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
+    return lu.solve
+
+
 @dataclass
 class NewtonOperator:
     """A linear operator with its transpose and (optional) right-hand side.
 
     apply/apply_transpose accept a vector of matching dimension or a 2-D
     array of stacked column vectors. kind is one of "nes", "mnes", "oss",
-    "fbar", "nullspace".
+    "fbar", "nullspace". inverse_gram, set only when shape[0] <= shape[1],
+    applies (op op')^-1 to a single vector of length shape[0]; its top
+    eigenvectors u minimize the Rayleigh quotient ||op' u|| / ||u||.
     """
     shape: tuple[int, int]
     kind: str
@@ -140,6 +163,7 @@ class NewtonOperator:
     _rmatvec: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+    inverse_gram: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -235,12 +259,20 @@ def build_fbar(basis: BasisSelection, A: SparseMatrix,
     """Nonbasic coupling operator F = D_B^-1 A_B^-1 A_N D_N, shape m x (n-m).
 
     At the all-ones iterate this is A_B^-1 A_N; M_hat = I + F F'.
+
+    When n - m >= m the operator carries the inverse Gram
+    (F F')^-1 = D_B A_B' (A_N D_N^2 A_N')^-1 A_B D_B, which needs one sparse
+    factorization of A_N D_N^2 A_N' and no basis solve. It is factored on
+    first use; sigma_min_upper iterates on it only to choose the vector at
+    which the forward Rayleigh quotient ||F' u|| / ||u|| is taken.
     """
     m = basis.m
     k = len(basis.nonbasic)
     a_n = A.columns(basis.nonbasic).tocsr()
-    db_inv = 1.0 / np.sqrt(it.x[basis.basic] / it.s[basis.basic])
-    dn = np.sqrt(it.x[basis.nonbasic] / it.s[basis.nonbasic])
+    db = np.sqrt(it.x[basis.basic] / it.s[basis.basic])
+    db_inv = 1.0 / db
+    d2n = it.x[basis.nonbasic] / it.s[basis.nonbasic]
+    dn = np.sqrt(d2n)
 
     def matvec(v):
         return _dmul(db_inv, basis.solve(a_n @ _dmul(dn, v)))
@@ -248,7 +280,17 @@ def build_fbar(basis: BasisSelection, A: SparseMatrix,
     def rmatvec(u):
         return _dmul(dn, a_n.T @ basis.solve_t(_dmul(db_inv, u)))
 
-    return NewtonOperator((m, k), "fbar", matvec, rmatvec)
+    inverse_gram = None
+    if k >= m:
+        a_b = A.columns(basis.basic).tocsr()
+        a_bt = a_b.T
+        solve = functools.cache(lambda: factor_nes(a_n, d2n))
+
+        def inverse_gram(u):
+            return db * (a_bt @ solve()(a_b @ (db * u)))
+
+    return NewtonOperator((m, k), "fbar", matvec, rmatvec,
+                          inverse_gram=inverse_gram)
 
 
 def null_space_matrix(basis: BasisSelection, A: SparseMatrix) -> NewtonOperator:
@@ -281,11 +323,23 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
 
     The input vector stacks the dy block (m) over the null-space coefficient
     block (n - m); tau_i = beta_mu - x_i s_i.
+
+    The operator carries the inverse Gram (O O')^-1 = O^-T O^-1, built from
+    one sparse factorization of M = A D^2 A' (factored on first use) and no
+    basis solve: O^-1 r = (vy, -dx_N) with vy = -M^-1 A S^-1 r and
+    dx = S^-1 r + D^2 A' vy, and O^-T (p, q) = S^-1 (A' t - P_N q) with
+    t = M^-1 (-p + A_N D_N^2 q), where P_N scatters onto the nonbasic rows.
+    sigma_min_upper iterates on it only to choose the vector at which the
+    forward Rayleigh quotient ||O' u|| / ||u|| is taken.
     """
     _check_iterate(std, it)
     A = std.A.tocsr()
     m, n = std.m, std.n
     V = null_space_matrix(basis, std.A)
+    a_t = A.T
+    d2 = it.d2
+    s_inv = 1.0 / it.s
+    solve = functools.cache(lambda: factor_nes(A, d2))
 
     def matvec(w):
         vy, vl = w[:m], w[m:]
@@ -296,9 +350,19 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
         bot = V.apply_transpose(_dmul(it.s, u))
         return np.concatenate([top, bot], axis=0)
 
+    def inverse_gram(r):
+        # (p, q) = O^-1 r with p = vy and P_N q = z, then O^-T (p, q)
+        vy = -solve()(A @ (s_inv * r))
+        dx = s_inv * r + d2 * (a_t @ vy)
+        z = np.zeros(n)
+        z[basis.nonbasic] = -dx[basis.nonbasic]
+        t = solve()(A @ (d2 * z) - vy)
+        return s_inv * (a_t @ t - z)
+
     tau = beta_mu - it.x * it.s
     return NewtonOperator((n, n), "oss", matvec, rmatvec, rhs=tau,
-                          meta={"beta_mu": beta_mu})
+                          meta={"beta_mu": beta_mu},
+                          inverse_gram=inverse_gram)
 
 
 # ---------------------------------------------------------------------------

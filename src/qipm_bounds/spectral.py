@@ -5,12 +5,17 @@ basis-inverse blocks are treated as fully dense). Extreme singular values
 are estimated one-sidedly from Rayleigh quotients ||op v|| / ||v||, which
 never leave the interval [sigma_min, sigma_max]: sigma_max from below at the
 top Ritz vector of a Krylov iteration on the Gram operator, sigma_min from
-above at the smallest Ritz vector, wherever that iteration stops
-(convergence, iteration cap, breakdown or wall-clock timeout). Only a
-non-positive timeout replaces the iteration by the minimum of ||op w|| over
-seeded random unit vectors. Both directions combine into a
-condition-number estimate that never exceeds the true kappa, so the derived
-difficulty gamma = s * kappa is itself a lower bound.
+above at the vector that a Krylov iteration picks, wherever that iteration
+stops (convergence, iteration cap, breakdown or wall-clock timeout). When
+the operator carries an inverse Gram operator (OSS and F, through one
+sparse A D^2 A' factorization), the vector is the top Ritz vector of that
+inverse; otherwise, or when the factorization fails, it is the smallest
+Ritz vector of the forward Gram operator. Either way the certificate is the
+forward Rayleigh quotient at that vector, so the inverse's accuracy never
+affects soundness. Only a non-positive timeout replaces the iteration by
+the minimum of ||op w|| over seeded random unit vectors. Both directions
+combine into a condition-number estimate that never exceeds the true
+kappa, so the derived difficulty gamma = s * kappa is itself a lower bound.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .lp_model import SparseMatrix
 from .newton import BasisSelection, NewtonOperator
 
 DEFAULT_MAX_ITERS = 300
-DEFAULT_RITZ_TOL = 1e-8
+DEFAULT_RITZ_TOL = 1e-10
 DEFAULT_TIMEOUT = 60.0
 DEFAULT_SAMPLES = 10000
 _SAMPLE_CHUNK = 256
@@ -209,7 +214,10 @@ def _extreme_ritz(alphas, betas, which: str):
     if len(alphas) == 1:
         return alphas[0], np.ones(1)
     vals, vecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-    idx = -1 if which == "max" else 0
+    # "max" is the largest magnitude: the top value of a semidefinite Gram
+    # operator, and still the null direction of an inverse Gram operator
+    # whose near-singular factor rounded that huge eigenvalue negative
+    idx = int(np.argmax(np.abs(vals))) if which == "max" else 0
     return float(vals[idx]), vecs[:, idx]
 
 
@@ -236,25 +244,44 @@ def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                     sigma_max_hint: float | None = None) -> tuple[float, str]:
     """Certified upper bound on the smallest singular value of op.
 
-    With timeout > 0, runs a Krylov iteration targeting the smallest Ritz
-    value and returns the Rayleigh quotient at its Ritz vector, wherever the
-    iteration stops: convergence, max_iters, breakdown or the timeout, which
-    ends the iteration early (after at least one step) without discarding
-    it. Every Rayleigh quotient bounds sigma_min from above by the min-max
-    principle. With timeout <= 0, takes instead the minimum of ||op w|| over
-    n_samples seeded random unit vectors. Either value is padded by a
-    floating-point safety margin scaled by sigma_max_hint or the largest
-    value observed.
+    With timeout > 0, runs a Krylov iteration and returns the forward
+    Rayleigh quotient of op on its smaller side at the vector v the
+    iteration picks, wherever it stops: convergence, max_iters, breakdown
+    or the timeout, which ends the iteration early (after at least one
+    step) without discarding it. When op.inverse_gram is set, v is the top
+    Ritz vector of that inverse (op op')^-1, whose lazy factorization runs
+    under the same timeout, and the quotient is ||op' v|| / ||v||; if the
+    factorization or an inverse solve fails, v is instead the smallest Ritz
+    vector of the forward Gram operator. Every Rayleigh quotient bounds
+    sigma_min from above by the min-max principle, however v was chosen.
+    With timeout <= 0, takes instead the minimum of ||op w|| over n_samples
+    seeded random unit vectors. Either value is padded by a floating-point
+    safety margin scaled by sigma_max_hint (on the inverse path,
+    sigma_max_lower(op) when no hint is given) or the largest value
+    observed.
     """
     dim, gram, image = _gram_side(op)
     if dim == 0 or op.shape[0] == 0:
         return 0.0, "rank_deficiency_exact"
     scale_ref = sigma_max_hint or 0.0
     if timeout > 0:
+        deadline = time.monotonic() + timeout
+        if op.inverse_gram is not None:
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            try:
+                # its Ritz value is about 1 / sigma_min, no pad scale
+                value, _ = _lanczos_extreme(
+                    op.inverse_gram, op.apply_transpose, dim, "max",
+                    max_iters, tol, rng, deadline)
+            except (RuntimeError, np.linalg.LinAlgError):
+                pass  # fall back to the forward Gram below
+            else:
+                scale_ref = scale_ref or sigma_max_lower(
+                    op, max_iters=max_iters, tol=tol, seed=seed)
+                return value + _FP_PAD * (dim + 10) * scale_ref, "iterative"
         rng = np.random.Generator(np.random.Philox(key=seed))
         value, smax_ritz = _lanczos_extreme(
-            gram, image, dim, "min", max_iters, tol, rng,
-            deadline=time.monotonic() + timeout)
+            gram, image, dim, "min", max_iters, tol, rng, deadline)
         pad = _FP_PAD * (dim + 10) * max(scale_ref, smax_ritz)
         return value + pad, "iterative"
 

@@ -12,9 +12,10 @@ from scipy.optimize import linprog
 
 import qipm_bounds
 from conftest import random_standard_lp
-from qipm_bounds.classical import (IpmConfig, _solve_nes, solve_external,
+from qipm_bounds.classical import (IpmConfig, solve_external,
                                    solve_internal_ipm, standard_to_general)
 from qipm_bounds.lp_model import emit_mps, parse_mps
+from qipm_bounds.newton import factor_nes
 from qipm_bounds.standardize import standardize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -78,7 +79,7 @@ ENDATA
         rhs = rng.normal(size=8)
         dense = std.A.to_dense()
         ref = np.linalg.solve((dense * d2) @ dense.T, rhs)
-        np.testing.assert_allclose(_solve_nes(a, d2, rhs), ref,
+        np.testing.assert_allclose(factor_nes(a, d2)(rhs), ref,
                                    rtol=1e-8, atol=1e-12)
 
     def test_nes_solve_survives_exactly_singular_matrix(self):
@@ -86,7 +87,7 @@ ENDATA
         # singular; the shifted retry must still return a finite step
         a = sparse.csr_matrix([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         d2 = np.array([1e9, 1e-9, 1e-9])
-        dy = _solve_nes(a, d2, np.array([1.0, 2.0]))
+        dy = factor_nes(a, d2)(np.array([1.0, 2.0]))
         assert np.all(np.isfinite(dy))
 
     @pytest.mark.parametrize("width,layers,seed", [(2, 8, 1), (2, 6, 3)])

@@ -1,16 +1,21 @@
 """Sparsity rules and one-sided singular value / condition number bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conftest import op_from_dense, random_standard_lp, rng_for
+from conftest import (dense_fbar, dense_oss, op_from_dense, random_iterate,
+                      random_standard_lp, rng_for)
+from qipm_bounds import newton
 from qipm_bounds.lp_model import SparseMatrix
 from qipm_bounds.newton import (build_fbar, build_oss, canonical_iterate,
                                 select_basis)
-from qipm_bounds.spectral import (NumericalError, difficulty_estimate,
-                                  kappa_lower_mnes, kappa_lower_oss,
-                                  sigma_max_lower, sigma_min_upper,
-                                  sparsity_mnes, sparsity_oss)
+from qipm_bounds.spectral import (_FP_PAD, NumericalError,
+                                  difficulty_estimate, kappa_lower_mnes,
+                                  kappa_lower_oss, sigma_max_lower,
+                                  sigma_min_upper, sparsity_mnes,
+                                  sparsity_oss)
 
 
 def oss_pattern_oracle(a: np.ndarray, basic, nonbasic) -> np.ndarray:
@@ -142,6 +147,119 @@ class TestSigmaMinUpper:
         b1 = sigma_max_lower(op, seed=5)
         b2 = sigma_max_lower(op, seed=5)
         assert b1 == b2
+
+
+def _newton_case(seed: int, kind: str, canonical: bool):
+    """(operator, its dense oracle) of a random LP with n - m >= m."""
+    rng = rng_for(7000 + seed)
+    m = int(rng.integers(2, 10))
+    n = int(rng.integers(2 * m, 2 * m + 10))
+    std = random_standard_lp(7000 + seed, m, n)
+    basis = select_basis(std.A)
+    it = canonical_iterate(m, n) if canonical else random_iterate(rng, m, n)
+    a = std.A.to_dense()
+    if kind == "oss":
+        return (build_oss(std, it, basis, 0.5),
+                dense_oss(a, basis.basic, basis.nonbasic, it))
+    return (build_fbar(basis, std.A, it),
+            dense_fbar(a, basis.basic, basis.nonbasic, it))
+
+
+class TestInverseKrylov:
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("kind", ["oss", "fbar"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bounds_and_matches_dense_sigma_min(self, seed, kind, canonical):
+        op, dense = _newton_case(seed, kind, canonical)
+        calls = []
+
+        def counted(v):
+            calls.append(1)
+            return op.inverse_gram(v)
+
+        svals = np.linalg.svd(dense, compute_uv=False)
+        smin = svals[min(dense.shape) - 1]
+        val, method = sigma_min_upper(
+            dataclasses.replace(op, inverse_gram=counted), seed=seed)
+        assert method == "iterative" and calls
+        assert val >= smin * (1.0 - 1e-12)
+        if smin > 1e-6 * svals[0]:
+            assert val <= smin * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("kind", ["oss", "fbar"])
+    def test_inverse_gram_inverts_the_operator(self, kind):
+        checked = 0
+        for seed in range(10):
+            op, dense = _newton_case(seed, kind, canonical=True)
+            gram = dense @ dense.T
+            if np.linalg.cond(gram) > 1e6:
+                continue  # F F' of a rank-deficient A_N has no inverse
+            rows = dense.shape[0]
+            inv = np.column_stack([op.inverse_gram(e) for e in np.eye(rows)])
+            np.testing.assert_allclose(inv @ gram, np.eye(rows), rtol=0.0,
+                                       atol=1e-10)
+            checked += 1
+        assert checked >= 8
+
+    def test_singular_coupling_gives_the_pad(self):
+        # A = [I_4 | e1 ... e1]: F = A_N has rank one, so sigma_min(F) = 0
+        # and A_N A_N' is exactly singular
+        m, k = 4, 5
+        a_n = np.zeros((m, k))
+        a_n[0] = 1.0
+        a = SparseMatrix.from_dense(np.hstack([np.eye(m), a_n]))
+        basis = select_basis(a)
+        fbar = build_fbar(basis, a, canonical_iterate(m, m + k))
+        smax = sigma_max_lower(fbar)
+        val, method = sigma_min_upper(fbar, sigma_max_hint=smax)
+        # the Rayleigh quotient at the chosen vector is at rounding level,
+        # far below the floating-point pad added to it
+        pad = _FP_PAD * (m + 10) * smax
+        assert method == "iterative"
+        assert pad <= val <= pad * (1.0 + 1e-3)
+        kb = kappa_lower_mnes(fbar, m, m + k)
+        assert kb.kappa_lower == pytest.approx(1.0 + k, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rank_deficient_coupling_gives_the_pad(self, seed):
+        # A = [I | A_N] with rank(A_N) = m - 1 and small A_N, so the basis is
+        # I and sigma_min(F) = 0; A_N D_N^2 A_N' is singular only up to
+        # rounding, and its factor may turn the null direction's huge
+        # inverse eigenvalue negative
+        rng = rng_for(8000 + seed)
+        m, k = 5, 7
+        a_n = rng.normal(size=(m, k))
+        a_n[1] = 0.3 * a_n[0] + 0.7 * a_n[2]
+        a_n *= 0.1 / np.abs(a_n).max()
+        a = SparseMatrix.from_dense(np.hstack([np.eye(m), a_n]))
+        fbar = build_fbar(select_basis(a), a, random_iterate(rng, m, m + k))
+        smax = sigma_max_lower(fbar)
+        val, _ = sigma_min_upper(fbar, sigma_max_hint=smax)
+        assert val <= 2.0 * _FP_PAD * (m + 10) * smax
+
+    @pytest.mark.parametrize("kind", ["oss", "fbar"])
+    def test_failed_factorization_falls_back_bit_for_bit(self, kind,
+                                                         monkeypatch):
+        op, _ = _newton_case(3, kind, canonical=False)
+        forward = sigma_min_upper(
+            dataclasses.replace(op, inverse_gram=None), seed=4,
+            sigma_max_hint=2.0)
+
+        def broken(A, d2):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(newton, "factor_nes", broken)
+        assert sigma_min_upper(op, seed=4, sigma_max_hint=2.0) == forward
+
+    def test_sampling_never_factors(self, monkeypatch):
+        op, _ = _newton_case(1, "oss", canonical=True)
+
+        def unexpected(A, d2):
+            raise AssertionError("sampling must not factor")
+
+        monkeypatch.setattr(newton, "factor_nes", unexpected)
+        _, method = sigma_min_upper(op, timeout=0.0, n_samples=50)
+        assert method == "random_sampling"
 
 
 class TestKappaMnes:
