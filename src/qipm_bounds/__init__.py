@@ -23,9 +23,9 @@ from .qcost import (duration_grid, hermitian_dilation_params,
                     qlsa_query_count, runtime_lower_bound,
                     total_quantum_cycles)
 from .report import emit_report, report_from_json
-from .spectral import (DifficultyEstimate, KappaBound, NumericalError,
-                       kappa_lower_mnes, kappa_lower_oss, sigma_max_lower,
-                       sigma_min_upper, sparsity_mnes, sparsity_oss)
+from .spectral import (KappaBound, NumericalError, kappa_lower_mnes,
+                       kappa_lower_oss, sigma_max_lower, sigma_min_upper,
+                       sparsity_mnes, sparsity_oss)
 from .standardize import (InfeasibleProblem, UnboundedProblem,
                           ensure_full_row_rank, presolve, standardize,
                           to_standard_form)
@@ -33,8 +33,8 @@ from .standardize import (InfeasibleProblem, UnboundedProblem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "BasisSelection", "DifficultyEstimate",
-    "FormulationResult", "GeneralLP", "InfeasibleProblem", "InstanceRecord",
+    "AnalysisConfig", "BasisSelection", "FormulationResult", "GeneralLP",
+    "InfeasibleProblem", "InstanceRecord",
     "IpmConfig", "Iterate", "KappaBound", "MpsParseError", "NewtonOperator",
     "NewtonStep", "NumericalError", "RankDeficiencyError", "SolveOutcome",
     "SparseMatrix", "StandardLP",

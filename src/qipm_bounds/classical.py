@@ -169,18 +169,20 @@ def standard_to_general(std: StandardLP) -> GeneralLP:
 def solve_external(std: StandardLP, command_template: str,
                    workdir: str | Path | None = None,
                    timeout: float = 600.0,
-                   objective_pattern: str = DEFAULT_OBJECTIVE_PATTERN,
+                   objective_pattern: str | None = None,
                    status_patterns: dict[str, str] | None = None
                    ) -> SolveOutcome:
     """Run an external LP solver on the standard-form instance.
 
     The instance is written as MPS, `{mps}` in the command template is
     replaced by its path, and objective/status are scraped from the solver's
-    combined output with the given regular expressions. Wall time covers the
-    subprocess only; MPS serialization is timed separately.
+    combined output with the given regular expressions (None selects the
+    defaults). Wall time covers the subprocess only; MPS serialization is
+    timed separately.
     """
     if "{mps}" not in command_template:
         raise ValueError("command template must contain the {mps} placeholder")
+    objective_pattern = objective_pattern or DEFAULT_OBJECTIVE_PATTERN
     status_patterns = status_patterns or DEFAULT_STATUS_PATTERNS
     solver_name = f"external({shlex.split(command_template)[0]})"
 

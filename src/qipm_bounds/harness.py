@@ -25,8 +25,7 @@ from . import qcost
 from .classical import IpmConfig, SolveOutcome, solve_external, solve_internal_ipm
 from .lp_model import parse_mps
 from .newton import build_fbar, build_oss, canonical_iterate, select_basis
-from .spectral import (DifficultyEstimate, difficulty_estimate,
-                       kappa_lower_mnes, kappa_lower_oss, sparsity_mnes,
+from .spectral import (kappa_lower_mnes, kappa_lower_oss, sparsity_mnes,
                        sparsity_oss)
 from .standardize import standardize
 
@@ -149,46 +148,38 @@ class SuiteReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _difficulty(formulation: str, std, basis, it, beta_mu,
-                cfg: AnalysisConfig, seed: int) -> DifficultyEstimate:
-    if formulation == "mnes":
-        fbar = build_fbar(basis, std.A, it)
-        kb = kappa_lower_mnes(fbar, std.m, std.n,
-                              timeout=cfg.sigma_min_timeout, seed=seed,
-                              n_samples=cfg.sigma_min_samples,
-                              max_iters=cfg.sigma_max_iters)
-        s = sparsity_mnes(std.m)
-    else:
-        oss = build_oss(std, it, basis, beta_mu)
-        kb = kappa_lower_oss(oss, timeout=cfg.sigma_min_timeout, seed=seed,
-                             n_samples=cfg.sigma_min_samples,
-                             max_iters=cfg.sigma_max_iters)
-        s = sparsity_oss(std.A, std.m, std.n, basis)
-    return difficulty_estimate(s, kb)
-
-
 def _analyze_formulation(formulation: str, std, basis, it, beta_mu,
                          cfg: AnalysisConfig, seed: int) -> FormulationResult:
     t0 = time.perf_counter()
     result = FormulationResult(formulation=formulation)
     try:
-        est = _difficulty(formulation, std, basis, it, beta_mu, cfg, seed)
-        d = std.m if formulation == "mnes" else std.n
+        if formulation == "mnes":
+            fbar = build_fbar(basis, std.A, it)
+            kb = kappa_lower_mnes(fbar, std.m, std.n,
+                                  timeout=cfg.sigma_min_timeout, seed=seed,
+                                  n_samples=cfg.sigma_min_samples,
+                                  max_iters=cfg.sigma_max_iters)
+            s, d = sparsity_mnes(std.m), std.m
+        else:
+            oss = build_oss(std, it, basis, beta_mu)
+            kb = kappa_lower_oss(oss, timeout=cfg.sigma_min_timeout, seed=seed,
+                                 n_samples=cfg.sigma_min_samples,
+                                 max_iters=cfg.sigma_max_iters)
+            s, d = sparsity_oss(std.A, std.m, std.n, basis), std.n
         dilated, _, _ = qcost.hermitian_dilation_params(
-            d, est.sparsity, est.kappa_lower,
-            is_hermitian=(formulation == "mnes"))
+            d, s, kb.kappa_lower, is_hermitian=(formulation == "mnes"))
         result.d = d
         result.dilated_dim = dilated
-        result.sparsity = est.sparsity
-        result.kappa_lower = est.kappa_lower
-        result.gamma = est.gamma
-        result.sigma_max_lb = est.sigma_max_lb
-        result.sigma_min_ub = est.sigma_min_ub
-        result.sigma_min_method = est.sigma_min_method
+        result.sparsity = s
+        result.kappa_lower = kb.kappa_lower
+        result.gamma = s * kb.kappa_lower
+        result.sigma_max_lb = kb.sigma_max_lb
+        result.sigma_min_ub = kb.sigma_min_ub
+        result.sigma_min_method = kb.sigma_min_method
         result.degenerate = d < 2
-        gamma = est.sparsity * qcost.to_fraction(est.kappa_lower)
+        gamma = s * qcost.to_fraction(kb.kappa_lower)
         result.query_count = qcost.qlsa_query_count(
-            est.sparsity, est.kappa_lower, cfg.epsilon)
+            s, kb.kappa_lower, cfg.epsilon)
         result.total_cycles = qcost.total_quantum_cycles(
             d, gamma, cfg.epsilon)
     except Exception as exc:  # recorded, never aborts the suite
@@ -246,13 +237,10 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
 
     t = time.perf_counter()
     if cfg.classical_cmd:
-        kwargs = {}
-        if cfg.objective_pattern:
-            kwargs["objective_pattern"] = cfg.objective_pattern
-        if cfg.status_patterns:
-            kwargs["status_patterns"] = cfg.status_patterns
         record.classical = solve_external(
-            std, cfg.classical_cmd, timeout=cfg.classical_timeout, **kwargs)
+            std, cfg.classical_cmd, timeout=cfg.classical_timeout,
+            objective_pattern=cfg.objective_pattern,
+            status_patterns=cfg.status_patterns)
     else:
         record.classical = solve_internal_ipm(std, cfg.ipm)
         record.warnings.append(

@@ -94,12 +94,6 @@ class SparseMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._csr @ v
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return self._csr.T @ v
-
     def row_nnz(self) -> np.ndarray:
         return np.diff(self._csr.indptr)
 

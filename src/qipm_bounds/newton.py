@@ -110,8 +110,8 @@ def select_basis(A: SparseMatrix, rank_tol: float = BASIS_RANK_TOL) -> BasisSele
         return BasisSelection(
             basic=np.zeros(0, dtype=int), nonbasic=np.arange(n),
             _solve=lambda v: v.copy(), _solve_t=lambda v: v.copy())
-    dense = A.to_dense()
-    _, r, piv = dense_linalg.qr(dense, mode="economic", pivoting=True)
+    r, piv = dense_linalg.qr(A.tocsr().toarray(order="F"), mode="r",
+                             pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(r))
     scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
     rank = int(np.sum(diag > rank_tol * scale)) if scale > 0.0 else 0
@@ -164,12 +164,6 @@ class NewtonOperator:
     rhs: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
     inverse_gram: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def dim(self) -> int:
-        if self.shape[0] != self.shape[1]:
-            raise ValueError(f"{self.kind} operator is not square: {self.shape}")
-        return self.shape[0]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

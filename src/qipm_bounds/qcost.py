@@ -74,6 +74,21 @@ def _ceil_decided(z: Decimal, prec: int) -> int | None:
     return None
 
 
+def _ceil_escalating(value) -> int:
+    """Exact ceiling of the Decimal that value() computes at the ambient
+    precision, re-evaluated at doubling precision until it is decided."""
+    prec = _START_PREC
+    while prec <= _MAX_PREC:
+        with localcontext() as ctx:
+            ctx.prec = prec + 20
+            z = value()
+        decided = _ceil_decided(z, prec)
+        if decided is not None:
+            return decided
+        prec *= 2
+    raise ArithmeticError("ceiling not decidable at maximum precision")
+
+
 def ceil_log_term(coeff: Fraction, arg: Fraction) -> int:
     """Exact ceil(coeff * log2(arg)) for rational coeff > 0, arg > 1."""
     if arg <= 1:
@@ -81,17 +96,9 @@ def ceil_log_term(coeff: Fraction, arg: Fraction) -> int:
     k = _pow2_exponent(arg)
     if k is not None:
         return math.ceil(coeff * k)
-    prec = _START_PREC
-    while prec <= _MAX_PREC:
-        with localcontext() as ctx:
-            ctx.prec = prec + 20
-            z = (Decimal(coeff.numerator) / Decimal(coeff.denominator)) \
-                * _dec_log2(arg)
-        decided = _ceil_decided(z, prec)
-        if decided is not None:
-            return decided
-        prec *= 2
-    raise ArithmeticError("ceiling not decidable at maximum precision")
+    return _ceil_escalating(
+        lambda: (Decimal(coeff.numerator) / Decimal(coeff.denominator))
+        * _dec_log2(arg))
 
 
 def ceil_sqrt_log_term(inner: int, arg: Fraction) -> int:
@@ -106,16 +113,7 @@ def ceil_sqrt_log_term(inner: int, arg: Fraction) -> int:
         if prod <= 0:
             return 0
         return math.isqrt(prod - 1) + 1  # exact ceil(sqrt(int))
-    prec = _START_PREC
-    while prec <= _MAX_PREC:
-        with localcontext() as ctx:
-            ctx.prec = prec + 20
-            z = (Decimal(inner) * _dec_log2(arg)).sqrt()
-        decided = _ceil_decided(z, prec)
-        if decided is not None:
-            return decided
-        prec *= 2
-    raise ArithmeticError("ceiling not decidable at maximum precision")
+    return _ceil_escalating(lambda: (Decimal(inner) * _dec_log2(arg)).sqrt())
 
 
 def chebyshev_bracket(gamma: Rational, epsilon: Rational) -> int:

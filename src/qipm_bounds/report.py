@@ -20,12 +20,18 @@ from pathlib import Path
 
 from .harness import FORMULATIONS, InstanceRecord, SuiteReport
 
+# FormulationResult fields, one column each under their own name
+FORMULATION_FIELDS = (
+    "d", "dilated_dim", "sparsity", "kappa_lower", "gamma", "sigma_max_lb",
+    "sigma_min_ub", "sigma_min_method", "degenerate", "query_count",
+    "total_cycles",
+)
+# SolveOutcome fields, one column each with the classical_ prefix
+CLASSICAL_FIELDS = ("status", "objective", "iterations", "solver", "wall_time")
+
 RECORD_COLUMNS = [
-    "name", "family", "formulation", "status", "m", "n", "d", "dilated_dim",
-    "sparsity", "kappa_lower", "gamma", "sigma_max_lb", "sigma_min_ub",
-    "sigma_min_method", "degenerate", "query_count", "total_cycles",
-    "classical_status", "classical_objective", "classical_iterations",
-    "classical_solver", "classical_wall_time", "threshold_duration",
+    "name", "family", "formulation", "status", "m", "n", *FORMULATION_FIELDS,
+    *(f"classical_{k}" for k in CLASSICAL_FIELDS), "threshold_duration",
     "failure",
 ]
 
@@ -47,39 +53,21 @@ def _cell(v) -> str:
 def record_rows(record: InstanceRecord) -> list[dict[str, str]]:
     """CSV rows (one per formulation) of a single instance record."""
     rows = []
+    c = record.classical
     for formulation in FORMULATIONS:
         f = record.formulations.get(formulation)
-        c = record.classical
         threshold = None
         if f is not None and f.ok and f.total_cycles > 0 and c is not None:
             threshold = c.wall_time / f.total_cycles
-        row = {
-            "name": record.name,
-            "family": record.family,
-            "formulation": formulation,
-            "status": record.status if f is None or f.ok else "failed",
-            "m": record.m,
-            "n": record.n,
-            "d": f.d if f else None,
-            "dilated_dim": f.dilated_dim if f else None,
-            "sparsity": f.sparsity if f else None,
-            "kappa_lower": f.kappa_lower if f else None,
-            "gamma": f.gamma if f else None,
-            "sigma_max_lb": f.sigma_max_lb if f else None,
-            "sigma_min_ub": f.sigma_min_ub if f else None,
-            "sigma_min_method": f.sigma_min_method if f else None,
-            "degenerate": f.degenerate if f else None,
-            "query_count": f.query_count if f else None,
-            "total_cycles": f.total_cycles if f else None,
-            "classical_status": c.status if c else None,
-            "classical_objective": c.objective if c else None,
-            "classical_iterations": c.iterations if c else None,
-            "classical_solver": c.solver if c else None,
-            "classical_wall_time": c.wall_time if c else None,
-            "threshold_duration": threshold,
-            "failure": (record.error or (f.failure if f else None)),
-        }
-        rows.append({k: _cell(v) for k, v in row.items()})
+        cells = [
+            record.name, record.family, formulation,
+            record.status if f is None or f.ok else "failed",
+            record.m, record.n,
+            *(getattr(f, k) if f else None for k in FORMULATION_FIELDS),
+            *(getattr(c, k) if c else None for k in CLASSICAL_FIELDS),
+            threshold, record.error or (f.failure if f else None),
+        ]
+        rows.append(dict(zip(RECORD_COLUMNS, map(_cell, cells), strict=True)))
     return rows
 
 

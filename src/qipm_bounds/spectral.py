@@ -58,28 +58,6 @@ class KappaBound:
     singular: bool = False
 
 
-@dataclass
-class DifficultyEstimate:
-    """Difficulty gamma = sparsity * kappa_lower of one Newton system."""
-    sparsity: int
-    kappa_lower: float
-    gamma: float
-    sigma_max_lb: float
-    sigma_min_ub: float
-    sigma_min_method: str
-    elapsed: float
-    clamped: bool = False
-    singular: bool = False
-
-
-def difficulty_estimate(sparsity: int, kb: KappaBound) -> DifficultyEstimate:
-    return DifficultyEstimate(
-        sparsity=sparsity, kappa_lower=kb.kappa_lower,
-        gamma=sparsity * kb.kappa_lower, sigma_max_lb=kb.sigma_max_lb,
-        sigma_min_ub=kb.sigma_min_ub, sigma_min_method=kb.sigma_min_method,
-        elapsed=kb.elapsed, clamped=kb.clamped, singular=kb.singular)
-
-
 # ---------------------------------------------------------------------------
 # sparsity rules
 
@@ -180,6 +158,7 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
     betas: list[float] = []
     prev = None
     theta_prev = None
+    alpha_max = 0.0  # breakdown is relative, so scaling op cannot move it
     k = 0
     while True:
         Q[k] = q
@@ -190,13 +169,14 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
         u -= Q[:k + 1].T @ (Q[:k + 1] @ u)
         u -= Q[:k + 1].T @ (Q[:k + 1] @ u)
         alphas.append(alpha)
+        alpha_max = max(alpha_max, abs(alpha))
         beta = float(np.linalg.norm(u))
         k += 1
         theta, yvec = _extreme_ritz(alphas, betas, which)
         converged = (theta_prev is not None
                      and abs(theta - theta_prev) <= tol * max(abs(theta), 1e-300))
         theta_prev = theta
-        if beta <= 1e-14 * max(abs(alpha), 1.0) or converged or k >= cap or \
+        if beta <= 1e-14 * alpha_max or converged or k >= cap or \
                 (deadline is not None and time.monotonic() > deadline):
             ritz_vec = Q[:k].T @ yvec
             nrm = np.linalg.norm(ritz_vec)

@@ -14,6 +14,8 @@ import qipm_bounds
 from conftest import random_standard_lp
 from qipm_bounds.classical import (IpmConfig, solve_external,
                                    solve_internal_ipm, standard_to_general)
+from qipm_bounds.corpus import corpus_dir
+from qipm_bounds.harness import AnalysisConfig, analyze_instance
 from qipm_bounds.lp_model import emit_mps, parse_mps
 from qipm_bounds.newton import factor_nes
 from qipm_bounds.standardize import standardize
@@ -129,6 +131,30 @@ class TestSolveExternal:
         assert out.objective == 1.0
         assert out.serialize_time is not None
         assert out.solver.startswith("external(")
+
+    def test_none_patterns_select_defaults(self, tmp_path, tiny_min_text):
+        std = standardize(parse_mps(tiny_min_text))
+        cmd = _write_stub(tmp_path, """
+            print("Optimal")
+            print("Objective value: 1.0")
+        """)
+        out = solve_external(std, cmd, workdir=tmp_path / "w",
+                             objective_pattern=None, status_patterns=None)
+        assert out.status == "optimal"
+        assert out.objective == 1.0
+
+    def test_harness_passes_config_patterns(self, tmp_path):
+        cmd = _write_stub(tmp_path, """
+            print("done; cost is 2.5")
+        """)
+        path = corpus_dir() / "tiny" / "tiny_min.mps"
+        rec = analyze_instance(path, AnalysisConfig(classical_cmd=cmd))
+        assert rec.classical.status == "error"  # the defaults match nothing
+        rec = analyze_instance(path, AnalysisConfig(
+            classical_cmd=cmd, objective_pattern=r"cost is ([0-9.]+)",
+            status_patterns={"optimal": r"done"}))
+        assert rec.classical.status == "optimal"
+        assert rec.classical.solver.startswith("external(")
 
     def test_nonzero_exit_captured(self, tmp_path, tiny_min_text):
         std = standardize(parse_mps(tiny_min_text))

@@ -10,9 +10,8 @@ from qipm_bounds.corpus import corpus_dir
 from qipm_bounds.harness import (AnalysisConfig, FormulationResult,
                                  InstanceRecord, analyze_instance,
                                  exclusion_curve, instance_seed, run_suite)
-from qipm_bounds.report import (RECORD_COLUMNS, difficulty_svg, emit_report,
-                                exclusion_svg, records_csv, report_from_json,
-                                report_json)
+from qipm_bounds.report import (difficulty_svg, emit_report, exclusion_svg,
+                                records_csv, report_from_json, report_json)
 
 FAST = AnalysisConfig(sigma_min_timeout=10.0, sigma_min_samples=500)
 
@@ -38,6 +37,15 @@ class TestAnalyzeInstance:
         assert rec.classical is not None and rec.classical.status == "optimal"
         assert set(rec.exclusion) == {"mnes", "oss"}
         assert "parse" in rec.stage_seconds
+
+    def test_gamma_is_exact_product(self, suite):
+        checked = 0
+        for rec in suite.records:
+            for f in rec.formulations.values():
+                if f.ok:
+                    assert f.gamma == f.sparsity * f.kappa_lower
+                    checked += 1
+        assert checked >= 4
 
     def test_config_rejects_zero_sigma_max_iters(self):
         with pytest.raises(ValueError, match="sigma_max_iters"):
@@ -221,7 +229,13 @@ class TestReports:
     def test_empty_report_is_header_only(self, tmp_path):
         report = run_suite(tmp_path, FAST)
         text = records_csv(report)
-        assert text.splitlines() == [",".join(RECORD_COLUMNS)]
+        assert text.splitlines() == [",".join([
+            "name", "family", "formulation", "status", "m", "n", "d",
+            "dilated_dim", "sparsity", "kappa_lower", "gamma", "sigma_max_lb",
+            "sigma_min_ub", "sigma_min_method", "degenerate", "query_count",
+            "total_cycles", "classical_status", "classical_objective",
+            "classical_iterations", "classical_solver", "classical_wall_time",
+            "threshold_duration", "failure"])]
 
     def test_row_count(self, suite):
         lines = records_csv(suite).splitlines()

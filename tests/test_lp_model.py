@@ -34,15 +34,6 @@ class TestSparseMatrix:
         with pytest.raises(IndexError):
             SparseMatrix.from_entries(2, 2, [(2, 0, 1.0)])
 
-    def test_matvec_matches_dense(self):
-        rng = np.random.default_rng(3)
-        dense = rng.normal(size=(4, 6))
-        m = SparseMatrix.from_dense(dense)
-        v = rng.normal(size=6)
-        np.testing.assert_allclose(m.matvec(v), dense @ v)
-        u = rng.normal(size=4)
-        np.testing.assert_allclose(m.rmatvec(u), dense.T @ u)
-
     def test_row_col_iteration(self):
         m = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
         assert m.row_entries(0) == [(1, 2.0)]

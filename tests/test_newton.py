@@ -372,7 +372,7 @@ class TestRecoverOss:
         for _ in range(5):
             w = rng.normal(size=9)
             step = recover_updates_oss(std, it, basis, w)
-            assert np.linalg.norm(std.A.matvec(step.dx)) <= 1e-9
+            assert np.linalg.norm(std.A.tocsr() @ step.dx) <= 1e-9
             # ds is computed as -A'dy, so the identity holds exactly
             np.testing.assert_array_equal(
                 step.ds, -(std.A.tocsr().T @ step.dy))
