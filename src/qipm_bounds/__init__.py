@@ -7,8 +7,7 @@ formulas, and compare against measured classical solve times to decide
 whether practical quantum advantage is excluded per instance.
 """
 
-from .classical import (IpmConfig, SolveOutcome, solve_external,
-                        solve_internal_ipm)
+from .classical import SolveOutcome, solve_external, solve_internal_ipm
 from .harness import (AnalysisConfig, FormulationResult, InstanceRecord,
                       SuiteReport, analyze_instance, exclusion_curve,
                       run_suite)
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisConfig", "BasisSelection", "FormulationResult", "GeneralLP",
     "InfeasibleProblem", "InstanceRecord",
-    "IpmConfig", "Iterate", "KappaBound", "MpsParseError", "NewtonOperator",
+    "Iterate", "KappaBound", "MpsParseError", "NewtonOperator",
     "NewtonStep", "NumericalError", "RankDeficiencyError", "SolveOutcome",
     "SparseMatrix", "StandardLP",
     "SuiteReport", "UnboundedProblem", "analyze_instance", "build_fbar",

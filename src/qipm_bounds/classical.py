@@ -34,20 +34,13 @@ DEFAULT_STATUS_PATTERNS = {
 }
 
 
-@dataclass
-class IpmConfig:
-    mu_target: float = 1e-8
-    beta: float = 0.1
-    max_iterations: int = 200
-    step_fraction: float = 0.99995
-    residual_tol: float = 1e-8
-    check_interior: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ValueError("step_fraction must lie in (0, 1)")
+# internal IPM: optimal at x's <= n * MU_TARGET with relative residuals below
+# RESIDUAL_TOL; steps target CENTERING_BETA * mu, STEP_FRACTION to the boundary
+MU_TARGET = 1e-8
+RESIDUAL_TOL = 1e-8
+CENTERING_BETA = 0.1
+STEP_FRACTION = 0.99995
+MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -62,8 +55,7 @@ class SolveOutcome:
     captured_output: str = ""
 
 
-def solve_internal_ipm(std: StandardLP,
-                       cfg: IpmConfig | None = None) -> SolveOutcome:
+def solve_internal_ipm(std: StandardLP) -> SolveOutcome:
     """Primal-dual path-following IPM from the all-ones start.
 
     Each iteration solves the normal equation system by one sparse LU of
@@ -73,17 +65,12 @@ def solve_internal_ipm(std: StandardLP,
     step. Terminates when the duality gap and both feasibility residuals
     are below tolerance.
     """
-    cfg = cfg or IpmConfig()
     m, n = std.m, std.n
-    if n == 0:
-        return SolveOutcome(status="optimal", objective=0.0, iterations=0,
-                            wall_time=0.0)
-    if m == 0:
-        # no constraints: each coordinate sits at 0 or runs off to infinity
+    if m == 0 or n == 0:
+        # no rows (or no columns): each x_j sits at 0 or runs off to infinity
         if np.any(std.c < 0.0):
-            return SolveOutcome(status="unbounded", iterations=0, wall_time=0.0)
-        return SolveOutcome(status="optimal", objective=0.0, iterations=0,
-                            wall_time=0.0)
+            return SolveOutcome(status="unbounded")
+        return SolveOutcome(status="optimal", objective=0.0)
     A = std.A.tocsr()
     b, c = std.b, std.c
     norm_b, norm_c = np.linalg.norm(b), np.linalg.norm(c)
@@ -96,13 +83,13 @@ def solve_internal_ipm(std: StandardLP,
     gap_growth = 0
     prev_gap = float("inf")
     k = 0
-    for k in range(1, cfg.max_iterations + 1):
+    for k in range(1, MAX_ITERATIONS + 1):
         gap = float(x @ s)
         rp = b - A @ x
         rd = c - A.T @ y - s
-        if gap <= n * cfg.mu_target and \
-                np.linalg.norm(rp) <= cfg.residual_tol * (1.0 + norm_b) and \
-                np.linalg.norm(rd) <= cfg.residual_tol * (1.0 + norm_c):
+        if gap <= n * MU_TARGET and \
+                np.linalg.norm(rp) <= RESIDUAL_TOL * (1.0 + norm_b) and \
+                np.linalg.norm(rd) <= RESIDUAL_TOL * (1.0 + norm_c):
             status = "optimal"
             k -= 1
             break
@@ -117,7 +104,7 @@ def solve_internal_ipm(std: StandardLP,
         prev_gap = gap
 
         mu = gap / n
-        beta_mu = cfg.beta * mu
+        beta_mu = CENTERING_BETA * mu
         trial = Iterate(x, y, s)
         nes = build_nes(std, trial, beta_mu)
         try:
@@ -132,13 +119,10 @@ def solve_internal_ipm(std: StandardLP,
             message = "NES solve produced non-finite step"
             break
         step = recover_updates_nes(std, trial, beta_mu, dy)
-        alpha = cfg.step_fraction * _max_step(x, step.dx, s, step.ds)
-        alpha = min(1.0, alpha)
+        alpha = min(1.0, STEP_FRACTION * _max_step(x, step.dx, s, step.ds))
         x = x + alpha * step.dx
         y = y + alpha * step.dy
         s = s + alpha * step.ds
-        if cfg.check_interior:
-            assert np.all(x > 0.0) and np.all(s > 0.0)
     wall = time.perf_counter() - t0
     return SolveOutcome(status=status, objective=float(c @ x), iterations=k,
                         wall_time=wall, solver="internal_ipm", message=message)

@@ -3,9 +3,9 @@
 A JSON config file (via --config or the QIPM_BOUNDS_CONFIG environment
 variable) can preset any analysis option, including the objective/status
 regex patterns of the external-solver adapter; command-line flags override
-it. Exit code is 0 on full success, 1 when the config file is unreadable
-JSON, names an unknown key or holds an invalid value, and 2 when any
-instance errored.
+it. Exit code is 0 on full success, 1 when the config file or a flag is
+invalid (message `invalid config <path>: <reason>` or `invalid option:
+<reason>`), and 2 when any instance errored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from .classical import IpmConfig
 from .harness import AnalysisConfig, analyze_instance, run_suite
 from .report import emit_report
 
@@ -30,31 +29,31 @@ def _load_config(path: str | None) -> AnalysisConfig:
         return AnalysisConfig()
     try:
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
         known = {f.name for f in dataclasses.fields(AnalysisConfig)}
-        unknown = set(data) - known
+        unknown = sorted(set(data) - known)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-        if "ipm" in data:
-            data["ipm"] = IpmConfig(**(data["ipm"] or {}))
+            raise ValueError(f"unknown config keys: {unknown}")
         return AnalysisConfig(**data)
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, TypeError) as exc:  # incl. JSONDecodeError
         raise SystemExit(f"invalid config {path}: {exc}") from None
 
 
-def _apply_flags(cfg: AnalysisConfig, args: argparse.Namespace) -> None:
-    for flag, attr in [
-        ("epsilon", "epsilon"), ("seed", "seed"), ("workers", "workers"),
-        ("sigma_min_timeout", "sigma_min_timeout"),
-        ("sigma_min_samples", "sigma_min_samples"),
-        ("classical_cmd", "classical_cmd"),
-        ("classical_timeout", "classical_timeout"),
-        ("duration_min", "duration_min"), ("duration_max", "duration_max"),
-        ("duration_points", "duration_points"),
-        ("skip_presolve", "skip_presolve"),
-    ]:
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
+# flags named after the AnalysisConfig field they override
+FLAG_FIELDS = ("epsilon", "seed", "workers", "sigma_min_timeout",
+               "sigma_min_samples", "classical_cmd", "classical_timeout",
+               "duration_min", "duration_max", "duration_points")
+
+
+def _apply_flags(cfg: AnalysisConfig,
+                 args: argparse.Namespace) -> AnalysisConfig:
+    flags = {name: getattr(args, name) for name in FLAG_FIELDS
+             if getattr(args, name, None) is not None}
+    try:
+        return dataclasses.replace(cfg, **flags)
+    except ValueError as exc:
+        raise SystemExit(f"invalid option: {exc}") from None
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -68,7 +67,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    "Lanczos iteration, including the sparse factorization "
                    "of its inverse operator, stops and keeps its current "
                    "bound (the sigma_max estimate is not under this limit); "
-                   "<= 0 selects random sampling instead (default 60)")
+                   "<= 0 selects random sampling instead, looser than a "
+                   "finished iteration but possibly tighter than one cut "
+                   "after a step or two (default 60)")
     p.add_argument("--sigma-min-samples", dest="sigma_min_samples", type=int,
                    help="random unit vectors drawn for sigma_min, used only "
                    "when --sigma-min-timeout <= 0 (default 10000)")
@@ -82,9 +83,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="cycle duration grid maximum (default 1e-3 s)")
     p.add_argument("--duration-points", dest="duration_points", type=int,
                    help="cycle duration grid points (default 121)")
-    p.add_argument("--skip-presolve", dest="skip_presolve",
-                   action="store_const", const=True,
-                   help="assume the input is already clean")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,8 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common_flags(p_suite)
 
     args = parser.parse_args(argv)
-    cfg = _load_config(args.config)
-    _apply_flags(cfg, args)
+    cfg = _apply_flags(_load_config(args.config), args)
 
     if args.command == "analyze":
         record = analyze_instance(args.file, cfg)

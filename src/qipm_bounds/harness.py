@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import qcost
-from .classical import IpmConfig, SolveOutcome, solve_external, solve_internal_ipm
+from .classical import SolveOutcome, solve_external, solve_internal_ipm
 from .lp_model import parse_mps
 from .newton import build_fbar, build_oss, canonical_iterate, select_basis
 from .spectral import (kappa_lower_mnes, kappa_lower_oss, sparsity_mnes,
@@ -46,23 +46,23 @@ class AnalysisConfig:
     duration_min: float = qcost.DEFAULT_DURATION_MIN
     duration_max: float = qcost.DEFAULT_DURATION_MAX
     duration_points: int = qcost.DEFAULT_DURATION_POINTS
-    reference_duration: float = qcost.REFERENCE_CYCLE_DURATION
     classical_cmd: str | None = None
     classical_timeout: float = 600.0
     objective_pattern: str | None = None
     status_patterns: dict[str, str] | None = None
-    skip_presolve: bool = False
     workers: int = 1
-    ipm: IpmConfig = field(default_factory=IpmConfig)
 
     def __post_init__(self):
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must lie in (0, 1)")
         if self.sigma_max_iters < 1:
             raise ValueError("sigma_max_iters must be at least 1")
+        self.durations()  # a bad grid fails here, not after the analysis
 
     def durations(self) -> list[float]:
+        """The cycle-duration grid, with the 800 ps reference point."""
         return qcost.duration_grid(self.duration_min, self.duration_max,
-                                   self.duration_points,
-                                   self.reference_duration)
+                                   self.duration_points)
 
     def config_hash(self) -> str:
         payload = dataclasses.asdict(self)
@@ -214,7 +214,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         stages["parse"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        std = standardize(lp, skip_presolve=cfg.skip_presolve)
+        std = standardize(lp)
         record.m, record.n = std.m, std.n
         record.presolve_log_size = len(std.transform_log)
         stages["standardize"] = time.perf_counter() - t
@@ -242,7 +242,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
             objective_pattern=cfg.objective_pattern,
             status_patterns=cfg.status_patterns)
     else:
-        record.classical = solve_internal_ipm(std, cfg.ipm)
+        record.classical = solve_internal_ipm(std)
         record.warnings.append(
             "classical baseline is the internal IPM (no external solver "
             "configured); its slower time only weakens exclusion verdicts")
@@ -266,10 +266,9 @@ def _analyze_for_suite(args) -> InstanceRecord:
     try:
         return analyze_instance(path, cfg, family=family)
     except Exception as exc:  # crash isolation: a failure loses one record only
-        rec = InstanceRecord(name=Path(path).stem, family=family,
-                             path=str(path), status="error",
-                             error=f"{type(exc).__name__}: {exc}")
-        return rec
+        return InstanceRecord(name=Path(path).stem, family=family,
+                              path=str(path), status="error",
+                              error=f"{type(exc).__name__}: {exc}")
 
 
 def discover_instances(directory: str | Path) -> list[tuple[Path, str]]:
@@ -319,7 +318,7 @@ def run_suite(directory: str | Path,
     }
     return SuiteReport(
         records=records, duration_grid=durations,
-        reference_marker=cfg.reference_duration, curves=curves,
+        reference_marker=qcost.REFERENCE_CYCLE_DURATION, curves=curves,
         curve_counts=counts, excluded=excluded,
         config=dataclasses.asdict(cfg), metadata=metadata, warnings=warnings)
 

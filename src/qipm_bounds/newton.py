@@ -12,7 +12,7 @@ of each system back to full Newton updates (dx, dy, ds).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -96,7 +96,7 @@ class BasisSelection:
         return len(self.basic)
 
 
-def select_basis(A: SparseMatrix, rank_tol: float = BASIS_RANK_TOL) -> BasisSelection:
+def select_basis(A: SparseMatrix) -> BasisSelection:
     """Pick m independent columns of A via rank-revealing QR with pivoting.
 
     Deterministic for fixed input; the pivot order of the factorization is
@@ -114,7 +114,7 @@ def select_basis(A: SparseMatrix, rank_tol: float = BASIS_RANK_TOL) -> BasisSele
                              pivoting=True, overwrite_a=True)
     diag = np.abs(np.diag(r))
     scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
-    rank = int(np.sum(diag > rank_tol * scale)) if scale > 0.0 else 0
+    rank = int(np.sum(diag > BASIS_RANK_TOL * scale)) if scale > 0.0 else 0
     if rank < m:
         raise RankDeficiencyError(m - rank)
     basic = np.asarray(piv[:m], dtype=int)
@@ -162,7 +162,6 @@ class NewtonOperator:
     _matvec: Callable[[np.ndarray], np.ndarray]
     _rmatvec: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
     inverse_gram: Callable[[np.ndarray], np.ndarray] | None = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -218,8 +217,7 @@ def build_nes(std: StandardLP, it: Iterate, beta_mu: float) -> NewtonOperator:
 
     rhs = (A @ (d2 * (std.c - A.T @ it.y)) - beta_mu * (A @ s_inv)
            + std.b - A @ it.x)
-    return NewtonOperator((std.m, std.m), "nes", matvec, matvec, rhs=rhs,
-                          meta={"beta_mu": beta_mu})
+    return NewtonOperator((std.m, std.m), "nes", matvec, matvec, rhs=rhs)
 
 
 def build_mnes(std: StandardLP, it: Iterate, basis: BasisSelection,
@@ -245,7 +243,7 @@ def build_mnes(std: StandardLP, it: Iterate, basis: BasisSelection,
                  - beta_mu * (db_inv * basis.solve(A @ (1.0 / it.s)))
                  + db_inv * basis.solve(A @ (d2 * resid)))
     return NewtonOperator((std.m, std.m), "mnes", matvec, matvec,
-                          rhs=sigma_hat, meta={"beta_mu": beta_mu})
+                          rhs=sigma_hat)
 
 
 def build_fbar(basis: BasisSelection, A: SparseMatrix,
@@ -355,7 +353,6 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
 
     tau = beta_mu - it.x * it.s
     return NewtonOperator((n, n), "oss", matvec, rmatvec, rhs=tau,
-                          meta={"beta_mu": beta_mu},
                           inverse_gram=inverse_gram)
 
 

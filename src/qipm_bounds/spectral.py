@@ -53,9 +53,6 @@ class KappaBound:
     sigma_max_lb: float
     sigma_min_ub: float
     sigma_min_method: str  # iterative | random_sampling | rank_deficiency_exact
-    elapsed: float
-    clamped: bool = False
-    singular: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +297,6 @@ def kappa_lower_mnes(fbar: NewtonOperator, m: int, n: int,
     When n - m < m the Gram matrix F F' is rank deficient, so sigma_min = 0
     exactly and the smallest eigenvalue of M_hat is 1.
     """
-    t0 = time.monotonic()
     if fbar.shape != (m, n - m):
         raise ValueError(f"fbar has shape {fbar.shape}, expected {(m, n - m)}")
     smax = sigma_max_lower(fbar, max_iters=max_iters, seed=seed) \
@@ -312,33 +308,20 @@ def kappa_lower_mnes(fbar: NewtonOperator, m: int, n: int,
             fbar, timeout=timeout, n_samples=n_samples, seed=seed,
             max_iters=max_iters, sigma_max_hint=smax)
     smax_eff = smax * (1.0 - _FP_SHAVE)
-    kappa = (1.0 + smax_eff * smax_eff) / (1.0 + smin * smin)
-    clamped = False
-    if kappa < 1.0:
-        kappa, clamped = 1.0, True
-    return KappaBound(kappa, smax, smin, method,
-                      elapsed=time.monotonic() - t0, clamped=clamped)
+    kappa = max((1.0 + smax_eff * smax_eff) / (1.0 + smin * smin), 1.0)
+    return KappaBound(kappa, smax, smin, method)
 
 
 def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                     seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
                     max_iters: int = DEFAULT_MAX_ITERS) -> KappaBound:
     """kappa(O) = sigma_max / sigma_min estimated directly from below."""
-    t0 = time.monotonic()
     smax = sigma_max_lower(oss, max_iters=max_iters, seed=seed)
     smin, method = sigma_min_upper(
         oss, timeout=timeout, n_samples=n_samples, seed=seed,
         max_iters=max_iters, sigma_max_hint=smax)
-    clamped = singular = False
-    if smin == 0.0:
-        # O is invertible at a strictly positive iterate; a zero estimate
-        # signals numerical breakdown
-        kappa = np.inf
-        singular = True
-    else:
-        kappa = smax * (1.0 - _FP_SHAVE) / smin
-        if kappa < 1.0:
-            kappa, clamped = 1.0, True
-    return KappaBound(kappa, smax, smin, method,
-                      elapsed=time.monotonic() - t0,
-                      clamped=clamped, singular=singular)
+    # O is invertible at a strictly positive iterate; a zero estimate
+    # signals numerical breakdown
+    kappa = (np.inf if smin == 0.0
+             else max(smax * (1.0 - _FP_SHAVE) / smin, 1.0))
+    return KappaBound(kappa, smax, smin, method)

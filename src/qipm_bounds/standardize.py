@@ -363,8 +363,6 @@ def ensure_full_row_rank(std: StandardLP) -> StandardLP:
         transform_log=log)
 
 
-def standardize(lp: GeneralLP, skip_presolve: bool = False) -> StandardLP:
-    """Full pipeline: presolve (optional), standard form, rank repair."""
-    if not skip_presolve:
-        lp = presolve(lp)
-    return ensure_full_row_rank(to_standard_form(lp))
+def standardize(lp: GeneralLP) -> StandardLP:
+    """Full pipeline: presolve, standard form, rank repair."""
+    return ensure_full_row_rank(to_standard_form(presolve(lp)))

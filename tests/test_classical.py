@@ -12,8 +12,8 @@ from scipy.optimize import linprog
 
 import qipm_bounds
 from conftest import random_standard_lp
-from qipm_bounds.classical import (IpmConfig, solve_external,
-                                   solve_internal_ipm, standard_to_general)
+from qipm_bounds.classical import (solve_external, solve_internal_ipm,
+                                   standard_to_general)
 from qipm_bounds.corpus import corpus_dir
 from qipm_bounds.harness import AnalysisConfig, analyze_instance
 from qipm_bounds.lp_model import emit_mps, parse_mps
@@ -66,11 +66,6 @@ ENDATA
                     out.objective == pytest.approx(ref.fun, rel=1e-6, abs=1e-6):
                 agree += 1
         assert agree >= 95
-
-    def test_strict_interior_in_debug_mode(self):
-        std = random_standard_lp(42, 6, 12)
-        out = solve_internal_ipm(std, IpmConfig(check_interior=True))
-        assert out.status == "optimal"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_nes_solve_matches_dense_reference(self, seed):
