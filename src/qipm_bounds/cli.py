@@ -3,9 +3,10 @@
 A JSON config file (via --config or the QIPM_BOUNDS_CONFIG environment
 variable) can preset any analysis option, including the objective/status
 regex patterns of the external-solver adapter; command-line flags override
-it. Exit code is 0 on full success, 1 when the config file or a flag is
-invalid (message `invalid config <path>: <reason>` or `invalid option:
-<reason>`), and 2 when any instance errored.
+it. Exit code is 0 on full success, 1 when the config file, a flag value,
+the suite directory or the report formats are invalid (one line:
+`invalid config <path>: <reason>` or `invalid option: <reason>`, before any
+analysis runs), and 2 when any instance errored.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .harness import AnalysisConfig, analyze_instance, run_suite
-from .report import emit_report
+from .report import FORMATS, emit_report
 
 CONFIG_ENV_VAR = "QIPM_BOUNDS_CONFIG"
 
@@ -54,6 +55,18 @@ def _apply_flags(cfg: AnalysisConfig,
         return dataclasses.replace(cfg, **flags)
     except ValueError as exc:
         raise SystemExit(f"invalid option: {exc}") from None
+
+
+def _suite_formats(args: argparse.Namespace) -> set[str]:
+    """Check the suite directory and --formats before any analysis runs."""
+    if not Path(args.directory).is_dir():
+        raise SystemExit(
+            f"invalid option: {args.directory} is not a directory")
+    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
+    if not formats or not formats <= set(FORMATS):
+        raise SystemExit(f"invalid option: --formats {args.formats!r} is "
+                         f"not a subset of {','.join(FORMATS)}")
+    return formats
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -102,8 +115,9 @@ def main(argv: list[str] | None = None) -> int:
                          "optionally in per-family subdirectories")
     p_suite.add_argument("--out", default="qipm_bounds_report",
                          help="output directory (default qipm_bounds_report)")
-    p_suite.add_argument("--formats", default="csv,json,svg",
-                         help="comma-separated subset of csv,json,svg")
+    p_suite.add_argument("--formats", default=",".join(FORMATS),
+                         help="comma-separated non-empty subset of "
+                         f"{','.join(FORMATS)}")
     p_suite.add_argument("--workers", type=int,
                          help="parallel analysis workers (default 1)")
     _add_common_flags(p_suite)
@@ -118,8 +132,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write("\n")
         return 0 if record.status == "ok" else 2
 
+    formats = _suite_formats(args)
     report = run_suite(args.directory, cfg)
-    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
     written = emit_report(report, args.out, formats)
     for path in written:
         print(path)

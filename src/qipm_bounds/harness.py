@@ -42,7 +42,6 @@ class AnalysisConfig:
     # of its inverse operator; sigma_max_lower runs outside it
     sigma_min_timeout: float = 60.0
     sigma_min_samples: int = 10000
-    sigma_max_iters: int = 300
     duration_min: float = qcost.DEFAULT_DURATION_MIN
     duration_max: float = qcost.DEFAULT_DURATION_MAX
     duration_points: int = qcost.DEFAULT_DURATION_POINTS
@@ -55,8 +54,6 @@ class AnalysisConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
-        if self.sigma_max_iters < 1:
-            raise ValueError("sigma_max_iters must be at least 1")
         self.durations()  # a bad grid fails here, not after the analysis
 
     def durations(self) -> list[float]:
@@ -92,7 +89,6 @@ class FormulationResult:
     degenerate: bool = False
     query_count: int = 0
     total_cycles: int = 0
-    elapsed: float = 0.0
     failure: str | None = None
 
     @property
@@ -150,21 +146,18 @@ class SuiteReport:
 
 def _analyze_formulation(formulation: str, std, basis, it, beta_mu,
                          cfg: AnalysisConfig, seed: int) -> FormulationResult:
-    t0 = time.perf_counter()
     result = FormulationResult(formulation=formulation)
     try:
         if formulation == "mnes":
             fbar = build_fbar(basis, std.A, it)
             kb = kappa_lower_mnes(fbar, std.m, std.n,
                                   timeout=cfg.sigma_min_timeout, seed=seed,
-                                  n_samples=cfg.sigma_min_samples,
-                                  max_iters=cfg.sigma_max_iters)
+                                  n_samples=cfg.sigma_min_samples)
             s, d = sparsity_mnes(std.m), std.m
         else:
             oss = build_oss(std, it, basis, beta_mu)
             kb = kappa_lower_oss(oss, timeout=cfg.sigma_min_timeout, seed=seed,
-                                 n_samples=cfg.sigma_min_samples,
-                                 max_iters=cfg.sigma_max_iters)
+                                 n_samples=cfg.sigma_min_samples)
             s, d = sparsity_oss(std.A, std.m, std.n, basis), std.n
         dilated, _, _ = qcost.hermitian_dilation_params(
             d, s, kb.kappa_lower, is_hermitian=(formulation == "mnes"))
@@ -184,7 +177,6 @@ def _analyze_formulation(formulation: str, std, basis, it, beta_mu,
             d, gamma, cfg.epsilon)
     except Exception as exc:  # recorded, never aborts the suite
         result.failure = f"{type(exc).__name__}: {exc}"
-    result.elapsed = time.perf_counter() - t0
     return result
 
 

@@ -100,25 +100,12 @@ class SparseMatrix:
     def col_nnz(self) -> np.ndarray:
         return np.diff(self.tocsc().indptr)
 
-    def row_entries(self, i: int) -> list[tuple[int, float]]:
-        """(col, value) pairs of row i, ascending column index."""
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        return [(int(j), float(v)) for j, v in
-                zip(self._csr.indices[lo:hi], self._csr.data[lo:hi])]
-
     def col_entries(self, j: int) -> list[tuple[int, float]]:
         """(row, value) pairs of column j, ascending row index."""
         csc = self.tocsc()
         lo, hi = csc.indptr[j], csc.indptr[j + 1]
         return [(int(i), float(v)) for i, v in
                 zip(csc.indices[lo:hi], csc.data[lo:hi])]
-
-    def entries(self):
-        """Iterate all (row, col, value) triples in CSR order."""
-        csr = self._csr
-        for i in range(csr.shape[0]):
-            for k in range(csr.indptr[i], csr.indptr[i + 1]):
-                yield i, int(csr.indices[k]), float(csr.data[k])
 
     def columns(self, idx) -> "SparseMatrix":
         """Submatrix of the given columns, in the given order."""
@@ -156,6 +143,19 @@ class RowDef:
                 else:
                     lo = self.rhs + r
         return lo, hi
+
+    @classmethod
+    def from_interval(cls, name: str, lo: float, hi: float) -> "RowDef":
+        """Row whose activity interval is [lo, hi]. A two-sided interval
+        becomes a ranged '<=' row, whose interval() lower end hi - (hi - lo)
+        can differ from lo by the rounding of the subtraction."""
+        if lo == hi:
+            return cls(name, "=", lo)
+        if lo == -INF:
+            return cls(name, "<=", hi)
+        if hi == INF:
+            return cls(name, ">=", lo)
+        return cls(name, "<=", hi, range=hi - lo)
 
 
 @dataclass

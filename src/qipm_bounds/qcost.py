@@ -193,14 +193,12 @@ REFERENCE_CYCLE_DURATION = 8e-10  # current two-qubit gate speed record
 
 def duration_grid(d_min: float = DEFAULT_DURATION_MIN,
                   d_max: float = DEFAULT_DURATION_MAX,
-                  points: int = DEFAULT_DURATION_POINTS,
-                  reference: float | None = REFERENCE_CYCLE_DURATION
-                  ) -> list[float]:
-    """Logarithmic cycle-duration grid with the reference point injected."""
+                  points: int = DEFAULT_DURATION_POINTS) -> list[float]:
+    """Logarithmic cycle-duration grid plus REFERENCE_CYCLE_DURATION."""
     if points < 2 or d_min <= 0 or d_max <= d_min:
         raise ValueError("need points >= 2 and 0 < d_min < d_max")
     lo, hi = math.log10(d_min), math.log10(d_max)
     grid = [10.0 ** (lo + (hi - lo) * k / (points - 1)) for k in range(points)]
-    if reference is not None and reference not in grid:
-        grid.append(reference)
+    if REFERENCE_CYCLE_DURATION not in grid:
+        grid.append(REFERENCE_CYCLE_DURATION)
     return sorted(grid)

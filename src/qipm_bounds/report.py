@@ -20,6 +20,8 @@ from pathlib import Path
 
 from .harness import FORMULATIONS, InstanceRecord, SuiteReport
 
+FORMATS = ("csv", "json", "svg")
+
 # FormulationResult fields, one column each under their own name
 FORMULATION_FIELDS = (
     "d", "dilated_dim", "sparsity", "kappa_lower", "gamma", "sigma_max_lb",
@@ -314,8 +316,8 @@ def exclusion_svg(report: SuiteReport) -> str:
 def emit_report(report: SuiteReport, out_dir: str | Path,
                 formats: set[str] | None = None) -> list[Path]:
     """Write the selected report files; returns the paths written."""
-    formats = formats or {"csv", "json", "svg"}
-    unknown = formats - {"csv", "json", "svg"}
+    formats = formats or set(FORMATS)
+    unknown = formats - set(FORMATS)
     if unknown:
         raise ValueError(f"unknown report formats: {sorted(unknown)}")
     out = Path(out_dir)

@@ -67,15 +67,14 @@ def sparsity_mnes(m: int) -> int:
 
 
 def sparsity_oss(A: SparseMatrix, m: int, n: int,
-                 basis: BasisSelection | None = None) -> int:
+                 basis: BasisSelection) -> int:
     """Structural max row/column sparsity of O = [-X A'  S V].
 
     Counts: (a) columns of -X A' carry the row sparsities of A; (b) columns
     of S V carry m + 1 entries (dense top block plus one from -I); (c) rows
     at basic positions carry nnz(column of A) + (n - m) with the basis-inverse
     block taken as dense; (d) rows at nonbasic positions carry
-    nnz(column of A) + 1, always dominated by (b). Without a basis, (c) is
-    maximized over all columns, giving a basis-independent upper bound.
+    nnz(column of A) + 1, always dominated by (b).
     """
     if A.shape != (m, n):
         raise ValueError(f"A has shape {A.shape}, expected {(m, n)}")
@@ -83,14 +82,11 @@ def sparsity_oss(A: SparseMatrix, m: int, n: int,
     best = int(A.row_nnz().max()) if m else 0  # (a)
     if n > m:
         best = max(best, m + 1)  # (b)
-    if basis is not None:
-        if len(basis.basic):
-            best = max(best, int(col_nnz[basis.basic].max()) + (n - m))  # (c)
-        if len(basis.nonbasic):
-            bump = 1 if n > m else 0
-            best = max(best, int(col_nnz[basis.nonbasic].max()) + bump)  # (d)
-    elif n:
-        best = max(best, int(col_nnz.max()) + (n - m if n > m else 0))
+    if len(basis.basic):
+        best = max(best, int(col_nnz[basis.basic].max()) + (n - m))  # (c)
+    if len(basis.nonbasic):
+        bump = 1 if n > m else 0
+        best = max(best, int(col_nnz[basis.nonbasic].max()) + bump)  # (d)
     return best
 
 

@@ -16,7 +16,8 @@ import math
 import numpy as np
 from scipy import linalg
 
-from .lp_model import INF, ColumnDef, GeneralLP, SparseMatrix, StandardLP
+from .lp_model import (INF, ColumnDef, GeneralLP, RowDef, SparseMatrix,
+                       StandardLP)
 
 # residual, relative to the row's norm, below which a row is dependent on
 # the rows already kept
@@ -39,186 +40,123 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     Empty rows are dropped (or declared infeasible), empty columns are fixed
     at their best bound (or declared unbounded), variables with equal bounds
     are substituted out, and rows identical up to positive scaling are merged.
-    The returned LP carries a transform log of every action taken.
+    The returned LP carries a transform log of every action taken. The
+    coefficients never change: only the live row and column masks, the row
+    intervals and the objective constant do.
     """
     lp.validate()
     sign = 1.0 if lp.objective_sense == "min" else -1.0
     log: list[str] = list(lp.transform_log)
-
-    rows = [RowState(r.name, *r.interval()) for r in lp.rows]
-    cols = [ColState(c.name, c.lower, c.upper, float(lp.objective[j]))
-            for j, c in enumerate(lp.columns)]
-    for c in cols:
+    for c in lp.columns:
         if c.lower > c.upper:
             raise InfeasibleProblem(
                 f"variable {c.name} has empty bound interval "
                 f"[{c.lower}, {c.upper}]")
-    # mutable coefficient map: row -> {col: value}
-    coef: list[dict[int, float]] = [dict() for _ in rows]
-    col_rows: list[dict[int, float]] = [dict() for _ in cols]
-    for i, j, v in lp.coefficients.entries():
-        coef[i][j] = coef[i].get(j, 0.0) + v
-        col_rows[j][i] = col_rows[j].get(i, 0.0) + v
+    csr, csc = lp.coefficients.tocsr(), lp.coefficients.tocsc()
+    pattern = csr.astype(bool)
+    names = [r.name for r in lp.rows]
+    lo, hi = np.array([r.interval() for r in lp.rows],
+                      dtype=float).reshape(-1, 2).T.copy()
+    live_r = np.ones(lp.n_rows, dtype=bool)
+    live_c = np.ones(lp.n_cols, dtype=bool)
+    fixed = np.array([c.lower == c.upper for c in lp.columns], dtype=bool)
     constant = lp.objective_constant
-
-    live_rows = set(range(len(rows)))
-    live_cols = set(range(len(cols)))
 
     changed = True
     while changed:
-        changed = False
-
-        for i in sorted(live_rows):
-            entries = {j: v for j, v in coef[i].items()
-                       if j in live_cols and v != 0.0}
-            coef[i] = entries
-            if entries:
-                continue
-            r = rows[i]
-            if r.lo > 0.0 or r.hi < 0.0:
+        # boolean mat-vec: does the row meet a live column
+        empty = live_r & ~(pattern @ live_c)
+        for i in np.flatnonzero(empty):
+            if lo[i] > 0.0 or hi[i] < 0.0:
                 raise InfeasibleProblem(
-                    f"empty row {r.name} requires activity in "
-                    f"[{r.lo}, {r.hi}]")
-            live_rows.discard(i)
-            log.append(f"drop empty row {r.name}")
-            changed = True
+                    f"empty row {names[i]} requires activity in "
+                    f"[{lo[i]}, {hi[i]}]")
+            log.append(f"drop empty row {names[i]}")
+        live_r &= ~empty
+        changed = bool(empty.any())
 
-        for j in sorted(live_cols):
-            c = cols[j]
-            if c.lower == c.upper:
+        # fixing a column leaves the live rows, and so this test, unchanged
+        empty = live_c & ~(pattern.T @ live_r)
+        for j in np.flatnonzero(live_c & (fixed | empty)):
+            c, cost = lp.columns[j], float(lp.objective[j])
+            if fixed[j]:
                 if not math.isfinite(c.lower):
                     raise InfeasibleProblem(
                         f"variable {c.name} is fixed at a non-finite value")
-                _substitute_fixed(j, c.lower, rows, cols, coef, col_rows,
-                                  live_rows, live_cols, log)
-                constant += c.cost * c.lower
-                changed = True
-                continue
-            active = {i: v for i, v in col_rows[j].items()
-                      if i in live_rows and v != 0.0}
-            col_rows[j] = active
-            if active:
-                continue
-            # empty column: objective decides its optimal bound
-            eff_cost = sign * c.cost
-            if eff_cost > 0.0:
-                best = c.lower
-            elif eff_cost < 0.0:
-                best = c.upper
+                seg = slice(csc.indptr[j], csc.indptr[j + 1])
+                rows = csc.indices[seg]
+                on = live_r[rows]
+                rows, shift = rows[on], csc.data[seg][on] * c.lower
+                lo[rows] -= np.where(lo[rows] > -INF, shift, 0.0)
+                hi[rows] -= np.where(hi[rows] < INF, shift, 0.0)
+                log.append(f"substitute fixed variable {c.name} = {c.lower}")
+                constant += cost * c.lower
             else:
-                best = c.lower if c.lower > -INF else \
-                    (c.upper if c.upper < INF else 0.0)
-            if not math.isfinite(best):
-                raise UnboundedProblem(
-                    f"empty column {c.name} improves the objective without "
-                    "bound")
-            live_cols.discard(j)
-            constant += c.cost * best
-            log.append(f"fix empty column {c.name} at {best}")
+                # empty column: objective decides its optimal bound
+                eff_cost = sign * cost
+                if eff_cost > 0.0:
+                    best = c.lower
+                elif eff_cost < 0.0:
+                    best = c.upper
+                else:
+                    best = c.lower if c.lower > -INF else \
+                        (c.upper if c.upper < INF else 0.0)
+                if not math.isfinite(best):
+                    raise UnboundedProblem(
+                        f"empty column {c.name} improves the objective "
+                        "without bound")
+                constant += cost * best
+                log.append(f"fix empty column {c.name} at {best}")
+            live_c[j] = False
             changed = True
 
-        if _merge_duplicate_rows(rows, coef, live_rows, live_cols, log):
+        if _merge_duplicate_rows(csr[:, live_c], live_r, lo, hi, names, log):
             changed = True
 
-    # rebuild a GeneralLP in the reduced space
-    row_ids = sorted(live_rows)
-    col_ids = sorted(live_cols)
-    col_pos = {j: k for k, j in enumerate(col_ids)}
-    new_rows = [rows[i].to_rowdef() for i in row_ids]
-    new_cols = [ColumnDef(cols[j].name, cols[j].lower, cols[j].upper)
-                for j in col_ids]
-    entries = []
-    for k, i in enumerate(row_ids):
-        for j, v in coef[i].items():
-            if j in live_cols and v != 0.0:
-                entries.append((k, col_pos[j], v))
-    objective = np.array([cols[j].cost for j in col_ids], dtype=float)
+    kept = np.flatnonzero(live_r)
     out = GeneralLP(
         name=lp.name, objective_sense=lp.objective_sense,
-        objective_name=lp.objective_name, rows=new_rows, columns=new_cols,
-        coefficients=SparseMatrix.from_entries(
-            len(new_rows), len(new_cols), entries),
-        objective=objective, objective_constant=constant,
+        objective_name=lp.objective_name,
+        rows=[RowDef.from_interval(names[i], l, h) for i, l, h in
+              zip(kept, lo[kept].tolist(), hi[kept].tolist())],
+        columns=[ColumnDef(c.name, c.lower, c.upper)
+                 for c, on in zip(lp.columns, live_c) if on],
+        coefficients=SparseMatrix(csr[live_r][:, live_c]),
+        objective=np.asarray(lp.objective, dtype=float)[live_c],
+        objective_constant=constant,
         warnings=list(lp.warnings), transform_log=log)
     out.validate()
     return out
 
 
-class RowState:
-    """Presolve-internal row: interval form lo <= a'x <= hi."""
-
-    __slots__ = ("name", "lo", "hi")
-
-    def __init__(self, name: str, lo: float, hi: float):
-        self.name, self.lo, self.hi = name, lo, hi
-
-    def to_rowdef(self):
-        from .lp_model import RowDef
-        if self.lo == self.hi:
-            return RowDef(self.name, "=", self.lo)
-        if self.lo == -INF:
-            return RowDef(self.name, "<=", self.hi)
-        if self.hi == INF:
-            return RowDef(self.name, ">=", self.lo)
-        # two-sided interval expressed as a ranged <= row
-        return RowDef(self.name, "<=", self.hi, range=self.hi - self.lo)
-
-
-class ColState:
-    __slots__ = ("name", "lower", "upper", "cost")
-
-    def __init__(self, name, lower, upper, cost):
-        self.name, self.lower, self.upper, self.cost = name, lower, upper, cost
-
-
-def _substitute_fixed(j, value, rows, cols, coef, col_rows, live_rows,
-                      live_cols, log):
-    """Substitute x_j = value into every row containing it."""
-    for i, v in col_rows[j].items():
-        if i not in live_rows or j not in coef[i]:
-            continue
-        shift = v * value
-        r = rows[i]
-        if r.lo > -INF:
-            r.lo -= shift
-        if r.hi < INF:
-            r.hi -= shift
-        del coef[i][j]
-    live_cols.discard(j)
-    log.append(f"substitute fixed variable {cols[j].name} = {value}")
-
-
-def _merge_duplicate_rows(rows, coef, live_rows, live_cols, log) -> bool:
-    """Merge rows whose coefficient vectors agree up to positive scaling."""
+def _merge_duplicate_rows(sub, live_r, lo, hi, names, log) -> bool:
+    """Merge live rows of `sub` (A on the live columns) whose coefficient
+    vectors agree up to positive scaling into the first such row."""
+    sub.sort_indices()  # the first entry of a row is its leading one
     merged = False
-    signature: dict[tuple, int] = {}
-    for i in sorted(live_rows):
-        items = sorted((j, v) for j, v in coef[i].items()
-                       if j in live_cols and v != 0.0)
-        if not items:
+    first_of: dict[tuple, tuple[int, float]] = {}
+    for i in np.flatnonzero(live_r):
+        seg = slice(sub.indptr[i], sub.indptr[i + 1])
+        vals = sub.data[seg]
+        if not len(vals):
             continue
-        first = items[0][1]
-        key = (items[0][1] > 0,) + tuple(
-            (j, v / first) for j, v in items)
-        if key not in signature:
-            signature[key] = i
+        first = vals[0]
+        key = (first > 0, sub.indices[seg].tobytes(),
+               tuple((vals / first).tolist()))
+        if key not in first_of:
+            first_of[key] = (i, first)
             continue
-        k = signature[key]
-        items_k = sorted((j, v) for j, v in coef[k].items()
-                         if j in live_cols and v != 0.0)
-        alpha = first / items_k[0][1]  # row_i = alpha * row_k, alpha > 0
-        ri, rk = rows[i], rows[k]
-        lo = ri.lo / alpha if ri.lo > -INF else -INF
-        hi = ri.hi / alpha if ri.hi < INF else INF
-        new_lo = max(rk.lo, lo)
-        new_hi = min(rk.hi, hi)
+        k, first_k = first_of[key]
+        alpha = first / first_k  # row_i = alpha * row_k, alpha > 0
+        new_lo = max(lo[k], lo[i] / alpha if lo[i] > -INF else -INF)
+        new_hi = min(hi[k], hi[i] / alpha if hi[i] < INF else INF)
         if new_lo > new_hi + 1e-12 * max(1.0, abs(new_lo)):
             raise InfeasibleProblem(
-                f"rows {rk.name} and {ri.name} are positively scaled "
+                f"rows {names[k]} and {names[i]} are positively scaled "
                 "duplicates with disjoint intervals")
-        rk.lo, rk.hi = new_lo, new_hi
-        live_rows.discard(i)
-        log.append(f"merge duplicate row {ri.name} into {rk.name}")
+        lo[k], hi[k] = new_lo, new_hi
+        live_r[i] = False
+        log.append(f"merge duplicate row {names[i]} into {names[k]}")
         merged = True
     return merged
 
@@ -238,7 +176,6 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     names: list[str] = []
     provenance: list[str] = []
     cost: list[float] = []
-    entries: list[tuple[int, int, float]] = []  # grows as columns are added
     b: list[float] = []
     # pending (column, width) pairs: finite two-sided bounds become rows below
     upper_rows: list[tuple[int, float]] = []
@@ -249,7 +186,8 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
         cost.append(c)
         return len(names) - 1
 
-    col_map: list[list[tuple[int, float]]] = []  # original col -> [(new, sgn)]
+    # x = shifts + T x' with T the +-1 map of free splits and mirrors
+    t_map: list[tuple[int, int, float]] = []
     shifts = np.zeros(lp.n_cols)
     for j, col in enumerate(lp.columns):
         lo, up = col.lower, col.upper
@@ -257,17 +195,17 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
         if lo == -INF and up == INF:
             p = add_col(col.name + "+", "free_pos", cj)
             q = add_col(col.name + "-", "free_neg", -cj)
-            col_map.append([(p, 1.0), (q, -1.0)])
+            t_map += [(j, p, 1.0), (j, q, -1.0)]
             log.append(f"split free variable {col.name}")
         elif lo == -INF:
             # only an upper bound: mirror the variable, x' = up - x >= 0
             p = add_col(col.name + "~", "original", -cj)
-            col_map.append([(p, -1.0)])
+            t_map.append((j, p, -1.0))
             shifts[j] = up
             log.append(f"mirror upper-bounded variable {col.name}")
         else:
             p = add_col(col.name, "original", cj)
-            col_map.append([(p, 1.0)])
+            t_map.append((j, p, 1.0))
             shifts[j] = lo
             if up < INF:
                 upper_rows.append((p, up - lo))
@@ -275,15 +213,17 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
             if lo != 0.0:
                 log.append(f"shift {col.name} by {lo}")
 
+    a = lp.coefficients.tocsr()
+    structural = a @ SparseMatrix.from_entries(
+        lp.n_cols, len(names), t_map).tocsr()
     # original objective = sign * (standard min value) + constant + shift part
     obj_shift = float(np.dot(lp.objective, shifts))
+    row_shifts = a @ shifts  # each row summed in CSR order
 
+    entries: list[tuple[int, int, float]] = []  # slack and bound-row entries
     for i, row in enumerate(lp.rows):
         lo, hi = row.interval()
-        shift = sum(v * shifts[j] for j, v in lp.coefficients.row_entries(i))
-        for j, v in lp.coefficients.row_entries(i):
-            for nj, sgn in col_map[j]:
-                entries.append((i, nj, sgn * v))
+        shift = row_shifts[i]
         if lo == hi:
             b.append(lo - shift)
         elif lo == -INF:
@@ -310,8 +250,10 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
         b.append(width)
 
     m, n = m0 + len(upper_rows), len(names)
+    structural.resize(m, n)
     return StandardLP(
-        A=SparseMatrix.from_entries(m, n, entries),
+        A=SparseMatrix(structural +
+                       SparseMatrix.from_entries(m, n, entries).tocsr()),
         b=np.asarray(b, dtype=float),
         c=np.asarray(cost, dtype=float),
         column_provenance=provenance,

@@ -48,9 +48,8 @@ class TestAnalyzeInstance:
                     checked += 1
         assert checked >= 4
 
-    def test_config_rejects_zero_sigma_max_iters(self):
-        for kwargs, match in [({"sigma_max_iters": 0}, "sigma_max_iters"),
-                              ({"epsilon": 0.0}, "epsilon"),
+    def test_config_rejects_bad_values(self):
+        for kwargs, match in [({"epsilon": 0.0}, "epsilon"),
                               ({"epsilon": 2.0}, "epsilon"),
                               ({"duration_points": 1}, "points")]:
             with pytest.raises(ValueError, match=match):
@@ -60,7 +59,7 @@ class TestAnalyzeInstance:
         # a new option shows up here as a reviewed diff
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
             "epsilon", "beta", "seed", "sigma_min_timeout",
-            "sigma_min_samples", "sigma_max_iters", "duration_min",
+            "sigma_min_samples", "duration_min",
             "duration_max", "duration_points", "classical_cmd",
             "classical_timeout", "objective_pattern", "status_patterns",
             "workers"]
@@ -399,7 +398,7 @@ class TestCli:
         # a bad value, unknown keys, malformed JSON, a non-object and a
         # missing file all end in one clean message instead of a traceback
         for text, match in [(json.dumps({"sigma_max_iters": 0}),
-                             "sigma_max_iters"),
+                             "unknown config keys"),
                             (json.dumps({"ipm": {"bogus": 1}}), "ipm"),
                             (json.dumps({"bogus": 1}), "bogus"),
                             (json.dumps([1, 2]), "JSON object"),
@@ -421,3 +420,27 @@ class TestCli:
             with pytest.raises(SystemExit, match=match) as exc:
                 cli.main(["analyze", str(path), *flags])
             assert str(exc.value).startswith("invalid option: ")
+
+    def test_invalid_suite_inputs_exit_before_analysis(self, tmp_path,
+                                                       monkeypatch):
+        from qipm_bounds import cli
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "t.mps").write_text(
+            (corpus_dir() / "tiny" / "tiny_min.mps").read_text())
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the suite ran before its inputs were checked")
+
+        monkeypatch.setattr(cli, "run_suite", no_analysis)
+        out = tmp_path / "out"
+        for directory, formats, match in [
+                (tmp_path / "missing", "csv", "missing is not a directory"),
+                (data / "t.mps", "csv", "t.mps is not a directory"),
+                (data, "csv,pdf", "'csv,pdf' is not a subset"),
+                (data, ",", "',' is not a subset")]:
+            with pytest.raises(SystemExit, match=match) as exc:
+                cli.main(["suite", str(directory), "--out", str(out),
+                          "--formats", formats])
+            assert str(exc.value).startswith("invalid option: ")
+        assert not out.exists()

@@ -1,5 +1,7 @@
 """Presolve, standard-form conversion and rank repair."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -217,6 +219,45 @@ class TestEnsureFullRowRank:
             b[dropped[0]] += 1e-6 * (1.0 + abs(b[dropped[0]]))
             with pytest.raises(InfeasibleProblem):
                 ensure_full_row_rank(self._std(stacked, b))
+
+
+def standard_form_digest(lps) -> str:
+    """SHA-256 over every output field of to_standard_form(presolve(lp))."""
+    h = hashlib.sha256()
+    for lp in lps:
+        std = to_standard_form(presolve(lp))
+        a = std.A.tocsr()
+        for arr in (a.indptr.astype(np.int64), a.indices.astype(np.int64),
+                    a.data, std.b, std.c):
+            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(b"|")
+        h.update(repr((a.shape, std.name, std.column_names,
+                       std.column_provenance, std.objective_sign,
+                       repr(std.objective_constant),
+                       std.transform_log)).encode())
+    return h.hexdigest()
+
+
+# recorded before presolve and to_standard_form moved onto sparse arrays
+CORPUS_DIGEST = \
+    "d5405ec26a8f06866dc31ea98a1ee9f534dd008270e43e758e2e956159398f10"
+RANDOM_DIGEST = \
+    "8e1a3ec4b3f7ccac7006762dd38887dae4b06ff646935bf3678a2e66a5c88b55"
+
+
+class TestPinnedStandardForm:
+    """The standard form is bit-identical to the one these digests record;
+    every quantum bound downstream is computed from it."""
+
+    def test_corpus(self):
+        from qipm_bounds.corpus import corpus_files
+        lps = [parse_mps(p.read_text()) for p in corpus_files()]
+        assert len(lps) == 7
+        assert standard_form_digest(lps) == CORPUS_DIGEST
+
+    def test_random_general_lps(self):
+        lps = [random_general_lp(seed) for seed in range(200)]
+        assert standard_form_digest(lps) == RANDOM_DIGEST
 
 
 class TestPipelineProperties:
