@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as dense_linalg
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .lp_model import SparseMatrix, StandardLP
+from .standardize import _pivoted_qr
 
 # relative solve-residual contract of the basis factorization
 BASIS_SOLVE_TOL = 1e-10
@@ -110,9 +110,8 @@ def select_basis(A: SparseMatrix) -> BasisSelection:
         return BasisSelection(
             basic=np.zeros(0, dtype=int), nonbasic=np.arange(n),
             _solve=lambda v: v.copy(), _solve_t=lambda v: v.copy())
-    r, piv = dense_linalg.qr(A.tocsr().toarray(order="F"), mode="r",
-                             pivoting=True, overwrite_a=True)
-    diag = np.abs(np.diag(r))
+    r, piv = _pivoted_qr(A.tocsr().toarray(order="F"))
+    diag = np.abs(np.diagonal(r))
     scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
     rank = int(np.sum(diag > BASIS_RANK_TOL * scale)) if scale > 0.0 else 0
     if rank < m:

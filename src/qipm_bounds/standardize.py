@@ -4,9 +4,11 @@ The pipeline order is fixed: presolve -> to_standard_form -> ensure_full_row_ran
 Presolve removes empty rows/columns, substitutes fixed variables and merges
 positively scaled duplicate rows; standardization introduces slack/surplus
 columns, shifts or splits bounded/free variables; rank repair keeps a maximal
-independent set of rows, picked by a column-pivoted QR (largest residual
-relative to the row's norm first, ties toward the earlier row), and drops the
-rest after checking right-hand-side consistency.
+independent set of rows and drops the rest after checking right-hand-side
+consistency. A row that owns a column no other row touches (a private
+singleton, as every slack and bound row does) is kept outright; the other
+rows are picked by a column-pivoted QR of their dense block (largest residual
+relative to the row's norm first, ties toward the earlier row).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 
 import numpy as np
 from scipy import linalg
+from scipy.sparse import linalg as sparse_linalg
 
 from .lp_model import (INF, ColumnDef, GeneralLP, RowDef, SparseMatrix,
                        StandardLP)
@@ -167,9 +170,19 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     Inequality rows gain slack/surplus columns; a ranged row gets a slack
     with a finite upper bound which, like every two-sided variable bound,
     becomes an extra equality row with its own bound slack. Free variables
-    split into positive/negative parts; max objectives are negated.
+    split into positive/negative parts; max objectives are negated. A column
+    with lower > upper raises InfeasibleProblem, and one fixed at an
+    infinite value raises ValueError.
     """
     lp.validate()
+    for col in lp.columns:
+        if col.lower > col.upper:
+            raise InfeasibleProblem(
+                f"variable {col.name} has empty bound interval "
+                f"[{col.lower}, {col.upper}]")
+        if col.lower == col.upper and not math.isfinite(col.lower):
+            raise ValueError(
+                f"variable {col.name} is fixed at a non-finite value")
     sign = 1.0 if lp.objective_sense == "min" else -1.0
     log = list(lp.transform_log)
 
@@ -265,37 +278,96 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     )
 
 
+def private_singletons(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Rows that own a column no other row touches, each with that column.
+
+    Such a row has a zero coefficient in every linear dependency among the
+    rows, so it is independent of all the others. A row counts only when its
+    private entry exceeds RANK_TOL times the row's 2-norm, the tolerance rank
+    repair applies. A row with several private columns reports the one with
+    the largest entry, the earliest on ties. Returns (rows, columns), rows
+    ascending.
+    """
+    csc = A.tocsc()
+    cols = np.flatnonzero(np.diff(csc.indptr) == 1)
+    rows = csc.indices[csc.indptr[cols]]
+    vals = np.abs(csc.data[csc.indptr[cols]])
+    norms = sparse_linalg.norm(A.tocsr(), axis=1)
+    on = vals > RANK_TOL * norms[rows]
+    rows, cols, vals = rows[on], cols[on], vals[on]
+    order = np.lexsort((cols, -vals, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    return rows[first], cols[first]
+
+
+def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column-pivoted Householder QR of the Fortran-ordered float array `a`,
+    in place.
+
+    Calls LAPACK geqp3 after the same workspace query scipy.linalg.qr makes,
+    so the factor is bit-identical to scipy's, but without its full-size
+    copy of R. Returns the overwritten `a`, whose upper triangle is R, and
+    the 0-based pivot order.
+    """
+    if a.size == 0:
+        return a, np.arange(a.shape[1])
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise ValueError("array must not contain infs or NaNs")
+    geqp3, = linalg.get_lapack_funcs(("geqp3",), (a,))
+    work = geqp3(a, lwork=-1, overwrite_a=True)[3]
+    qr, jpvt, _, _, info = geqp3(a, lwork=work[0].real.astype(np.int_),
+                                 overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    return qr, jpvt - 1
+
+
 def ensure_full_row_rank(std: StandardLP) -> StandardLP:
     """Keep a maximal independent set of rows, checking rhs consistency.
 
-    One column-pivoted Householder QR of the row-normalized A^T picks the
-    rows: each step takes the row with the largest residual against the rows
-    already picked, relative to its own norm (LAPACK breaks ties toward the
-    earlier row), and stops once that residual falls to RANK_TOL. Every other
-    row is a combination of the kept ones, read off the same R; its rhs must
-    match the implied combination to RHS_CONSISTENCY_TOL or the LP is
-    infeasible. Kept rows stay in their original order.
+    The rows `private_singletons` covers are independent of every other row
+    and are kept outright. The remaining rows R' can only depend on each
+    other: one column-pivoted Householder QR of their row-normalized dense
+    block, transposed, picks among them. Each step takes the row with the
+    largest residual against the rows already picked, relative to its own
+    norm (LAPACK breaks ties toward the earlier row), and stops once that
+    residual falls to RANK_TOL. Every other row of R' is a combination of
+    the kept ones, read off the same R; its rhs must match the implied
+    combination to RHS_CONSISTENCY_TOL or the LP is infeasible. The block
+    spans only the columns R' touches, so the dense ceiling is
+    |R'| * |cols(R')| * 8 bytes, and no QR runs when every row is covered.
+    Kept rows stay in their original order.
     """
     m = std.m
     if m == 0:
         return std
-    dense = std.A.to_dense()
-    norms = np.linalg.norm(dense, axis=1)
-    scale = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
-    dense *= scale[:, None]
-    r, piv = linalg.qr(dense.T, mode="r", pivoting=True, overwrite_a=True)
-    rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
-    # dropped row d = sum_k w[k, d] * kept row k, both rows scaled to unit norm
-    w = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
-    implied = norms[piv[rank:]] * ((std.b * scale)[piv[:rank]] @ w)
+    covered, _ = private_singletons(std.A)
+    rest = np.setdiff1d(np.arange(m), covered, assume_unique=True)
+    kept = covered
     log = list(std.transform_log)
-    for i, value in sorted(zip(piv[rank:].tolist(), implied.tolist())):
-        if abs(std.b[i] - value) > RHS_CONSISTENCY_TOL * (1.0 + abs(std.b[i])):
-            raise InfeasibleProblem(
-                f"row {i} is dependent on the kept rows but its rhs "
-                f"{std.b[i]} conflicts with the implied value {value}")
-        log.append(f"drop dependent row {i}")
-    kept = np.sort(piv[:rank])
+    if rest.size:
+        sub = std.A.tocsr()[rest]
+        dense = sub[:, np.unique(sub.indices)].toarray()
+        norms = np.linalg.norm(dense, axis=1)
+        scale = np.divide(1.0, norms, out=np.zeros(rest.size),
+                          where=norms > 0.0)
+        dense *= scale[:, None]
+        r, piv = _pivoted_qr(dense.T)
+        rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
+        # dropped row d = sum_k w[k, d] * kept row k, all scaled to unit norm
+        w = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        implied = norms[piv[rank:]] * ((std.b[rest] * scale)[piv[:rank]] @ w)
+        for i, value in sorted(zip(rest[piv[rank:]].tolist(),
+                                   implied.tolist())):
+            if abs(std.b[i] - value) > \
+                    RHS_CONSISTENCY_TOL * (1.0 + abs(std.b[i])):
+                raise InfeasibleProblem(
+                    f"row {i} is dependent on the kept rows but its rhs "
+                    f"{std.b[i]} conflicts with the implied value {value}")
+            log.append(f"drop dependent row {i}")
+        kept = np.sort(np.concatenate([covered, rest[piv[:rank]]]))
     return StandardLP(
         A=SparseMatrix(std.A.tocsr()[kept]), b=std.b[kept], c=std.c,
         column_provenance=std.column_provenance,

@@ -1,6 +1,7 @@
 """Presolve, standard-form conversion and rank repair."""
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from scipy.optimize import linprog
 from conftest import rng_for
 from qipm_bounds.lp_model import (INF, ColumnDef, GeneralLP, RowDef,
                                   SparseMatrix, parse_mps)
-from qipm_bounds.standardize import (InfeasibleProblem, UnboundedProblem,
-                                     ensure_full_row_rank, presolve,
+from qipm_bounds.standardize import (RANK_TOL, InfeasibleProblem,
+                                     UnboundedProblem, ensure_full_row_rank,
+                                     presolve, private_singletons,
                                      standardize, to_standard_form)
+
+# the package re-exports the function `standardize` under the module's name
+standardize_module = importlib.import_module("qipm_bounds.standardize")
 
 
 def make_lp(rows, cols, coeffs, objective, sense="min", constant=0.0):
@@ -165,6 +170,23 @@ class TestToStandardForm:
         _, val = solve_standard_oracle(std)
         assert val == pytest.approx(-5.0)
 
+    def test_bad_column_bounds_rejected(self):
+        # without the check, x in [inf, inf] and y in [2, 1] gave
+        # b = [-inf, -1] and a NaN objective constant
+        def lp(*cols):
+            return make_lp([("r0", "<=", 1.0)], list(cols),
+                           [(0, j, 1.0) for j in range(len(cols))],
+                           np.ones(len(cols)))
+        x, y = ("x", INF, INF), ("y", 2.0, 1.0)
+        with pytest.raises(ValueError, match="x is fixed at a non-finite"):
+            to_standard_form(lp(x, y))
+        with pytest.raises(ValueError, match="non-finite"):
+            to_standard_form(lp(("x", -INF, -INF)))
+        with pytest.raises(InfeasibleProblem, match="y has empty bound"):
+            to_standard_form(lp(y))
+        with pytest.raises(InfeasibleProblem):
+            to_standard_form(lp(("z", INF, 0.0)))
+
 
 class TestEnsureFullRowRank:
     def _std(self, a, b):
@@ -185,6 +207,97 @@ class TestEnsureFullRowRank:
             self._std([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 2.0]))
         assert out.m == 2
         assert [0.0, 1.0] in out.A.to_dense().tolist()
+
+    def test_private_singletons(self):
+        # column 0 is private to row 0 and column 3 to row 2; columns 1, 2
+        # and 4 are shared; row 2 reports its larger private entry
+        a = [[2.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+             [0.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+             [0.0, 0.0, 1.0, 1.0, 1.0, 3.0],
+             [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]]
+        rows, cols = private_singletons(SparseMatrix.from_dense(a))
+        assert rows.tolist() == [0, 2]
+        assert cols.tolist() == [0, 5]
+        # an entry at the rank tolerance relative to the row norm is too
+        # small to prove independence
+        rows, _ = private_singletons(SparseMatrix.from_dense(
+            [[RANK_TOL, 1.0], [0.0, 1.0]]))
+        assert rows.tolist() == []
+
+    def test_covered_row_kept_and_dependence_among_the_rest(self):
+        # r0 owns column p; r3 = r1 + r2 on shared columns a, b, c, d
+        a = [[1.0, 1.0, 0.0, 0.0, 0.0],    # p + a
+             [0.0, 1.0, 1.0, 0.0, 0.0],    # a + b
+             [0.0, 0.0, 0.0, 1.0, 1.0],    # c + d
+             [0.0, 1.0, 1.0, 1.0, 1.0]]    # a + b + c + d
+        x0 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        b = np.asarray(a) @ x0
+        out = ensure_full_row_rank(self._std(a, b))
+        assert out.m == 3
+        assert out.A.to_dense().tolist()[0] == a[0]
+        np.testing.assert_allclose(out.A.to_dense() @ x0, out.b)
+        [drop] = [e for e in out.transform_log
+                  if e.startswith("drop dependent row")]
+        dropped = int(drop.split()[-1])
+        assert dropped in (1, 2, 3)
+        b[dropped] += 1e-6
+        with pytest.raises(InfeasibleProblem, match=f"row {dropped} is"):
+            ensure_full_row_rank(self._std(a, b))
+
+    def test_tiny_private_entry_goes_through_the_qr(self, monkeypatch):
+        calls = []
+        qr = standardize_module._pivoted_qr
+
+        def counting_qr(a):
+            calls.append(a.shape)
+            return qr(a)
+        monkeypatch.setattr(standardize_module, "_pivoted_qr", counting_qr)
+        # r0's private entry is below RANK_TOL * ||r0||, so within the
+        # tolerance r0 and r1 are the same row
+        a = [[1e-12, 1.0, 1.0], [0.0, 1.0, 1.0]]
+        out = ensure_full_row_rank(self._std(a, [2.0, 2.0]))
+        assert calls == [(3, 2)]
+        assert out.m == 1
+
+    def test_all_covered_rows_skip_the_qr(self, monkeypatch):
+        def no_qr(a):
+            raise AssertionError("QR ran on covered rows")
+        monkeypatch.setattr(standardize_module, "_pivoted_qr", no_qr)
+        a = [[1.0, 0.0, 0.0, 2.0, 1.0],
+             [0.0, 3.0, 0.0, 2.0, 1.0],
+             [0.0, 0.0, 1.0, 2.0, 1.0]]
+        out = ensure_full_row_rank(self._std(a, [1.0, 2.0, 3.0]))
+        assert out.m == 3
+        assert out.b.tolist() == [1.0, 2.0, 3.0]
+        assert out.A.to_dense().tolist() == a
+
+    def test_zero_row_dropped_or_infeasible(self):
+        # the zero row is all of R' and touches no column
+        out = ensure_full_row_rank(self._std([[0.0, 0.0], [1.0, 1.0]],
+                                             [0.0, 2.0]))
+        assert out.b.tolist() == [2.0]
+        assert "drop dependent row 0" in out.transform_log
+        with pytest.raises(InfeasibleProblem):
+            ensure_full_row_rank(self._std([[0.0, 0.0], [1.0, 1.0]],
+                                           [1.0, 2.0]))
+
+    def test_pivoted_qr_matches_scipy(self, monkeypatch):
+        from scipy import linalg
+        rng = rng_for(9)
+        a = rng.normal(size=(30, 12)) @ rng.normal(size=(12, 40))
+        r, piv = linalg.qr(a, mode="r", pivoting=True)
+        f, piv2 = standardize_module._pivoted_qr(np.asfortranarray(a))
+        assert np.array_equal(piv, piv2)
+        assert np.array_equal(r, np.triu(f))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            standardize_module._pivoted_qr(np.full((2, 2), np.nan, order="F"))
+
+        def bad_geqp3(a, lwork, overwrite_a):
+            return a, None, None, np.ones(1), -4
+        monkeypatch.setattr(standardize_module.linalg, "get_lapack_funcs",
+                            lambda names, arrays: (bad_geqp3,))
+        with pytest.raises(ValueError, match="argument 4 of geqp3"):
+            standardize_module._pivoted_qr(np.ones((2, 2), order="F"))
 
     def test_contradictory_dependence_infeasible(self):
         std = self._std([[1.0, 1.0], [2.0, 2.0]], [2.0, 5.0])
@@ -216,6 +329,37 @@ class TestEnsureFullRowRank:
             dropped = [int(e.split()[-1]) for e in out.transform_log
                        if e.startswith("drop dependent row")]
             assert len(dropped) == 3
+            b[dropped[0]] += 1e-6 * (1.0 + abs(b[dropped[0]]))
+            with pytest.raises(InfeasibleProblem):
+                ensure_full_row_rank(self._std(stacked, b))
+
+    def test_random_stacked_combinations_with_slack_rows(self):
+        # as above, but a random subset of the independent rows owns a
+        # slack column each; the dependent rows combine only the others, so
+        # the QR sees the dependent rows and the rows without a slack
+        rng = rng_for(8)
+        for trial in range(10):
+            a = rng.normal(size=(10, 20))
+            with_slack = np.flatnonzero(rng.random(10) < 0.4)
+            w = rng.normal(size=(3, 10))
+            w[:, with_slack] = 0.0
+            slack = np.zeros((10, 10))
+            slack[with_slack, with_slack] = 1.0
+            a = np.hstack([a, slack[:, with_slack]])
+            perm = rng.permutation(13)
+            stacked = np.vstack([w @ a, a])[perm]
+            stacked *= (10.0 ** rng.uniform(-4.0, 4.0, size=13))[:, None]
+            rows, _ = private_singletons(SparseMatrix.from_dense(stacked))
+            assert sorted(perm[rows].tolist()) == (3 + with_slack).tolist()
+            x0 = rng.uniform(0.5, 1.5, size=a.shape[1])
+            b = stacked @ x0
+            out = ensure_full_row_rank(self._std(stacked, b))
+            assert out.m == np.linalg.matrix_rank(stacked) == 10
+            np.testing.assert_allclose(out.A.to_dense() @ x0, out.b,
+                                       rtol=1e-12)
+            dropped = [int(e.split()[-1]) for e in out.transform_log
+                       if e.startswith("drop dependent row")]
+            assert len(dropped) == 3 and not set(dropped) & set(rows)
             b[dropped[0]] += 1e-6 * (1.0 + abs(b[dropped[0]]))
             with pytest.raises(InfeasibleProblem):
                 ensure_full_row_rank(self._std(stacked, b))
