@@ -123,6 +123,10 @@ def solve_internal_ipm(std: StandardLP) -> SolveOutcome:
         x = x + alpha * step.dx
         y = y + alpha * step.dy
         s = s + alpha * step.ds
+        if not (np.all(x > 0.0) and np.all(s > 0.0)):
+            status = "error"
+            message = "step rounded out of the interior x > 0, s > 0"
+            break
     wall = time.perf_counter() - t0
     return SolveOutcome(status=status, objective=float(c @ x), iterations=k,
                         wall_time=wall, solver="internal_ipm", message=message)
@@ -141,13 +145,24 @@ def _max_step(x, dx, s, ds) -> float:
 
 
 def standard_to_general(std: StandardLP) -> GeneralLP:
-    """View a StandardLP as a GeneralLP of equality rows (for MPS export)."""
+    """View a StandardLP as a GeneralLP of equality rows R{i} over columns
+    C{j} (for MPS export: source names, blanks included, never reach it)."""
     rows = [RowDef(f"R{i}", "=", float(std.b[i])) for i in range(std.m)]
-    cols = [ColumnDef(name) for name in std.column_names]
+    cols = [ColumnDef(f"C{j}") for j in range(std.n)]
     return GeneralLP(
         name=std.name or "STANDARD", objective_sense="min",
         objective_name="COST", rows=rows, columns=cols,
         coefficients=std.A, objective=np.asarray(std.c, dtype=float))
+
+
+def command_argv(command_template: str) -> list[str]:
+    """Split a solver command template; it must contain `{mps}`."""
+    if "{mps}" not in command_template:
+        raise ValueError("command template must contain the {mps} placeholder")
+    try:
+        return shlex.split(command_template)
+    except ValueError as exc:
+        raise ValueError(f"cannot split command template: {exc}") from None
 
 
 def solve_external(std: StandardLP, command_template: str,
@@ -164,11 +179,10 @@ def solve_external(std: StandardLP, command_template: str,
     defaults). Wall time covers the subprocess only; MPS serialization is
     timed separately.
     """
-    if "{mps}" not in command_template:
-        raise ValueError("command template must contain the {mps} placeholder")
+    argv = command_argv(command_template)
     objective_pattern = objective_pattern or DEFAULT_OBJECTIVE_PATTERN
     status_patterns = status_patterns or DEFAULT_STATUS_PATTERNS
-    solver_name = f"external({shlex.split(command_template)[0]})"
+    solver_name = f"external({argv[0]})"
 
     def run(dirpath: Path) -> SolveOutcome:
         t_ser = time.perf_counter()
@@ -176,8 +190,7 @@ def solve_external(std: StandardLP, command_template: str,
         mps_path.write_text(emit_mps(standard_to_general(std)))
         serialize_time = time.perf_counter() - t_ser
 
-        cmd = [arg.replace("{mps}", str(mps_path))
-               for arg in shlex.split(command_template)]
+        cmd = [arg.replace("{mps}", str(mps_path)) for arg in argv]
         t0 = time.perf_counter()
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,

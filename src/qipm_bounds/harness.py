@@ -4,8 +4,11 @@ For each MPS file: parse -> presolve -> standard form -> rank repair ->
 basis -> MNES and OSS operators at the all-ones iterate -> structural
 sparsity and condition-number lower bounds -> query/cycle lower bounds
 (tomography dimension m for the MNES, n for the OSS) -> classical solve ->
-exclusion flags over a cycle-duration grid. Stage failures are recorded in
-the instance record instead of aborting the suite.
+exclusion flags over a cycle-duration grid. `analyze_instance` holds the
+one per-instance guard: a failure in any stage sets the record's status to
+"error" and keeps what the earlier stages filled in, so `analyze` and
+`suite` record the same fault the same way. Inside it, each formulation has
+its own guard, so one formulation's failure leaves the other's result.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import platform
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import qcost
-from .classical import SolveOutcome, solve_external, solve_internal_ipm
+from .classical import (SolveOutcome, command_argv, solve_external,
+                        solve_internal_ipm)
 from .lp_model import parse_mps
 from .newton import build_fbar, build_oss, canonical_iterate, select_basis
 from .spectral import (kappa_lower_mnes, kappa_lower_oss, sparsity_mnes,
@@ -55,6 +60,14 @@ class AnalysisConfig:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         self.durations()  # a bad grid fails here, not after the analysis
+        if self.classical_cmd:  # so does a bad solver command or pattern
+            command_argv(self.classical_cmd)
+        for pattern in (self.objective_pattern,
+                        *dict(self.status_patterns or {}).values()):
+            try:
+                re.compile(pattern or "")
+            except re.error as exc:
+                raise ValueError(f"bad pattern {pattern!r}: {exc}") from None
 
     def durations(self) -> list[float]:
         """The cycle-duration grid, with the 800 ps reference point."""
@@ -196,7 +209,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
     t = time.perf_counter()
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         record.status = "error"
         record.error = f"unreadable file: {exc}"
         return record
@@ -214,53 +227,42 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         t = time.perf_counter()
         basis = select_basis(std.A)
         stages["basis"] = time.perf_counter() - t
-    except Exception as exc:
+
+        it = canonical_iterate(std.m, std.n)
+        beta_mu = it.default_beta_mu(cfg.beta)
+        for formulation in FORMULATIONS:
+            t = time.perf_counter()
+            record.formulations[formulation] = _analyze_formulation(
+                formulation, std, basis, it, beta_mu, cfg, record.seed)
+            stages[formulation] = time.perf_counter() - t
+
+        t = time.perf_counter()
+        if cfg.classical_cmd:
+            record.classical = solve_external(
+                std, cfg.classical_cmd, timeout=cfg.classical_timeout,
+                objective_pattern=cfg.objective_pattern,
+                status_patterns=cfg.status_patterns)
+        else:
+            record.classical = solve_internal_ipm(std)
+            record.warnings.append(
+                "classical baseline is the internal IPM (no external solver "
+                "configured); its slower time only weakens exclusion verdicts")
+        if record.classical.status in ("optimal", "iteration_limit"):
+            # report in the original LP's scale (sense and objective constant)
+            record.classical.objective = std.original_objective(
+                record.classical.objective)
+        stages["classical"] = time.perf_counter() - t
+
+        durations = cfg.durations()
+        for formulation in FORMULATIONS:
+            flags = [record.quantum_lb_below_classical(formulation, t_)
+                     for t_ in durations]
+            if all(fl is not None for fl in flags):
+                record.exclusion[formulation] = [bool(fl) for fl in flags]
+    except Exception as exc:  # the one guard: a failure costs one record
         record.status = "error"
         record.error = f"{type(exc).__name__}: {exc}"
-        return record
-
-    it = canonical_iterate(std.m, std.n)
-    beta_mu = it.default_beta_mu(cfg.beta)
-    for formulation in FORMULATIONS:
-        t = time.perf_counter()
-        record.formulations[formulation] = _analyze_formulation(
-            formulation, std, basis, it, beta_mu, cfg, record.seed)
-        stages[formulation] = time.perf_counter() - t
-
-    t = time.perf_counter()
-    if cfg.classical_cmd:
-        record.classical = solve_external(
-            std, cfg.classical_cmd, timeout=cfg.classical_timeout,
-            objective_pattern=cfg.objective_pattern,
-            status_patterns=cfg.status_patterns)
-    else:
-        record.classical = solve_internal_ipm(std)
-        record.warnings.append(
-            "classical baseline is the internal IPM (no external solver "
-            "configured); its slower time only weakens exclusion verdicts")
-    if record.classical.status in ("optimal", "iteration_limit"):
-        # report in the original LP's scale (sense and objective constant)
-        record.classical.objective = std.original_objective(
-            record.classical.objective)
-    stages["classical"] = time.perf_counter() - t
-
-    durations = cfg.durations()
-    for formulation in FORMULATIONS:
-        flags = [record.quantum_lb_below_classical(formulation, t_)
-                 for t_ in durations]
-        if all(fl is not None for fl in flags):
-            record.exclusion[formulation] = [bool(fl) for fl in flags]
     return record
-
-
-def _analyze_for_suite(args) -> InstanceRecord:
-    path, family, cfg = args
-    try:
-        return analyze_instance(path, cfg, family=family)
-    except Exception as exc:  # crash isolation: a failure loses one record only
-        return InstanceRecord(name=Path(path).stem, family=family,
-                              path=str(path), status="error",
-                              error=f"{type(exc).__name__}: {exc}")
 
 
 def discover_instances(directory: str | Path) -> list[tuple[Path, str]]:
@@ -286,12 +288,17 @@ def run_suite(directory: str | Path,
     if not instances:
         warnings.append(f"no MPS instances found under {directory}")
 
-    jobs = [(str(p), fam, cfg) for p, fam in instances]
-    if cfg.workers > 1 and len(jobs) > 1:
+    paths = [str(p) for p, _ in instances]
+    families = [fam for _, fam in instances]
+    configs = [cfg] * len(instances)
+    # read at call time, so a wrapper patched onto the module applies;
+    # with workers > 1 the pool pickles it, so it must be picklable
+    if cfg.workers > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_analyze_for_suite, jobs))
+            records = list(pool.map(analyze_instance, paths, configs,
+                                    families))
     else:
-        records = [_analyze_for_suite(j) for j in jobs]
+        records = list(map(analyze_instance, paths, configs, families))
 
     durations = cfg.durations()
     curves, counts, excluded = exclusion_curve(records, durations)

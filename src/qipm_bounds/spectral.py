@@ -132,8 +132,7 @@ def _rayleigh_sigma(image, v: np.ndarray) -> float:
 
 
 def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
-                     tol: float, rng: np.random.Generator,
-                     deadline: float | None):
+                     rng: np.random.Generator, deadline: float | None):
     """Krylov iteration on the Gram operator with full reorthogonalization.
 
     Stops at convergence of the extreme Ritz value, at the iteration cap, on
@@ -167,7 +166,8 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
         k += 1
         theta, yvec = _extreme_ritz(alphas, betas, which)
         converged = (theta_prev is not None
-                     and abs(theta - theta_prev) <= tol * max(abs(theta), 1e-300))
+                     and abs(theta - theta_prev)
+                     <= DEFAULT_RITZ_TOL * max(abs(theta), 1e-300))
         theta_prev = theta
         if beta <= 1e-14 * alpha_max or converged or k >= cap or \
                 (deadline is not None and time.monotonic() > deadline):
@@ -195,7 +195,7 @@ def _extreme_ritz(alphas, betas, which: str):
 
 
 def sigma_max_lower(op: NewtonOperator, max_iters: int = DEFAULT_MAX_ITERS,
-                    tol: float = DEFAULT_RITZ_TOL, seed: int = 0) -> float:
+                    seed: int = 0) -> float:
     """Certified lower bound on the largest singular value of op.
 
     The value returned is the Rayleigh quotient ||op v|| / ||v|| at the top
@@ -205,15 +205,14 @@ def sigma_max_lower(op: NewtonOperator, max_iters: int = DEFAULT_MAX_ITERS,
     if dim == 0 or op.shape[0] == 0:
         return 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    value, _ = _lanczos_extreme(gram, image, dim, "max", max_iters, tol,
-                                rng, deadline=None)
+    value, _ = _lanczos_extreme(gram, image, dim, "max", max_iters, rng,
+                                deadline=None)
     return value
 
 
 def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                     n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
                     max_iters: int = DEFAULT_MAX_ITERS,
-                    tol: float = DEFAULT_RITZ_TOL,
                     sigma_max_hint: float | None = None) -> tuple[float, str]:
     """Certified upper bound on the smallest singular value of op.
 
@@ -245,16 +244,16 @@ def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                 # its Ritz value is about 1 / sigma_min, no pad scale
                 value, _ = _lanczos_extreme(
                     op.inverse_gram, op.apply_transpose, dim, "max",
-                    max_iters, tol, rng, deadline)
+                    max_iters, rng, deadline)
             except (RuntimeError, np.linalg.LinAlgError):
                 pass  # fall back to the forward Gram below
             else:
                 scale_ref = scale_ref or sigma_max_lower(
-                    op, max_iters=max_iters, tol=tol, seed=seed)
+                    op, max_iters=max_iters, seed=seed)
                 return value + _FP_PAD * (dim + 10) * scale_ref, "iterative"
         rng = np.random.Generator(np.random.Philox(key=seed))
         value, smax_ritz = _lanczos_extreme(
-            gram, image, dim, "min", max_iters, tol, rng, deadline)
+            gram, image, dim, "min", max_iters, rng, deadline)
         pad = _FP_PAD * (dim + 10) * max(scale_ref, smax_ritz)
         return value + pad, "iterative"
 
@@ -286,8 +285,8 @@ def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
 
 def kappa_lower_mnes(fbar: NewtonOperator, m: int, n: int,
                      timeout: float = DEFAULT_TIMEOUT,
-                     seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
-                     max_iters: int = DEFAULT_MAX_ITERS) -> KappaBound:
+                     seed: int = 0, n_samples: int = DEFAULT_SAMPLES
+                     ) -> KappaBound:
     """kappa(M_hat) >= (1 + sigma_max(F)^2) / (1 + sigma_min(F)^2) from below.
 
     When n - m < m the Gram matrix F F' is rank deficient, so sigma_min = 0
@@ -295,27 +294,25 @@ def kappa_lower_mnes(fbar: NewtonOperator, m: int, n: int,
     """
     if fbar.shape != (m, n - m):
         raise ValueError(f"fbar has shape {fbar.shape}, expected {(m, n - m)}")
-    smax = sigma_max_lower(fbar, max_iters=max_iters, seed=seed) \
-        if n > m else 0.0
+    smax = sigma_max_lower(fbar, seed=seed) if n > m else 0.0
     if n - m < m:
         smin, method = 0.0, "rank_deficiency_exact"
     else:
         smin, method = sigma_min_upper(
             fbar, timeout=timeout, n_samples=n_samples, seed=seed,
-            max_iters=max_iters, sigma_max_hint=smax)
+            sigma_max_hint=smax)
     smax_eff = smax * (1.0 - _FP_SHAVE)
     kappa = max((1.0 + smax_eff * smax_eff) / (1.0 + smin * smin), 1.0)
     return KappaBound(kappa, smax, smin, method)
 
 
 def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
-                    seed: int = 0, n_samples: int = DEFAULT_SAMPLES,
-                    max_iters: int = DEFAULT_MAX_ITERS) -> KappaBound:
+                    seed: int = 0, n_samples: int = DEFAULT_SAMPLES
+                    ) -> KappaBound:
     """kappa(O) = sigma_max / sigma_min estimated directly from below."""
-    smax = sigma_max_lower(oss, max_iters=max_iters, seed=seed)
-    smin, method = sigma_min_upper(
-        oss, timeout=timeout, n_samples=n_samples, seed=seed,
-        max_iters=max_iters, sigma_max_hint=smax)
+    smax = sigma_max_lower(oss, seed=seed)
+    smin, method = sigma_min_upper(oss, timeout=timeout, n_samples=n_samples,
+                                   seed=seed, sigma_max_hint=smax)
     # O is invertible at a strictly positive iterate; a zero estimate
     # signals numerical breakdown
     kappa = (np.inf if smin == 0.0

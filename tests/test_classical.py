@@ -12,6 +12,7 @@ from scipy.optimize import linprog
 
 import qipm_bounds
 from conftest import random_standard_lp
+from qipm_bounds import classical
 from qipm_bounds.classical import (solve_external, solve_internal_ipm,
                                    standard_to_general)
 from qipm_bounds.corpus import corpus_dir
@@ -101,6 +102,26 @@ ENDATA
         out = solve_internal_ipm(std)
         assert 0.0 < out.wall_time < 60.0
 
+    @pytest.mark.parametrize("overshoot", [1.5, 3.0])
+    def test_step_out_of_the_orthant_is_a_breakdown(self, overshoot,
+                                                    monkeypatch):
+        # an overshooting step leaves x or s non-positive; the solve ends as
+        # a breakdown, neither raising from the Iterate check nor passing
+        # the optimality test (a 3x step did both at once)
+        exact = classical._max_step
+        monkeypatch.setattr(
+            classical, "_max_step",
+            lambda x, dx, s, ds: overshoot * exact(x, dx, s, ds))
+        out = solve_internal_ipm(random_standard_lp(43, 5, 10))
+        assert out.status == "error"
+        assert "x > 0, s > 0" in out.message
+
+    def test_slack_ladder_rounding_out_of_the_orthant(self):
+        # one x_i of this feasible instance rounds to about -1e-168 near the
+        # optimum; the solve must return a status, not raise
+        std = standardize(parse_mps(generators.slack_ladder(600, 800, 18)))
+        assert solve_internal_ipm(std).status in ("optimal", "error")
+
 
 def _write_stub(tmp_path, body: str) -> str:
     """Command template running `body` as a solver. The adapter runs it in a
@@ -176,6 +197,42 @@ class TestSolveExternal:
         std = standardize(parse_mps(tiny_min_text))
         with pytest.raises(ValueError):
             solve_external(std, "solver instance.mps")
+
+    def test_command_template_rules(self):
+        assert classical.command_argv("solver --in '{mps}'") == \
+            ["solver", "--in", "{mps}"]
+        for template, match in [("solver instance.mps", "placeholder"),
+                                ('solver "{mps}', "No closing quotation")]:
+            with pytest.raises(ValueError, match=match):
+                classical.command_argv(template)
+
+    def test_blank_names_export(self, tmp_path):
+        # a fixed-format LP with blanks in its names reaches the solver as
+        # valid MPS, because the export names its columns C{j}
+        def fx(*fields):
+            widths = (10, 10, 15, 10, 12)
+            return "    " + "".join(f.ljust(w) for f, w in zip(fields, widths))
+
+        text = "\n".join([
+            "NAME          FIXED CASE", "ROWS", " N  TOTAL COST",
+            " L  CAP ONE", "COLUMNS",
+            fx("VAR X", "TOTAL COST", "1.5", "CAP ONE", "1.0"),
+            fx("VAR Y", "TOTAL COST", "2.0", "CAP ONE", "2.0"),
+            "RHS", fx("RHS", "CAP ONE", "8.0"), "ENDATA"]) + "\n"
+        path = tmp_path / "fixedcase.mps"
+        path.write_text(text)
+        assert parse_mps(text).columns[0].name == "VAR X"
+        cmd = _write_stub(tmp_path, """
+            import sys
+            from qipm_bounds.lp_model import parse_mps
+            lp = parse_mps(open(sys.argv[1]).read())
+            assert [c.name for c in lp.columns] == ["C0", "C1", "C2"]
+            print("Optimal")
+            print("Objective value: 0.0")
+        """)
+        rec = analyze_instance(path, AnalysisConfig(classical_cmd=cmd))
+        assert rec.status == "ok", rec.error
+        assert rec.classical.status == "optimal", rec.classical.message
 
     def test_real_open_source_solver(self, tmp_path, tiny_min_text):
         """Drive scipy's bundled HiGHS through the subprocess adapter."""

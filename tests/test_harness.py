@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -55,6 +58,15 @@ class TestAnalyzeInstance:
             with pytest.raises(ValueError, match=match):
                 AnalysisConfig(**kwargs)
 
+    def test_config_rejects_bad_solver_settings(self):
+        for kwargs, match in [
+                ({"classical_cmd": "solver instance.mps"}, "placeholder"),
+                ({"classical_cmd": 'solver "{mps}'}, "No closing quotation"),
+                ({"objective_pattern": "("}, "bad pattern"),
+                ({"status_patterns": {"optimal": "[a"}}, "bad pattern")]:
+            with pytest.raises(ValueError, match=match):
+                AnalysisConfig(**kwargs)
+
     def test_option_surface(self):
         # a new option shows up here as a reviewed diff
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
@@ -86,6 +98,15 @@ class TestAnalyzeInstance:
         rec = analyze_instance(tmp_path / "missing.mps", FAST)
         assert rec.status == "error"
         assert "unreadable" in rec.error
+
+    def test_non_utf8_file_is_an_error_record(self, tmp_path):
+        # a decode failure is recorded like a missing file, in both paths
+        (tmp_path / "latin1.mps").write_bytes(b"NAME \xff\n")
+        rec = analyze_instance(tmp_path / "latin1.mps", FAST)
+        [suite_rec] = run_suite(tmp_path, FAST).records
+        for r in (rec, suite_rec):
+            assert r.status == "error"
+            assert r.error.startswith("unreadable file: ")
 
     def test_fault_injection_isolates_formulations(self):
         # bounds_mix has n - m < m, so the MNES sigma_min path is exact and
@@ -130,6 +151,43 @@ class TestAnalyzeInstance:
         assert rec.classical.status == "optimal"
         assert rec.classical.objective == pytest.approx(3.0, abs=1e-6)
         assert all(f.ok for f in rec.formulations.values())
+
+    # stage fault -> (stages timed before it, whether m and n are known,
+    # whether both formulations ran)
+    STAGE_FAULTS = {
+        "parse_mps": ((), False, False),
+        "standardize": (("parse",), False, False),
+        "select_basis": (("parse", "standardize"), True, False),
+        "solve_internal_ipm": (("parse", "standardize", "basis", "mnes",
+                                "oss"), True, True),
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_FAULTS))
+    def test_one_guard_keeps_earlier_stages(self, stage, monkeypatch,
+                                            tmp_path):
+        import qipm_bounds.harness as harness
+
+        def fault(*args, **kwargs):
+            raise RuntimeError(f"injected fault in {stage}")
+
+        monkeypatch.setattr(harness, stage, fault)
+        (tmp_path / "bounds_mix.mps").write_text(
+            (corpus_dir() / "tiny" / "bounds_mix.mps").read_text())
+        rec = analyze_instance(tmp_path / "bounds_mix.mps", FAST)
+        timed, sized, analyzed = self.STAGE_FAULTS[stage]
+        assert rec.status == "error"
+        assert rec.error == f"RuntimeError: injected fault in {stage}"
+        assert tuple(rec.stage_seconds) == timed
+        assert (rec.m > 0 and rec.n > 0) == sized
+        assert rec.classical is None and rec.exclusion == {}
+        assert sorted(rec.formulations) == (["mnes", "oss"] if analyzed
+                                            else [])
+        assert all(f.ok for f in rec.formulations.values())
+        # the suite keeps the same record, not a bare error
+        [suite_rec] = run_suite(tmp_path, FAST).records
+        assert (suite_rec.status, suite_rec.error, suite_rec.m, suite_rec.n,
+                suite_rec.formulations) == \
+            (rec.status, rec.error, rec.m, rec.n, rec.formulations)
 
     def test_determinism_modulo_timing(self):
         path = corpus_dir() / "tiny" / "bounds_mix.mps"
@@ -420,6 +478,36 @@ class TestCli:
             with pytest.raises(SystemExit, match=match) as exc:
                 cli.main(["analyze", str(path), *flags])
             assert str(exc.value).startswith("invalid option: ")
+
+    def test_bad_solver_settings_exit_before_analysis(self, tmp_path,
+                                                     monkeypatch):
+        from qipm_bounds import cli
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran with a bad solver config")
+
+        monkeypatch.setattr(cli, "analyze_instance", no_analysis)
+        monkeypatch.setattr(cli, "run_suite", no_analysis)
+        path = corpus_dir() / "tiny" / "tiny_min.mps"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"objective_pattern": "("}))
+        for command in (["analyze", str(path)],
+                        ["suite", str(path.parent), "--out",
+                         str(tmp_path / "out")]):
+            with pytest.raises(SystemExit, match="placeholder") as exc:
+                cli.main([*command, "--classical-cmd", "foo"])
+            assert str(exc.value).startswith("invalid option: ")
+            with pytest.raises(SystemExit, match="bad pattern") as exc:
+                cli.main([*command, "--config", str(cfg_path)])
+            assert str(exc.value).startswith(f"invalid config {cfg_path}: ")
+        # the interpreter turns that message into one stderr line and exit 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "qipm_bounds.cli", "analyze", str(path),
+             "--classical-cmd", "foo"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("invalid option: ")
+        assert "Traceback" not in proc.stderr
 
     def test_invalid_suite_inputs_exit_before_analysis(self, tmp_path,
                                                        monkeypatch):
