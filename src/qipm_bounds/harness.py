@@ -68,6 +68,10 @@ class AnalysisConfig:
                 re.compile(pattern or "")
             except re.error as exc:
                 raise ValueError(f"bad pattern {pattern!r}: {exc}") from None
+        if self.objective_pattern and \
+                re.compile(self.objective_pattern).groups < 1:
+            raise ValueError(f"bad pattern {self.objective_pattern!r}: the "
+                             "objective needs a capture group")
 
     def durations(self) -> list[float]:
         """The cycle-duration grid, with the 800 ps reference point."""

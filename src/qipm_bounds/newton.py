@@ -20,12 +20,11 @@ from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .lp_model import SparseMatrix, StandardLP
-from .standardize import _pivoted_qr
+from .standardize import (RANK_TOL, _pivoted_qr, _unit_row_block,
+                          private_singletons)
 
 # relative solve-residual contract of the basis factorization
 BASIS_SOLVE_TOL = 1e-10
-# pivot threshold for declaring rank deficiency during basis selection
-BASIS_RANK_TOL = 1e-10
 # relative diagonal shift of the NES retry after an exactly singular factor
 NES_SHIFT = 1e-14
 
@@ -76,7 +75,8 @@ def canonical_iterate(m: int, n: int) -> Iterate:
 class BasisSelection:
     """m linearly independent columns of A plus a reusable factorization.
 
-    `basic` holds the column indices in factorization pivot order; `nonbasic`
+    `basic` holds the crash's private columns in the order of their rows,
+    then the core QR's pivots in pivot order (see select_basis); `nonbasic`
     the complement in ascending order. solve/solve_t apply A_B^-1 and
     A_B^-T through the retained factorization (A_B is never inverted).
     """
@@ -97,11 +97,14 @@ class BasisSelection:
 
 
 def select_basis(A: SparseMatrix) -> BasisSelection:
-    """Pick m independent columns of A via rank-revealing QR with pivoting.
+    """Pick m independent columns of A: a slack crash plus a core QR.
 
-    Deterministic for fixed input; the pivot order of the factorization is
-    kept as the order of `basic`. Raises RankDeficiencyError when fewer than
-    m sufficiently independent columns exist.
+    Every row `private_singletons` reports takes its private column, zero in
+    every other row. The other rows R' pick |R'| columns by one column-pivoted
+    QR of their row-normalized block (rank repair's block and RANK_TOL test);
+    none runs when every row is covered. A_B is then block upper triangular,
+    so it is nonsingular exactly when the core block is; RankDeficiencyError
+    reports the core's missing pivots. Deterministic for fixed input.
     """
     m, n = A.n_rows, A.n_cols
     if m > n:
@@ -110,13 +113,15 @@ def select_basis(A: SparseMatrix) -> BasisSelection:
         return BasisSelection(
             basic=np.zeros(0, dtype=int), nonbasic=np.arange(n),
             _solve=lambda v: v.copy(), _solve_t=lambda v: v.copy())
-    r, piv = _pivoted_qr(A.tocsr().toarray(order="F"))
-    diag = np.abs(np.diagonal(r))
-    scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
-    rank = int(np.sum(diag > BASIS_RANK_TOL * scale)) if scale > 0.0 else 0
-    if rank < m:
-        raise RankDeficiencyError(m - rank)
-    basic = np.asarray(piv[:m], dtype=int)
+    covered, basic = private_singletons(A)
+    rest = np.setdiff1d(np.arange(m), covered, assume_unique=True)
+    if rest.size:
+        dense, cols, _, _ = _unit_row_block(A, rest, order="F")
+        r, piv = _pivoted_qr(dense)
+        rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
+        if rank < rest.size:
+            raise RankDeficiencyError(rest.size - rank)
+        basic = np.concatenate([basic, cols[piv[:rank]]])
     mask = np.ones(n, dtype=bool)
     mask[basic] = False
     nonbasic = np.flatnonzero(mask)

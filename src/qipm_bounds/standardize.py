@@ -286,7 +286,8 @@ def private_singletons(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     private entry exceeds RANK_TOL times the row's 2-norm, the tolerance rank
     repair applies. A row with several private columns reports the one with
     the largest entry, the earliest on ties. Returns (rows, columns), rows
-    ascending.
+    ascending. Two callers: ensure_full_row_rank keeps these rows without a
+    QR, and newton.select_basis takes these columns into the basis.
     """
     csc = A.tocsc()
     cols = np.flatnonzero(np.diff(csc.indptr) == 1)
@@ -300,6 +301,19 @@ def private_singletons(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     first = np.ones(rows.size, dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
     return rows[first], cols[first]
+
+
+def _unit_row_block(A: SparseMatrix, rows: np.ndarray, order: str = "C"):
+    """Dense block of A's `rows` over the columns they touch, each nonzero
+    row scaled to unit 2-norm (the scale RANK_TOL applies to). Returns
+    (block, columns, norms, scale), with scale 0 on zero rows."""
+    sub = A.tocsr()[rows]
+    cols = np.unique(sub.indices)
+    block = sub[:, cols].toarray(order=order)
+    norms = np.linalg.norm(block, axis=1)
+    scale = np.divide(1.0, norms, out=np.zeros(len(rows)), where=norms > 0.0)
+    block *= scale[:, None]
+    return block, cols, norms, scale
 
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,12 +362,7 @@ def ensure_full_row_rank(std: StandardLP) -> StandardLP:
     kept = covered
     log = list(std.transform_log)
     if rest.size:
-        sub = std.A.tocsr()[rest]
-        dense = sub[:, np.unique(sub.indices)].toarray()
-        norms = np.linalg.norm(dense, axis=1)
-        scale = np.divide(1.0, norms, out=np.zeros(rest.size),
-                          where=norms > 0.0)
-        dense *= scale[:, None]
+        dense, _, norms, scale = _unit_row_block(std.A, rest)
         r, piv = _pivoted_qr(dense.T)
         rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
         # dropped row d = sum_k w[k, d] * kept row k, all scaled to unit norm

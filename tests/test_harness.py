@@ -63,6 +63,7 @@ class TestAnalyzeInstance:
                 ({"classical_cmd": "solver instance.mps"}, "placeholder"),
                 ({"classical_cmd": 'solver "{mps}'}, "No closing quotation"),
                 ({"objective_pattern": "("}, "bad pattern"),
+                ({"objective_pattern": "Objective"}, "capture group"),
                 ({"status_patterns": {"optimal": "[a"}}, "bad pattern")]:
             with pytest.raises(ValueError, match=match):
                 AnalysisConfig(**kwargs)
@@ -76,23 +77,32 @@ class TestAnalyzeInstance:
             "classical_timeout", "objective_pattern", "status_patterns",
             "workers"]
 
-    @pytest.mark.xfail(strict=True, reason="select_basis tests its pivots "
-                       "on the unscaled A, rank repair on row-normalized A")
     def test_basis_accepts_what_rank_repair_keeps(self, tmp_path):
-        # feasible (HiGHS: 1.0); rank repair keeps both rows, but the second
-        # row's pivot is below 1e-10 of the first one's
-        path = tmp_path / "scaled.mps"
-        path.write_text(
-            "NAME          SCALED\nROWS\n N  COST\n E  R1\n E  R2\n"
-            "COLUMNS\n"
-            "    X1        COST      1   R1        1\n"
-            "    X2        COST      1   R2        1e-11\n"
-            "    X3        COST      2   R1        1\n"
-            "    X4        COST      2   R2        1e-11\n"
-            "RHS\n    RHS       R1        1   R2        1e-11\nENDATA\n")
-        rec = analyze_instance(path, FAST)
-        assert rec.m == 2
-        assert rec.status == "ok", rec.error
+        # both LPs are feasible (HiGHS: 1.0) and rank repair keeps both rows,
+        # but the second row's pivot on the unscaled A is below 1e-10 of the
+        # first one's; the first LP gives each row a private column, the
+        # second none, so its basis comes from the core QR alone
+        cases = {
+            "covered": "    X1        COST      1   R1        1\n"
+                       "    X2        COST      1   R2        1e-11\n"
+                       "    X3        COST      2   R1        1\n"
+                       "    X4        COST      2   R2        1e-11\n"
+                       "RHS\n    RHS       R1        1   R2        1e-11\n",
+            "core": "    X1        COST      1   R1        1\n"
+                    "    X1        R2        1e-11\n"
+                    "    X2        COST      1   R1        1\n"
+                    "    X2        R2        2e-11\n"
+                    "    X3        COST      1   R1        1\n"
+                    "    X3        R2        3e-11\n"
+                    "RHS\n    RHS       R1        1   R2        1.5e-11\n"}
+        for name, columns in cases.items():
+            path = tmp_path / f"{name}.mps"
+            path.write_text(
+                "NAME          SCALED\nROWS\n N  COST\n E  R1\n E  R2\n"
+                "COLUMNS\n" + columns + "ENDATA\n")
+            rec = analyze_instance(path, FAST)
+            assert rec.m == 2, name
+            assert rec.status == "ok", (name, rec.error)
 
     def test_unreadable_file(self, tmp_path):
         rec = analyze_instance(tmp_path / "missing.mps", FAST)

@@ -1,18 +1,27 @@
 """Matrix-free Newton operators against dense assembly oracles."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from conftest import (dense_fbar, dense_mnes, dense_nes, dense_nullspace,
-                      dense_oss, newton_residuals, random_iterate,
-                      random_standard_lp, rng_for)
-from qipm_bounds.lp_model import SparseMatrix, StandardLP
+                      dense_oss, newton_residuals, random_full_rank,
+                      random_iterate, random_standard_lp, rng_for)
+from qipm_bounds import newton
+from qipm_bounds.lp_model import SparseMatrix, StandardLP, parse_mps
 from qipm_bounds.newton import (Iterate, RankDeficiencyError, build_fbar,
                                 build_mnes, build_nes, build_oss,
                                 canonical_iterate, null_space_matrix,
                                 recover_updates_mnes, recover_updates_nes,
                                 recover_updates_oss, select_basis)
+from qipm_bounds.spectral import kappa_lower_mnes, kappa_lower_oss
+from qipm_bounds.standardize import standardize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import generators  # noqa: E402
 
 
 def std_from_dense(a, b=None, c=None):
@@ -66,6 +75,75 @@ class TestSelectBasis:
         with pytest.raises(RankDeficiencyError) as err:
             select_basis(SparseMatrix.from_dense(a))
         assert err.value.deficient_rows == 1
+
+    def test_slack_crash_runs_no_qr(self, monkeypatch):
+        # every slack_ladder row owns its slack, so the crash alone gives
+        # the basis: one private column per row, in row order
+        def no_qr(a):
+            raise AssertionError("select_basis ran the core QR")
+
+        std = standardize(parse_mps(generators.slack_ladder(60, 80, 1)))
+        monkeypatch.setattr(newton, "_pivoted_qr", no_qr)
+        basis = select_basis(std.A)
+        a = std.A.to_dense()
+        assert basis.m == std.m == 60
+        rows = [int(np.flatnonzero(a[:, j])[0]) for j in basis.basic]
+        assert rows == list(range(60))
+        assert all(np.count_nonzero(a[:, j]) == 1 for j in basis.basic)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_basis_is_nonsingular_with_and_without_slacks(self, seed):
+        rng = rng_for(9100 + seed)
+        m = int(rng.integers(2, 16))
+        a = random_full_rank(rng, m, m + int(rng.integers(0, 20)))
+        if seed % 2:  # slack columns on a random subset of the rows
+            rows = np.flatnonzero(rng.random(m) < 0.6)
+            a = np.hstack([a, np.eye(m)[:, rows]])
+        basis = select_basis(SparseMatrix.from_dense(a))
+        assert sorted(np.concatenate([basis.basic, basis.nonbasic])) == \
+            list(range(a.shape[1]))
+        a_b = a[:, basis.basic]
+        for _ in range(3):
+            v = rng.normal(size=m)
+            tol = 1e-10 * np.linalg.norm(v)
+            assert np.linalg.norm(a_b @ basis.solve(v) - v) <= tol
+            assert np.linalg.norm(a_b.T @ basis.solve_t(v) - v) <= tol
+
+    def test_kappa_bounds_hold_under_the_basis(self):
+        # kappa_lower <= kappa_true against a dense SVD, on 200 random
+        # full-row-rank LPs with n <= 60, half of them with slack columns
+        violations = []
+        for seed in range(200):
+            rng = rng_for(9300 + seed)
+            m = int(rng.integers(2, 16))
+            a = random_full_rank(rng, m, m + int(rng.integers(1, 30)))
+            if seed % 2:
+                rows = np.flatnonzero(rng.random(m) < 0.6)
+                a = np.hstack([a, np.eye(m)[:, rows]])
+            std = std_from_dense(a)
+            n = std.n
+            assert n <= 60
+            basis = select_basis(std.A)
+            it = canonical_iterate(m, n) if seed % 4 < 2 else \
+                random_iterate(rng, m, n)
+            f = dense_fbar(a, basis.basic, basis.nonbasic, it)
+            sf = np.linalg.svd(f, compute_uv=False)
+            smin_f = sf[m - 1] if n - m >= m else 0.0
+            o = np.linalg.svd(dense_oss(a, basis.basic, basis.nonbasic, it),
+                              compute_uv=False)
+            truth = {"mnes": (1.0 + sf[0] ** 2) / (1.0 + smin_f ** 2),
+                     "oss": o[0] / o[-1]}
+            kb = {"mnes": kappa_lower_mnes(build_fbar(basis, std.A, it), m, n,
+                                           timeout=5.0, n_samples=200,
+                                           seed=seed),
+                  "oss": kappa_lower_oss(build_oss(std, it, basis, 0.5),
+                                         timeout=5.0, n_samples=200,
+                                         seed=seed)}
+            for f_name, bound in kb.items():
+                if bound.kappa_lower > truth[f_name] * (1.0 + 1e-10):
+                    violations.append((seed, f_name, bound.kappa_lower,
+                                       truth[f_name]))
+        assert violations == []
 
 
 class TestBuildNes:
