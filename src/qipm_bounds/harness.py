@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import re
 import time
@@ -59,6 +60,10 @@ class AnalysisConfig:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        if math.isnan(self.sigma_min_timeout):
+            raise ValueError("sigma_min_timeout must not be NaN")
+        if not 0.0 < self.classical_timeout < math.inf:
+            raise ValueError("classical_timeout must lie in (0, inf)")
         self.durations()  # a bad grid fails here, not after the analysis
         if self.classical_cmd:  # so does a bad solver command or pattern
             command_argv(self.classical_cmd)

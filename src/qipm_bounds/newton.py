@@ -20,8 +20,7 @@ from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
 from .lp_model import SparseMatrix, StandardLP
-from .standardize import (RANK_TOL, _pivoted_qr, _unit_row_block,
-                          private_singletons)
+from .standardize import core_basis
 
 # relative solve-residual contract of the basis factorization
 BASIS_SOLVE_TOL = 1e-10
@@ -75,8 +74,7 @@ def canonical_iterate(m: int, n: int) -> Iterate:
 class BasisSelection:
     """m linearly independent columns of A plus a reusable factorization.
 
-    `basic` holds the crash's private columns in the order of their rows,
-    then the core QR's pivots in pivot order (see select_basis); `nonbasic`
+    `basic` is standardize.core_basis's read-only column pick; `nonbasic`
     the complement in ascending order. solve/solve_t apply A_B^-1 and
     A_B^-T through the retained factorization (A_B is never inverted).
     """
@@ -97,31 +95,17 @@ class BasisSelection:
 
 
 def select_basis(A: SparseMatrix) -> BasisSelection:
-    """Pick m independent columns of A: a slack crash plus a core QR.
+    """Pick m independent columns of A: standardize.core_basis's pick.
 
-    Every row `private_singletons` reports takes its private column, zero in
-    every other row. The other rows R' pick |R'| columns by one column-pivoted
-    QR of their row-normalized block (rank repair's block and RANK_TOL test);
-    none runs when every row is covered. A_B is then block upper triangular,
-    so it is nonsingular exactly when the core block is; RankDeficiencyError
-    reports the core's missing pivots. Deterministic for fixed input.
+    RankDeficiencyError reports the core's missing pivots. Deterministic
+    for fixed input.
     """
     m, n = A.n_rows, A.n_cols
     if m > n:
         raise RankDeficiencyError(m - n)
-    if m == 0:
-        return BasisSelection(
-            basic=np.zeros(0, dtype=int), nonbasic=np.arange(n),
-            _solve=lambda v: v.copy(), _solve_t=lambda v: v.copy())
-    covered, basic = private_singletons(A)
-    rest = np.setdiff1d(np.arange(m), covered, assume_unique=True)
-    if rest.size:
-        dense, cols, _, _ = _unit_row_block(A, rest, order="F")
-        r, piv = _pivoted_qr(dense)
-        rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
-        if rank < rest.size:
-            raise RankDeficiencyError(rest.size - rank)
-        basic = np.concatenate([basic, cols[piv[:rank]]])
+    _, rest, basic, rank = core_basis(A)
+    if rank < rest.size:
+        raise RankDeficiencyError(rest.size - rank)
     mask = np.ones(n, dtype=bool)
     mask[basic] = False
     nonbasic = np.flatnonzero(mask)

@@ -195,8 +195,8 @@ def duration_grid(d_min: float = DEFAULT_DURATION_MIN,
                   d_max: float = DEFAULT_DURATION_MAX,
                   points: int = DEFAULT_DURATION_POINTS) -> list[float]:
     """Logarithmic cycle-duration grid plus REFERENCE_CYCLE_DURATION."""
-    if points < 2 or d_min <= 0 or d_max <= d_min:
-        raise ValueError("need points >= 2 and 0 < d_min < d_max")
+    if points < 2 or not 0 < d_min < d_max < math.inf:  # NaN fails too
+        raise ValueError("need points >= 2 and 0 < d_min < d_max < inf")
     lo, hi = math.log10(d_min), math.log10(d_max)
     grid = [10.0 ** (lo + (hi - lo) * k / (points - 1)) for k in range(points)]
     if REFERENCE_CYCLE_DURATION not in grid:

@@ -5,14 +5,13 @@ Presolve removes empty rows/columns, substitutes fixed variables and merges
 positively scaled duplicate rows; standardization introduces slack/surplus
 columns, shifts or splits bounded/free variables; rank repair keeps a maximal
 independent set of rows and drops the rest after checking right-hand-side
-consistency. A row that owns a column no other row touches (a private
-singleton, as every slack and bound row does) is kept outright; the other
-rows are picked by a column-pivoted QR of their dense block (largest residual
-relative to the row's norm first, ties toward the earlier row).
+consistency. core_basis makes the one rank-revealing decision, a slack crash
+plus a core QR, that rank repair and newton.select_basis both read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -286,8 +285,7 @@ def private_singletons(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
     private entry exceeds RANK_TOL times the row's 2-norm, the tolerance rank
     repair applies. A row with several private columns reports the one with
     the largest entry, the earliest on ties. Returns (rows, columns), rows
-    ascending. Two callers: ensure_full_row_rank keeps these rows without a
-    QR, and newton.select_basis takes these columns into the basis.
+    ascending. core_basis builds on them.
     """
     csc = A.tocsc()
     cols = np.flatnonzero(np.diff(csc.indptr) == 1)
@@ -338,45 +336,63 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qr, jpvt - 1
 
 
+@functools.lru_cache(maxsize=1)
+def core_basis(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                         int]:
+    """Which rows of A are independent, and the columns that show it.
+
+    The crash: each row `private_singletons` reports (`covered`) takes its
+    private column. The other rows (`rest`) can only depend on each other:
+    one column-pivoted Householder QR of their row-normalized dense block,
+    over only the columns they touch, picks their columns in pivot order,
+    and `rank` counts the pivots with |R_kk| > RANK_TOL. No QR runs when
+    every row is covered. A[:, basic] is block upper triangular, so it is
+    nonsingular exactly when rank == rest.size. Returns read-only (covered,
+    rest, basic, rank), `basic` being covered's columns, then the core's.
+    The last A (an immutable object) is cached, so rank repair and the
+    basis share one QR.
+    """
+    covered, basic = private_singletons(A)
+    rest = np.setdiff1d(np.arange(A.n_rows), covered, assume_unique=True)
+    rank = 0
+    if rest.size:
+        dense, cols, _, _ = _unit_row_block(A, rest, order="F")
+        r, piv = _pivoted_qr(dense)
+        rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
+        basic = np.concatenate([basic, cols[piv[:rank]]])
+    for arr in (covered, rest, basic):
+        arr.flags.writeable = False
+    return covered, rest, basic, rank
+
+
 def ensure_full_row_rank(std: StandardLP) -> StandardLP:
     """Keep a maximal independent set of rows, checking rhs consistency.
 
-    The rows `private_singletons` covers are independent of every other row
-    and are kept outright. The remaining rows R' can only depend on each
-    other: one column-pivoted Householder QR of their row-normalized dense
-    block, transposed, picks among them. Each step takes the row with the
+    core_basis decides the rank; when every row is independent, `std` comes
+    back as it is. Otherwise a column-pivoted QR of the transposed core
+    block picks `rank` rows of `rest`, each step taking the row with the
     largest residual against the rows already picked, relative to its own
-    norm (LAPACK breaks ties toward the earlier row), and stops once that
-    residual falls to RANK_TOL. Every other row of R' is a combination of
-    the kept ones, read off the same R; its rhs must match the implied
-    combination to RHS_CONSISTENCY_TOL or the LP is infeasible. The block
-    spans only the columns R' touches, so the dense ceiling is
-    |R'| * |cols(R')| * 8 bytes, and no QR runs when every row is covered.
-    Kept rows stay in their original order.
+    norm (LAPACK breaks ties toward the earlier row). Every other row of
+    `rest` is a combination of the kept ones, read off the same R; its rhs
+    must match the implied combination to RHS_CONSISTENCY_TOL or the LP is
+    infeasible. Kept rows stay in their original order.
     """
-    m = std.m
-    if m == 0:
+    covered, rest, _, rank = core_basis(std.A)
+    if rank == rest.size:
         return std
-    covered, _ = private_singletons(std.A)
-    rest = np.setdiff1d(np.arange(m), covered, assume_unique=True)
-    kept = covered
     log = list(std.transform_log)
-    if rest.size:
-        dense, _, norms, scale = _unit_row_block(std.A, rest)
-        r, piv = _pivoted_qr(dense.T)
-        rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
-        # dropped row d = sum_k w[k, d] * kept row k, all scaled to unit norm
-        w = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
-        implied = norms[piv[rank:]] * ((std.b[rest] * scale)[piv[:rank]] @ w)
-        for i, value in sorted(zip(rest[piv[rank:]].tolist(),
-                                   implied.tolist())):
-            if abs(std.b[i] - value) > \
-                    RHS_CONSISTENCY_TOL * (1.0 + abs(std.b[i])):
-                raise InfeasibleProblem(
-                    f"row {i} is dependent on the kept rows but its rhs "
-                    f"{std.b[i]} conflicts with the implied value {value}")
-            log.append(f"drop dependent row {i}")
-        kept = np.sort(np.concatenate([covered, rest[piv[:rank]]]))
+    dense, _, norms, scale = _unit_row_block(std.A, rest)
+    r, piv = _pivoted_qr(dense.T)
+    # dropped row d = sum_k w[k, d] * kept row k, all scaled to unit norm
+    w = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    implied = norms[piv[rank:]] * ((std.b[rest] * scale)[piv[:rank]] @ w)
+    for i, value in sorted(zip(rest[piv[rank:]].tolist(), implied.tolist())):
+        if abs(std.b[i] - value) > RHS_CONSISTENCY_TOL * (1.0 + abs(std.b[i])):
+            raise InfeasibleProblem(
+                f"row {i} is dependent on the kept rows but its rhs "
+                f"{std.b[i]} conflicts with the implied value {value}")
+        log.append(f"drop dependent row {i}")
+    kept = np.sort(np.concatenate([covered, rest[piv[:rank]]]))
     return StandardLP(
         A=SparseMatrix(std.A.tocsr()[kept]), b=std.b[kept], c=std.c,
         column_provenance=std.column_provenance,

@@ -64,7 +64,10 @@ class TestAnalyzeInstance:
                 ({"classical_cmd": 'solver "{mps}'}, "No closing quotation"),
                 ({"objective_pattern": "("}, "bad pattern"),
                 ({"objective_pattern": "Objective"}, "capture group"),
-                ({"status_patterns": {"optimal": "[a"}}, "bad pattern")]:
+                ({"status_patterns": {"optimal": "[a"}}, "bad pattern"),
+                ({"sigma_min_timeout": float("nan")}, "NaN"),
+                ({"classical_timeout": 0.0}, "classical_timeout"),
+                ({"classical_timeout": float("inf")}, "classical_timeout")]:
             with pytest.raises(ValueError, match=match):
                 AnalysisConfig(**kwargs)
 
@@ -484,7 +487,12 @@ class TestCli:
         from qipm_bounds import cli
         path = corpus_dir() / "tiny" / "tiny_min.mps"
         for flags, match in [(["--epsilon", "2"], "epsilon"),
-                             (["--duration-points", "1"], "points")]:
+                             (["--duration-points", "1"], "points"),
+                             (["--duration-min", "nan"], "d_min"),
+                             (["--duration-max", "inf"], "d_max"),
+                             (["--sigma-min-timeout", "nan"], "NaN"),
+                             (["--classical-timeout", "0"],
+                              "classical_timeout")]:
             with pytest.raises(SystemExit, match=match) as exc:
                 cli.main(["analyze", str(path), *flags])
             assert str(exc.value).startswith("invalid option: ")

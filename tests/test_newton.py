@@ -1,5 +1,6 @@
 """Matrix-free Newton operators against dense assembly oracles."""
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from scipy import sparse
 from conftest import (dense_fbar, dense_mnes, dense_nes, dense_nullspace,
                       dense_oss, newton_residuals, random_full_rank,
                       random_iterate, random_standard_lp, rng_for)
-from qipm_bounds import newton
+from qipm_bounds.corpus import corpus_dir
 from qipm_bounds.lp_model import SparseMatrix, StandardLP, parse_mps
 from qipm_bounds.newton import (Iterate, RankDeficiencyError, build_fbar,
                                 build_mnes, build_nes, build_oss,
@@ -18,10 +19,13 @@ from qipm_bounds.newton import (Iterate, RankDeficiencyError, build_fbar,
                                 recover_updates_mnes, recover_updates_nes,
                                 recover_updates_oss, select_basis)
 from qipm_bounds.spectral import kappa_lower_mnes, kappa_lower_oss
-from qipm_bounds.standardize import standardize
+from qipm_bounds.standardize import core_basis, standardize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import generators  # noqa: E402
+
+# the package re-exports the function `standardize` under the module's name
+standardize_module = importlib.import_module("qipm_bounds.standardize")
 
 
 def std_from_dense(a, b=None, c=None):
@@ -70,6 +74,12 @@ class TestSelectBasis:
             assert np.linalg.norm(a_b.T @ basis.solve_t(v) - v) <= \
                 1e-10 * np.linalg.norm(v)
 
+    def test_zero_rows(self):
+        basis = select_basis(SparseMatrix(sparse.csr_matrix((0, 3))))
+        assert basis.basic.size == 0 and basis.nonbasic.tolist() == [0, 1, 2]
+        assert basis.solve(np.zeros(0)).shape == (0,)
+        assert basis.solve_t(np.zeros((0, 2))).shape == (0, 2)
+
     def test_rank_deficiency_reports_count(self):
         a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
         with pytest.raises(RankDeficiencyError) as err:
@@ -83,13 +93,45 @@ class TestSelectBasis:
             raise AssertionError("select_basis ran the core QR")
 
         std = standardize(parse_mps(generators.slack_ladder(60, 80, 1)))
-        monkeypatch.setattr(newton, "_pivoted_qr", no_qr)
+        monkeypatch.setattr(standardize_module, "_pivoted_qr", no_qr)
+        core_basis.cache_clear()
         basis = select_basis(std.A)
         a = std.A.to_dense()
         assert basis.m == std.m == 60
         rows = [int(np.flatnonzero(a[:, j])[0]) for j in basis.basic]
         assert rows == list(range(60))
         assert all(np.count_nonzero(a[:, j]) == 1 for j in basis.basic)
+
+    def test_one_factorization_per_instance(self, monkeypatch):
+        # rank repair and the basis share core_basis's QR; a dependent row
+        # adds rank repair's row pick and one QR of the repaired matrix
+        calls = []
+        qr = standardize_module._pivoted_qr
+
+        def counting_qr(a):
+            calls.append(a.shape)
+            return qr(a)
+
+        monkeypatch.setattr(standardize_module, "_pivoted_qr", counting_qr)
+        rankdef = (corpus_dir() / "raw" / "rankdef_dup.mps").read_text()
+        for text, shapes in [(generators.slack_ladder(60, 80, 1), []),
+                             (rankdef, [(3, 4), (4, 3), (1, 2)]),
+                             (generators.flow_grid(8, 8, 1), [(64, 128)])]:
+            calls.clear()
+            std = standardize(parse_mps(text))
+            select_basis(std.A)
+            assert calls == shapes
+        # the flow form: the cached pick is read-only, and an equal matrix
+        # gives an equal pick
+        covered, rest, basic, rank = core_basis(std.A)
+        assert rank == rest.size > 0
+        for arr in (covered, rest, basic):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        again = core_basis(SparseMatrix(std.A.tocsr().copy()))
+        assert again[3] == rank
+        for a, b in zip(again[:3], (covered, rest, basic)):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_basis_is_nonsingular_with_and_without_slacks(self, seed):

@@ -136,6 +136,13 @@ class TestRuntime:
         assert grid[0] == pytest.approx(1e-15)
         assert grid[-1] == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("d_min, d_max", [
+        (float("nan"), 1e-3), (1e-15, float("nan")), (1e-15, float("inf")),
+        (0.0, 1e-3), (1e-3, 1e-3)])
+    def test_duration_grid_rejects_bad_bounds(self, d_min, d_max):
+        with pytest.raises(ValueError, match="0 < d_min < d_max < inf"):
+            duration_grid(d_min, d_max)
+
 
 class TestMonotonicity:
     def test_cycles_dominate_queries_for_d_at_least_two(self):

@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 from conftest import rng_for
 from qipm_bounds.lp_model import (INF, ColumnDef, GeneralLP, RowDef,
                                   SparseMatrix, parse_mps)
+from qipm_bounds.newton import BASIS_SOLVE_TOL, select_basis
 from qipm_bounds.standardize import (RANK_TOL, InfeasibleProblem,
                                      UnboundedProblem, ensure_full_row_rank,
                                      presolve, private_singletons,
@@ -256,7 +257,8 @@ class TestEnsureFullRowRank:
         # tolerance r0 and r1 are the same row
         a = [[1e-12, 1.0, 1.0], [0.0, 1.0, 1.0]]
         out = ensure_full_row_rank(self._std(a, [2.0, 2.0]))
-        assert calls == [(3, 2)]
+        # the core QR, then the row pick on its transpose
+        assert calls == [(2, 3), (3, 2)]
         assert out.m == 1
 
     def test_all_covered_rows_skip_the_qr(self, monkeypatch):
@@ -360,6 +362,15 @@ class TestEnsureFullRowRank:
             dropped = [int(e.split()[-1]) for e in out.transform_log
                        if e.startswith("drop dependent row")]
             assert len(dropped) == 3 and not set(dropped) & set(rows)
+            # the repaired form is a new matrix, so the basis factors it
+            # anew; its rows span 10^8 in scale, so the solve is held to a
+            # normwise backward error, not to a residual relative to v alone
+            basis = select_basis(out.A)
+            v = rng_for(80 + trial).normal(size=out.m)
+            a_b = out.A.to_dense()[:, basis.basic]
+            x = basis.solve(v)
+            assert np.linalg.norm(a_b @ x - v) <= BASIS_SOLVE_TOL * (
+                np.linalg.norm(a_b, 2) * np.linalg.norm(x) + np.linalg.norm(v))
             b[dropped[0]] += 1e-6 * (1.0 + abs(b[dropped[0]]))
             with pytest.raises(InfeasibleProblem):
                 ensure_full_row_rank(self._std(stacked, b))
