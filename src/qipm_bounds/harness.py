@@ -4,8 +4,10 @@ For each MPS file: parse -> presolve -> standard form -> rank repair ->
 basis -> MNES and OSS operators at the all-ones iterate -> structural
 sparsity and condition-number lower bounds -> query/cycle lower bounds
 (tomography dimension m for the MNES, n for the OSS) -> classical solve ->
-exclusion flags over a cycle-duration grid. `analyze_instance` holds the
-one per-instance guard: a failure in any stage sets the record's status to
+exclusion flags over a cycle-duration grid, all read, like the curves and
+the report's `threshold_duration`, from one exact threshold per formulation
+(`InstanceRecord.exclusion_threshold`). `analyze_instance` holds the one
+per-instance guard: a failure in any stage sets the record's status to
 "error" and keeps what the earlier stages filled in, so `analyze` and
 `suite` record the same fault the same way. Inside it, each formulation has
 its own guard, so one formulation's failure leaves the other's result.
@@ -138,19 +140,26 @@ class InstanceRecord:
     exclusion: dict[str, list[bool]] = field(default_factory=dict)
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
-    def quantum_lb_below_classical(self, formulation: str,
-                                   duration: float) -> bool | None:
-        """Exact flag total_cycles * duration < classical wall time.
-
-        None when either side is unavailable; an unconverged classical run
-        has no legitimate solve time to compare against.
-        """
+    def exclusion_threshold(self, formulation: str) -> Fraction | float | None:
+        """Exact tau = wall time / total_cycles, so that the exclusion flag
+        total_cycles * t < wall time at t > 0 is t < tau; inf when zero
+        cycles meet a positive wall time, 0 when both are zero. None when
+        either side is unavailable; an unconverged classical run has no
+        legitimate solve time to compare against."""
         f = self.formulations.get(formulation)
         if f is None or not f.ok or self.classical is None or \
                 self.classical.status != "optimal":
             return None
-        lhs = Fraction(f.total_cycles) * qcost.to_fraction(duration)
-        return lhs < Fraction(self.classical.wall_time)
+        wall, cycles = Fraction(self.classical.wall_time), f.total_cycles
+        return wall / cycles if cycles else (
+            math.inf if wall > 0 else Fraction(0))
+
+    def quantum_lb_below_classical(self, formulation: str,
+                                   duration: float) -> bool | None:
+        """Exact flag total_cycles * duration < classical wall time for
+        duration > 0; None exactly when exclusion_threshold is."""
+        tau = self.exclusion_threshold(formulation)
+        return None if tau is None else qcost.to_fraction(duration) < tau
 
 
 @dataclass
@@ -262,12 +271,11 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
                 record.classical.objective)
         stages["classical"] = time.perf_counter() - t
 
-        durations = cfg.durations()
+        grid = [qcost.to_fraction(t_) for t_ in cfg.durations()]
         for formulation in FORMULATIONS:
-            flags = [record.quantum_lb_below_classical(formulation, t_)
-                     for t_ in durations]
-            if all(fl is not None for fl in flags):
-                record.exclusion[formulation] = [bool(fl) for fl in flags]
+            tau = record.exclusion_threshold(formulation)
+            if tau is not None:
+                record.exclusion[formulation] = [t_ < tau for t_ in grid]
     except Exception as exc:  # the one guard: a failure costs one record
         record.status = "error"
         record.error = f"{type(exc).__name__}: {exc}"
@@ -333,37 +341,32 @@ def run_suite(directory: str | Path,
 
 def exclusion_curve(records: list[InstanceRecord],
                     duration_grid: list[float]):
-    """Per family and formulation: fraction of instances whose quantum cycle
-    lower bound times the duration still undercuts the classical time.
+    """Per family and formulation: fraction of instances whose exclusion
+    threshold lies above the duration, so that the quantum cycle lower bound
+    still undercuts the classical time.
 
     Returns (curves, counts, excluded): curves map family -> formulation ->
     fractions per grid point; counts carry [below, total] pairs; excluded
-    counts records left out per family (errors or failed formulations).
+    counts records without a threshold per family (errors, failed
+    formulations or a classical run that is not optimal).
     """
-    families = sorted({r.family for r in records})
+    grid = [qcost.to_fraction(t_) for t_ in duration_grid]
     curves: dict[str, dict[str, list[float]]] = {}
     counts: dict[str, dict[str, list[list[int]]]] = {}
     excluded: dict[str, int] = {}
-    for fam in families:
+    for fam in sorted({r.family for r in records}):
         fam_records = [r for r in records if r.family == fam]
-        curves[fam] = {}
-        counts[fam] = {}
+        curves[fam], counts[fam] = {}, {}
         dropped = set()
         for formulation in FORMULATIONS:
-            fractions: list[float] = []
-            pair_counts: list[list[int]] = []
-            for t_ in duration_grid:
-                below = total = 0
-                for r in fam_records:
-                    flag = r.quantum_lb_below_classical(formulation, t_)
-                    if flag is None:
-                        dropped.add(r.name)
-                        continue
-                    total += 1
-                    below += bool(flag)
-                fractions.append(below / total if total else 0.0)
-                pair_counts.append([below, total])
-            curves[fam][formulation] = fractions
+            taus = [r.exclusion_threshold(formulation) for r in fam_records]
+            dropped.update(r.name for r, tau in zip(fam_records, taus)
+                           if tau is None)
+            taus = [tau for tau in taus if tau is not None]
+            pair_counts = [[sum(t_ < tau for tau in taus), len(taus)]
+                           for t_ in grid]
+            curves[fam][formulation] = [below / total if total else 0.0
+                                        for below, total in pair_counts]
             counts[fam][formulation] = pair_counts
         excluded[fam] = len(dropped)
     return curves, counts, excluded

@@ -22,8 +22,6 @@ from scipy.sparse import linalg as splinalg
 from .lp_model import SparseMatrix, StandardLP
 from .standardize import core_basis
 
-# relative solve-residual contract of the basis factorization
-BASIS_SOLVE_TOL = 1e-10
 # relative diagonal shift of the NES retry after an exactly singular factor
 NES_SHIFT = 1e-14
 

@@ -52,29 +52,20 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _threshold(record: InstanceRecord, formulation: str) -> float | None:
-    """Cycle duration below which the exclusion flag is set: None exactly
-    when the flag is, inf when zero cycles undercut a positive wall time."""
-    if record.quantum_lb_below_classical(formulation, 0.0) is None:
-        return None
-    cycles = record.formulations[formulation].total_cycles
-    wall = record.classical.wall_time
-    return wall / cycles if cycles else (math.inf if wall > 0.0 else 0.0)
-
-
 def record_rows(record: InstanceRecord) -> list[dict[str, str]]:
     """CSV rows (one per formulation) of a single instance record."""
     rows = []
     c = record.classical
     for formulation in FORMULATIONS:
         f = record.formulations.get(formulation)
+        tau = record.exclusion_threshold(formulation)
         cells = [
             record.name, record.family, formulation,
             record.status if f is None or f.ok else "failed",
             record.m, record.n,
             *(getattr(f, k) if f else None for k in FORMULATION_FIELDS),
             *(getattr(c, k) if c else None for k in CLASSICAL_FIELDS),
-            _threshold(record, formulation),
+            None if tau is None else float(tau),
             record.error or (f.failure if f else None),
         ]
         rows.append(dict(zip(RECORD_COLUMNS, map(_cell, cells), strict=True)))

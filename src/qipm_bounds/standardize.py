@@ -11,6 +11,7 @@ plus a core QR, that rank repair and newton.select_basis both read.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -119,7 +120,7 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     out = GeneralLP(
         name=lp.name, objective_sense=lp.objective_sense,
         objective_name=lp.objective_name,
-        rows=[RowDef.from_interval(names[i], l, h) for i, l, h in
+        rows=[_kept_row(lp.rows[i], l, h) for i, l, h in
               zip(kept, lo[kept].tolist(), hi[kept].tolist())],
         columns=[ColumnDef(c.name, c.lower, c.upper)
                  for c, on in zip(lp.columns, live_c) if on],
@@ -129,6 +130,13 @@ def presolve(lp: GeneralLP) -> GeneralLP:
         warnings=list(lp.warnings), transform_log=log)
     out.validate()
     return out
+
+
+def _kept_row(row: RowDef, lo: float, hi: float) -> RowDef:
+    """Copy of `row` if its interval is untouched, so its ends stay exact."""
+    if (lo, hi) == row.interval():
+        return dataclasses.replace(row)
+    return RowDef.from_interval(row.name, lo, hi)
 
 
 def _merge_duplicate_rows(sub, live_r, lo, hi, names, log) -> bool:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -271,6 +272,35 @@ class TestExclusionCurve:
         curves, _, _ = exclusion_curve(recs, grid)
         for series in curves["fam"].values():
             assert all(a >= b for a, b in zip(series, series[1:]))
+
+
+class TestThresholdTie:
+    """Wall 1.5 s over 4800 cycles puts tau exactly on the double
+    0.0003125: the flag there is False, and True just below it."""
+    T = 0.0003125
+    GRID = [math.nextafter(T, 0.0), T, math.nextafter(T, 1.0)]
+
+    def test_flags_curve_and_threshold_agree_at_the_tie(self, monkeypatch):
+        import qipm_bounds.harness as harness
+        import qipm_bounds.qcost as qcost
+
+        monkeypatch.setattr(qcost, "duration_grid", lambda *a: list(self.GRID))
+        monkeypatch.setattr(qcost, "total_quantum_cycles", lambda *a: 4800)
+        monkeypatch.setattr(harness, "solve_internal_ipm", lambda std:
+                            SolveOutcome(status="optimal", objective=0.0,
+                                         wall_time=1.5))
+        rec = analyze_instance(corpus_dir() / "tiny" / "bounds_mix.mps",
+                               FAST, family="tiny")
+        assert rec.exclusion_threshold("oss") == Fraction(1, 3200)
+        _, counts, _ = exclusion_curve([rec], self.GRID)
+        for formulation in ("mnes", "oss"):
+            assert rec.exclusion[formulation] == [True, False, False]
+            assert counts["tiny"][formulation] == [[1, 1], [0, 1], [0, 1]]
+            assert [rec.quantum_lb_below_classical(formulation, t)
+                    for t in self.GRID] == [True, False, False]
+        from qipm_bounds.report import record_rows
+        assert [r["threshold_duration"] for r in record_rows(rec)] == \
+            ["0.0003125", "0.0003125"]
 
 
 class TestRunSuite:

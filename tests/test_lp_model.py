@@ -1,5 +1,9 @@
 """MPS parser/writer and sparse matrix behavior."""
 
+import importlib.util
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -246,6 +250,22 @@ ENDATA
         lp = parse_mps(path.read_text())
         again = parse_mps(emit_mps(lp))
         assert _lp_signature(again) == _lp_signature(lp)
+
+    def test_corpus_matches_its_generator(self):
+        # every bundled file is the output of the generator function named
+        # after it; main() is never called, since it writes the corpus
+        path = Path(__file__).resolve().parent.parent / "tools" / \
+            "gen_corpus.py"
+        spec = importlib.util.spec_from_file_location("gen_corpus", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        generators = {name for name, fn in inspect.getmembers(
+            gen, inspect.isfunction) if fn.__module__ == "gen_corpus"
+            and not name.startswith("_") and name != "main"}
+        files = corpus_files()
+        assert generators == {f.stem for f in files}
+        for f in files:
+            assert f.read_bytes() == getattr(gen, f.stem)().encode(), f.name
 
     def test_names_with_blanks_rejected(self):
         lp = parse_mps(MINIMAL)

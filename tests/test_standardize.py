@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from conftest import rng_for
 from qipm_bounds.lp_model import (INF, ColumnDef, GeneralLP, RowDef,
                                   SparseMatrix, parse_mps)
-from qipm_bounds.newton import BASIS_SOLVE_TOL, select_basis
+from qipm_bounds.newton import select_basis
 from qipm_bounds.standardize import (RANK_TOL, InfeasibleProblem,
                                      UnboundedProblem, ensure_full_row_rank,
                                      presolve, private_singletons,
@@ -19,6 +19,10 @@ from qipm_bounds.standardize import (RANK_TOL, InfeasibleProblem,
 
 # the package re-exports the function `standardize` under the module's name
 standardize_module = importlib.import_module("qipm_bounds.standardize")
+
+# normwise backward error a basis solve must meet:
+# ||A_B x - v|| <= tol * (||A_B|| ||x|| + ||v||)
+BACKWARD_ERROR_TOL = 1e-10
 
 
 def make_lp(rows, cols, coeffs, objective, sense="min", constant=0.0):
@@ -108,6 +112,16 @@ class TestPresolve:
         _, val_orig = solve_general_oracle(lp)
         _, val_new = solve_general_oracle(out)
         assert val_orig == pytest.approx(val_new, rel=1e-9)
+
+    def test_untouched_ranged_row_keeps_exact_ends(self):
+        # rebuilding this row from its interval would store the range
+        # hi - lo, whose interval() lower end is -0.7312715117751623
+        row = ("r0", ">=", -0.7312715117751976, 855.1378)
+        lp = make_lp([row], [("x", 0.0, INF)], [(0, 0, 1.0)], [1.0])
+        out = presolve(lp)
+        assert out.rows == [RowDef(*row)]
+        assert out.rows[0].interval() == lp.rows[0].interval()
+        assert out.rows[0] is not lp.rows[0]
 
     def test_empty_column_unbounded(self):
         lp = make_lp([("r0", "<=", 1.0)], [("x", 0.0, INF), ("z", 0.0, INF)],
@@ -369,7 +383,7 @@ class TestEnsureFullRowRank:
             v = rng_for(80 + trial).normal(size=out.m)
             a_b = out.A.to_dense()[:, basis.basic]
             x = basis.solve(v)
-            assert np.linalg.norm(a_b @ x - v) <= BASIS_SOLVE_TOL * (
+            assert np.linalg.norm(a_b @ x - v) <= BACKWARD_ERROR_TOL * (
                 np.linalg.norm(a_b, 2) * np.linalg.norm(x) + np.linalg.norm(v))
             b[dropped[0]] += 1e-6 * (1.0 + abs(b[dropped[0]]))
             with pytest.raises(InfeasibleProblem):
