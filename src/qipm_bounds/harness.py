@@ -64,6 +64,11 @@ class AnalysisConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if math.isnan(self.sigma_min_timeout):
             raise ValueError("sigma_min_timeout must not be NaN")
+        if self.sigma_min_timeout <= 0 and self.sigma_min_samples < 1:
+            raise ValueError("sigma_min_samples must be at least 1 when "
+                             "sigma_min_timeout <= 0 selects sampling")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if not 0.0 < self.classical_timeout < math.inf:
             raise ValueError("classical_timeout must lie in (0, inf)")
         self.durations()  # a bad grid fails here, not after the analysis

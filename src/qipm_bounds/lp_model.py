@@ -38,6 +38,8 @@ class SparseMatrix:
     Construction canonicalizes the entry list: duplicate coordinates are
     summed, explicit zeros are dropped, and indices are bounds-checked.
     Backed by CSR storage; a CSC copy is built lazily for column access.
+    Equality and hashing go by content (shape, pattern and values), so an
+    equal matrix built elsewhere hits a cache keyed on it.
     """
 
     def __init__(self, csr: sparse.csr_matrix):
@@ -47,20 +49,22 @@ class SparseMatrix:
         csr.sort_indices()
         self._csr = csr
         self._csc: sparse.csc_matrix | None = None
+        self._hash: int | None = None
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int,
                      entries) -> "SparseMatrix":
         """Build from an iterable of (row, col, value) triples."""
-        rows, cols, vals = [], [], []
-        for i, j, v in entries:
-            if not (0 <= i < n_rows and 0 <= j < n_cols):
-                raise IndexError(f"entry ({i}, {j}) outside {n_rows}x{n_cols}")
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(v))
+        entries = list(entries)
+        rows, cols, vals = np.array(
+            entries, dtype=float).reshape(len(entries), 3).T
+        bad = ~((0 <= rows) & (rows < n_rows) & (0 <= cols) & (cols < n_cols))
+        if bad.any():
+            i, j, _ = entries[int(np.argmax(bad))]
+            raise IndexError(f"entry ({i}, {j}) outside {n_rows}x{n_cols}")
         coo = sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(n_rows, n_cols), dtype=float)
+            (vals, (rows.astype(int), cols.astype(int))),
+            shape=(n_rows, n_cols), dtype=float)
         return cls(coo.tocsr())
 
     @classmethod
@@ -113,6 +117,23 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseMatrix):
+            return NotImplemented
+        a, b = self._csr, other._csr
+        return self is other or (
+            a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+    def __hash__(self) -> int:
+        # the canonical form stores equal matrices with equal values in the
+        # same order, so equal matrices hash alike whatever their dtypes
+        if self._hash is None:
+            self._hash = hash((self.shape, np.asarray(
+                self._csr.data, dtype=float).tobytes()))
+        return self._hash
 
 
 @dataclass
@@ -277,6 +298,11 @@ def _detect_fixed_format(lines: list[str]) -> bool:
 
 def _num(tok: str, line_no: int) -> float:
     try:
+        return float(tok)
+    except ValueError:
+        pass
+    # only a token float() rejects can hold a Fortran D exponent
+    try:
         return float(tok.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError(f"cannot parse number {tok!r}", line_no) from None
@@ -378,12 +404,14 @@ def parse_mps(text: str) -> GeneralLP:
                 raise MpsParseError(f"unknown row sense {sense_code!r}", line_no)
 
         elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[1].upper() in ("'MARKER'", "MARKER"):
-                kind = toks[2].strip("'\"").upper()
-            elif len(toks) >= 2 and "'MARKER'" in (t.upper() for t in toks):
-                kind = toks[-1].strip("'\"").upper()
-            else:
-                kind = None
+            kind = None
+            if "MARKER" in line.upper():
+                if len(toks) >= 3 and \
+                        toks[1].upper() in ("'MARKER'", "MARKER"):
+                    kind = toks[2].strip("'\"").upper()
+                elif len(toks) >= 2 and \
+                        "'MARKER'" in (t.upper() for t in toks):
+                    kind = toks[-1].strip("'\"").upper()
             if kind in ("INTORG", "INTEND"):
                 int_mode = kind == "INTORG"
                 if int_mode and not any("integrality" in w for w in warnings):

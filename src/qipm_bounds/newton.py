@@ -198,6 +198,8 @@ def build_nes(std: StandardLP, it: Iterate, beta_mu: float) -> NewtonOperator:
     d2 = it.d2
     s_inv = 1.0 / it.s
 
+    # a lazy transpose: the internal IPM builds this operator every
+    # iteration for its rhs alone, inside the classical timer
     def matvec(v):
         return A @ _dmul(d2, A.T @ v)
 
@@ -215,16 +217,17 @@ def build_mnes(std: StandardLP, it: Iterate, basis: BasisSelection,
     """
     _check_iterate(std, it)
     A = std.A.tocsr()
+    a_t = A.T.tocsr()
     d2 = it.d2
     db = np.sqrt(it.x[basis.basic] / it.s[basis.basic])
     db_inv = 1.0 / db
 
     def matvec(v):
         u = basis.solve_t(_dmul(db_inv, v))
-        u = A @ _dmul(d2, A.T @ u)
+        u = A @ _dmul(d2, a_t @ u)
         return _dmul(db_inv, basis.solve(u))
 
-    resid = std.c - A.T @ it.y - it.s
+    resid = std.c - a_t @ it.y - it.s
     sigma_hat = (db_inv * basis.solve(std.b)
                  - beta_mu * (db_inv * basis.solve(A @ (1.0 / it.s)))
                  + db_inv * basis.solve(A @ (d2 * resid)))
@@ -246,7 +249,7 @@ def build_fbar(basis: BasisSelection, A: SparseMatrix,
     """
     m = basis.m
     k = len(basis.nonbasic)
-    a_n = A.columns(basis.nonbasic).tocsr()
+    a_n, a_nt = _nonbasic_block(A, basis)
     db = np.sqrt(it.x[basis.basic] / it.s[basis.basic])
     db_inv = 1.0 / db
     d2n = it.x[basis.nonbasic] / it.s[basis.nonbasic]
@@ -256,12 +259,12 @@ def build_fbar(basis: BasisSelection, A: SparseMatrix,
         return _dmul(db_inv, basis.solve(a_n @ _dmul(dn, v)))
 
     def rmatvec(u):
-        return _dmul(dn, a_n.T @ basis.solve_t(_dmul(db_inv, u)))
+        return _dmul(dn, a_nt @ basis.solve_t(_dmul(db_inv, u)))
 
     inverse_gram = None
     if k >= m:
         a_b = A.columns(basis.basic).tocsr()
-        a_bt = a_b.T
+        a_bt = a_b.T.tocsr()
         solve = functools.cache(lambda: factor_nes(a_n, d2n))
 
         def inverse_gram(u):
@@ -279,7 +282,7 @@ def null_space_matrix(basis: BasisSelection, A: SparseMatrix) -> NewtonOperator:
     """
     n = A.n_cols
     k = len(basis.nonbasic)
-    a_n = A.columns(basis.nonbasic).tocsr()
+    a_n, a_nt = _nonbasic_block(A, basis)
 
     def matvec(v):
         v = np.asarray(v, dtype=float)
@@ -290,9 +293,22 @@ def null_space_matrix(basis: BasisSelection, A: SparseMatrix) -> NewtonOperator:
         return out
 
     def rmatvec(w):
-        return a_n.T @ basis.solve_t(w[basis.basic]) - w[basis.nonbasic]
+        return a_nt @ basis.solve_t(w[basis.basic]) - w[basis.nonbasic]
 
     return NewtonOperator((n, k), "nullspace", matvec, rmatvec)
+
+
+def _nonbasic_block(A: SparseMatrix, basis: BasisSelection):
+    """CSR A_N and its CSR transpose, built once for F and V, which the
+    harness builds on the same basis."""
+    return _column_block(
+        A, np.asarray(basis.nonbasic, dtype=np.intp).tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _column_block(A: SparseMatrix, cols: bytes):
+    block = A.columns(np.frombuffer(cols, dtype=np.intp)).tocsr()
+    return block, block.T.tocsr()
 
 
 def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
@@ -314,14 +330,14 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
     A = std.A.tocsr()
     m, n = std.m, std.n
     V = null_space_matrix(basis, std.A)
-    a_t = A.T
+    a_t = A.T.tocsr()
     d2 = it.d2
     s_inv = 1.0 / it.s
     solve = functools.cache(lambda: factor_nes(A, d2))
 
     def matvec(w):
         vy, vl = w[:m], w[m:]
-        return -_dmul(it.x, A.T @ vy) + _dmul(it.s, V.apply(vl))
+        return -_dmul(it.x, a_t @ vy) + _dmul(it.s, V.apply(vl))
 
     def rmatvec(u):
         top = -(A @ _dmul(it.x, u))

@@ -18,8 +18,9 @@ copy-access tomography model multiplies the bracket by 8 (d - 1) / eps^2.
 
 from __future__ import annotations
 
+import functools
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 _START_PREC = 60
@@ -61,7 +62,17 @@ def _dec_log2(fr: Fraction) -> Decimal:
     """log2 of a positive rational at the ambient decimal precision."""
     num = Decimal(fr.numerator).ln()
     den = Decimal(fr.denominator).ln()
-    return (num - den) / Decimal(2).ln()
+    ctx = getcontext()
+    return (num - den) / _ln2(ctx.prec, ctx.rounding)
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2(prec: int, rounding: str) -> Decimal:
+    """ln 2 as the ambient context (prec, rounding) rounds it; _dec_log2
+    divides by it at each precision the escalation visits."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = prec, rounding
+        return Decimal(2).ln()
 
 
 def _ceil_decided(z: Decimal, prec: int) -> int | None:
@@ -79,10 +90,11 @@ def _ceil_escalating(value) -> int:
     precision, re-evaluated at doubling precision until it is decided."""
     prec = _START_PREC
     while prec <= _MAX_PREC:
+        # decided in the same context: at the default 28 digits, z - floor
+        # rounds a value just below an integer up to that integer
         with localcontext() as ctx:
             ctx.prec = prec + 20
-            z = value()
-        decided = _ceil_decided(z, prec)
+            decided = _ceil_decided(value(), prec)
         if decided is not None:
             return decided
         prec *= 2
@@ -117,9 +129,14 @@ def ceil_sqrt_log_term(inner: int, arg: Fraction) -> int:
 
 
 def chebyshev_bracket(gamma: Rational, epsilon: Rational) -> int:
-    """The shared ceil(sqrt(...)) factor of the query and cycle formulas."""
-    g = to_fraction(gamma)
-    eps = to_fraction(epsilon)
+    """The shared ceil(sqrt(...)) factor of the query and cycle formulas,
+    computed once per exact (gamma, epsilon): qlsa_query_count and
+    total_quantum_cycles of one formulation both read it."""
+    return _bracket(to_fraction(gamma), to_fraction(epsilon))
+
+
+@functools.lru_cache(maxsize=256)
+def _bracket(g: Fraction, eps: Fraction) -> int:
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {eps}")
     if g <= eps:

@@ -164,18 +164,22 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
         alpha_max = max(alpha_max, abs(alpha))
         beta = float(np.linalg.norm(u))
         k += 1
-        theta, yvec = _extreme_ritz(alphas, betas, which)
+        # each step needs only the extreme Ritz value; its vector is
+        # solved for once, at the stop
+        vals = _ritz_values(alphas, betas, vectors=False)
+        theta = vals[_extreme_index(vals, which)]
         converged = (theta_prev is not None
                      and abs(theta - theta_prev)
                      <= DEFAULT_RITZ_TOL * max(abs(theta), 1e-300))
         theta_prev = theta
         if beta <= 1e-14 * alpha_max or converged or k >= cap or \
                 (deadline is not None and time.monotonic() > deadline):
-            ritz_vec = Q[:k].T @ yvec
+            vals, vecs = _ritz_values(alphas, betas, vectors=True)
+            ritz_vec = Q[:k].T @ vecs[:, _extreme_index(vals, which)]
             nrm = np.linalg.norm(ritz_vec)
             if nrm > 0.0:
                 ritz_vec /= nrm
-            smax_ritz, _ = _extreme_ritz(alphas, betas, "max")
+            smax_ritz = vals[_extreme_index(vals, "max")]
             return _rayleigh_sigma(image, ritz_vec), \
                 float(np.sqrt(max(smax_ritz, 0.0)))
         betas.append(beta)
@@ -183,15 +187,21 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
         q = u / beta
 
 
-def _extreme_ritz(alphas, betas, which: str):
+def _ritz_values(alphas, betas, vectors: bool):
+    """Eigenvalues (ascending) of the Lanczos tridiagonal matrix and, with
+    `vectors`, (values, eigenvectors)."""
     if len(alphas) == 1:
-        return alphas[0], np.ones(1)
-    vals, vecs = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
+        vals = np.array(alphas, dtype=float)
+        return (vals, np.ones((1, 1))) if vectors else vals
+    return eigh_tridiagonal(np.asarray(alphas), np.asarray(betas),
+                            eigvals_only=not vectors)
+
+
+def _extreme_index(vals: np.ndarray, which: str) -> int:
     # "max" is the largest magnitude: the top value of a semidefinite Gram
     # operator, and still the null direction of an inverse Gram operator
     # whose near-singular factor rounded that huge eigenvalue negative
-    idx = int(np.argmax(np.abs(vals))) if which == "max" else 0
-    return float(vals[idx]), vecs[:, idx]
+    return int(np.argmax(np.abs(vals))) if which == "max" else 0
 
 
 def sigma_max_lower(op: NewtonOperator, max_iters: int = DEFAULT_MAX_ITERS,

@@ -1,12 +1,14 @@
 """Pipeline orchestration, curves, reports and the CLI."""
 
 import dataclasses
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,9 @@ from qipm_bounds.report import (difficulty_svg, emit_report, exclusion_svg,
                                 records_csv, report_from_json, report_json)
 
 FAST = AnalysisConfig(sigma_min_timeout=10.0, sigma_min_samples=500)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import generators  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +60,14 @@ class TestAnalyzeInstance:
     def test_config_rejects_bad_values(self):
         for kwargs, match in [({"epsilon": 0.0}, "epsilon"),
                               ({"epsilon": 2.0}, "epsilon"),
-                              ({"duration_points": 1}, "points")]:
+                              ({"duration_points": 1}, "points"),
+                              ({"workers": 0}, "workers"),
+                              ({"workers": -3}, "workers"),
+                              ({"sigma_min_timeout": 0.0,
+                                "sigma_min_samples": 0}, "sigma_min_samples"),
+                              ({"sigma_min_timeout": -1.0,
+                                "sigma_min_samples": -5},
+                               "sigma_min_samples")]:
             with pytest.raises(ValueError, match=match):
                 AnalysisConfig(**kwargs)
 
@@ -124,8 +136,10 @@ class TestAnalyzeInstance:
 
     def test_fault_injection_isolates_formulations(self):
         # bounds_mix has n - m < m, so the MNES sigma_min path is exact and
-        # needs no sampling; the OSS path fails with sampling disabled
-        cfg = AnalysisConfig(sigma_min_timeout=0.0, sigma_min_samples=0)
+        # needs no sampling; the OSS path fails with sampling disabled, set
+        # past the config check that rejects it
+        cfg = AnalysisConfig(sigma_min_timeout=0.0)
+        cfg.sigma_min_samples = 0
         path = corpus_dir() / "tiny" / "bounds_mix.mps"
         rec = analyze_instance(path, cfg, family="tiny")
         assert rec.status == "ok"
@@ -330,6 +344,33 @@ class TestRunSuite:
         assert report.records == []
         assert any("no MPS instances" in w for w in report.warnings)
 
+    def test_shared_matrix_runs_one_core_qr(self, tmp_path, monkeypatch):
+        # flow replicas differ only in capacities, which land in b: the
+        # suite factors their common core once, and each record matches
+        # the one analyzed alone on an empty cache
+        from qipm_bounds.standardize import core_basis
+        standardize_module = importlib.import_module("qipm_bounds.standardize")
+        qr = standardize_module._pivoted_qr
+        calls = []
+
+        def counting_qr(a):
+            calls.append(a.shape)
+            return qr(a)
+
+        monkeypatch.setattr(standardize_module, "_pivoted_qr", counting_qr)
+        for replica in (0, 1):
+            (tmp_path / f"flow_{replica}.mps").write_text(
+                generators.flow_grid(8, 8, 1, replica))
+        core_basis.cache_clear()
+        shared = run_suite(tmp_path, FAST).records
+        assert calls == [(64, 128)]
+        for rec in shared:
+            core_basis.cache_clear()
+            alone = analyze_instance(rec.path, FAST)
+            assert alone.status == rec.status == "ok"
+            assert alone.formulations == rec.formulations
+        assert len(calls) == 3
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         src = (corpus_dir() / "tiny" / "bounds_mix.mps").read_text()
         (tmp_path / "one.mps").write_text(src)
@@ -397,7 +438,8 @@ class TestReports:
 
     def test_failed_formulation_row_shape(self):
         from qipm_bounds.report import record_rows
-        cfg = AnalysisConfig(sigma_min_timeout=0.0, sigma_min_samples=0)
+        cfg = AnalysisConfig(sigma_min_timeout=0.0)
+        cfg.sigma_min_samples = 0  # past the config check, as above
         rec = analyze_instance(corpus_dir() / "tiny" / "bounds_mix.mps", cfg,
                                "tiny")
         rows = {r["formulation"]: r for r in record_rows(rec)}
@@ -516,15 +558,21 @@ class TestCli:
     def test_invalid_flag_values_exit_cleanly(self):
         from qipm_bounds import cli
         path = corpus_dir() / "tiny" / "tiny_min.mps"
-        for flags, match in [(["--epsilon", "2"], "epsilon"),
-                             (["--duration-points", "1"], "points"),
-                             (["--duration-min", "nan"], "d_min"),
-                             (["--duration-max", "inf"], "d_max"),
-                             (["--sigma-min-timeout", "nan"], "NaN"),
-                             (["--classical-timeout", "0"],
-                              "classical_timeout")]:
+        analyze = ["analyze", str(path)]
+        for command, flags, match in [
+                (analyze, ["--epsilon", "2"], "epsilon"),
+                (analyze, ["--duration-points", "1"], "points"),
+                (analyze, ["--duration-min", "nan"], "d_min"),
+                (analyze, ["--duration-max", "inf"], "d_max"),
+                (analyze, ["--sigma-min-timeout", "nan"], "NaN"),
+                (analyze, ["--classical-timeout", "0"], "classical_timeout"),
+                (["analyze", str(corpus_dir() / "raw" / "rankdef_dup.mps")],
+                 ["--sigma-min-timeout", "0", "--sigma-min-samples", "0"],
+                 "sigma_min_samples"),
+                (["suite", str(path.parent)], ["--workers", "-3"],
+                 "workers")]:
             with pytest.raises(SystemExit, match=match) as exc:
-                cli.main(["analyze", str(path), *flags])
+                cli.main([*command, *flags])
             assert str(exc.value).startswith("invalid option: ")
 
     def test_bad_solver_settings_exit_before_analysis(self, tmp_path,

@@ -38,6 +38,39 @@ class TestSparseMatrix:
         with pytest.raises(IndexError):
             SparseMatrix.from_entries(2, 2, [(2, 0, 1.0)])
 
+    def test_first_bad_entry_is_named(self):
+        for entries, bad in [([(0, 0, 1.0), (2, 0, 1.0), (0, 5, 1.0)],
+                              "(2, 0)"),
+                             ([(1, 1, 1.0), (-1, 0, 2.0)], "(-1, 0)"),
+                             ([(0, 2, 1.0)], "(0, 2)")]:
+            with pytest.raises(IndexError) as exc:
+                SparseMatrix.from_entries(2, 2, entries)
+            assert str(exc.value) == f"entry {bad} outside 2x2"
+
+    def test_entries_match_a_loop_reference(self):
+        rng = np.random.default_rng(5)
+        entries = [(int(i), int(j), float(v)) for i, j, v in zip(
+            rng.integers(0, 6, 200), rng.integers(0, 9, 200),
+            rng.integers(-4, 5, 200))]
+        dense = np.zeros((6, 9))
+        for i, j, v in entries:
+            dense[i, j] += v  # small integers: every order sums exactly
+        m = SparseMatrix.from_entries(6, 9, iter(entries))
+        assert np.array_equal(m.to_dense(), dense)
+        assert m.nnz == np.count_nonzero(dense)
+        empty = SparseMatrix.from_entries(2, 3, [])
+        assert (empty.shape, empty.nnz) == ((2, 3), 0)
+
+    def test_equality_and_hash_follow_content(self):
+        a = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
+        same = SparseMatrix.from_dense([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        assert a == same and hash(a) == hash(same)
+        for other in ([[0.0, 2.0, 0.0], [0.0, 0.0, 4.0]],  # one value
+                      [[0.0, 2.0, 0.0], [0.0, 3.0, 0.0]],  # pattern
+                      [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]]):  # shape
+            assert a != SparseMatrix.from_dense(other)
+        assert a != a.to_dense().tolist()
+
     def test_row_col_iteration(self):
         m = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
         assert m.col_entries(2) == [(1, 3.0)]
@@ -177,6 +210,44 @@ ENDATA
         lp = parse_mps(text)
         assert lp.n_cols == 1
         assert any("integrality" in w for w in lp.warnings)
+
+    @pytest.mark.parametrize("start,end", [
+        ("M1  'MARKER'  'INTORG'", "M2  'MARKER'  'INTEND'"),
+        ("M1  MARKER  INTORG", "M2  MARKER  INTEND"),
+        ("m1  'marker'  'intorg'", "m2  'marker'  'intend'"),
+        ("'MARKER'  'INTORG'", "'MARKER'  'INTEND'")])
+    def test_marker_spellings_toggle_integrality(self, start, end):
+        # a column whose name merely contains MARKER stays a column
+        text = f"""NAME MARK
+ROWS
+ N  obj
+ L  c1
+COLUMNS
+    {start}
+    x  obj  1  c1  1
+    {end}
+    MARKERX  c1  2
+RHS
+    RHS  c1  4
+ENDATA
+"""
+        lp = parse_mps(text)
+        assert [c.name for c in lp.columns] == ["x", "MARKERX"]
+        assert lp.coefficients.to_dense().tolist() == [[1.0, 2.0]]
+        assert sum("integrality" in w for w in lp.warnings) == 1
+
+    def test_number_spellings(self):
+        for token, value in [("1.5D2", 150.0), ("-3d-1", -0.3),
+                             ("2E3", 2000.0), ("+.5", 0.5), ("7", 7.0)]:
+            lp = parse_mps(MINIMAL.replace("c1            4",
+                                           f"c1            {token}"))
+            assert lp.rows[0].rhs == value
+        for token in ("1.2.3", "1.5Q2", "D2"):
+            with pytest.raises(MpsParseError, match=r"line 8: cannot parse "
+                               "number") as exc:
+                parse_mps(MINIMAL.replace("c1            4",
+                                          f"c1            {token}"))
+            assert exc.value.line_no == 8
 
     def test_fixed_format_names_with_spaces(self):
         # exact classic field positions: 2-3 / 5-12 / 15-22 / 25-36 / 40-47 /

@@ -113,6 +113,7 @@ class TestSelectBasis:
             return qr(a)
 
         monkeypatch.setattr(standardize_module, "_pivoted_qr", counting_qr)
+        core_basis.cache_clear()  # an earlier test may have left a hit
         rankdef = (corpus_dir() / "raw" / "rankdef_dup.mps").read_text()
         for text, shapes in [(generators.slack_ladder(60, 80, 1), []),
                              (rankdef, [(3, 4), (4, 3), (1, 2)]),
@@ -122,16 +123,29 @@ class TestSelectBasis:
             select_basis(std.A)
             assert calls == shapes
         # the flow form: the cached pick is read-only, and an equal matrix
-        # gives an equal pick
+        # built apart gives the same pick without a QR of its own
         covered, rest, basic, rank = core_basis(std.A)
         assert rank == rest.size > 0
         for arr in (covered, rest, basic):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
-        again = core_basis(SparseMatrix(std.A.tocsr().copy()))
+        calls.clear()
+        copy = SparseMatrix(std.A.tocsr().copy())
+        assert copy is not std.A and copy == std.A
+        assert hash(copy) == hash(std.A)
+        again = core_basis(copy)
+        assert calls == []
         assert again[3] == rank
         for a, b in zip(again[:3], (covered, rest, basic)):
             assert np.array_equal(a, b)
+        # same shape and pattern, one value changed in a core row: no stale
+        # hit, the matrix runs its own QR
+        csr = std.A.tocsr().copy()
+        csr.data[csr.indptr[rest[0]]] *= 2.0
+        changed = SparseMatrix(csr)
+        assert changed != std.A
+        core_basis(changed)
+        assert calls == [(64, 128)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_basis_is_nonsingular_with_and_without_slacks(self, seed):

@@ -1,12 +1,13 @@
 """Exact formula evaluation against a high-precision mpmath reference."""
 
+import importlib
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from qipm_bounds.qcost import (chebyshev_bracket, duration_grid,
+from qipm_bounds.qcost import (ceil_log_term, chebyshev_bracket, duration_grid,
                                hermitian_dilation_params, qlsa_query_count,
                                runtime_lower_bound, to_fraction,
                                total_quantum_cycles)
@@ -86,6 +87,53 @@ class TestAnchors:
         g = to_fraction(2.0) - Fraction(1, 10 ** 13)
         assert chebyshev_bracket(g, Fraction(1, 2)) == \
             oracle_bracket(g, Fraction(1, 2), dps=80)
+
+
+class TestSharedWork:
+    """One bracket per exact (gamma, eps), one ln 2 per decimal precision."""
+
+    qcost = importlib.import_module("qipm_bounds.qcost")
+
+    def test_float_and_fraction_epsilon_share_one_bracket(self):
+        self.qcost._bracket.cache_clear()
+        g = Fraction(12345, 7)
+        values = {chebyshev_bracket(g, e)
+                  for e in (0.1, Fraction(1, 10), "0.1", "1/10")}
+        assert values == {oracle_bracket(g, Fraction(1, 10))}
+        assert self.qcost._bracket.cache_info().misses == 1
+
+    def test_query_and_cycle_counts_agree_in_either_order(self):
+        s, kappa, d, eps = 7, 3508.6754713078103, 432, 0.1
+        gamma = s * to_fraction(kappa)
+        expected = (oracle_query_count(s, kappa, eps),
+                    oracle_cycles(d, gamma, eps))
+        self.qcost._bracket.cache_clear()
+        first = (qlsa_query_count(s, kappa, eps),
+                 total_quantum_cycles(d, gamma, eps))
+        self.qcost._bracket.cache_clear()
+        cycles = total_quantum_cycles(d, gamma, eps)
+        second = (qlsa_query_count(s, kappa, eps), cycles)
+        assert first == second == expected
+        assert self.qcost._bracket.cache_info().hits == 1
+
+    def test_escalation_reads_ln2_at_each_precision(self, monkeypatch):
+        # gamma^2 log2(2 gamma) lies 1e-99 from 8 on either side of it:
+        # undecided at the starting precision, decided after one doubling.
+        # A ln 2 kept from the first precision (off by about 1e-80) would
+        # push both sides the same way and round one of them wrongly.
+        decided = self.qcost._ceil_decided
+        precisions = []
+
+        def recording(z, prec):
+            precisions.append(prec)
+            return decided(z, prec)
+
+        monkeypatch.setattr(self.qcost, "_ceil_decided", recording)
+        for sign, expected in ((1, 9), (-1, 8)):
+            g = Fraction(2) + sign * Fraction(1, 10 ** 100)
+            precisions.clear()
+            assert ceil_log_term(g * g, 2 * g) == expected
+            assert precisions == [60, 120]
 
 
 class TestDomainErrors:
