@@ -3,10 +3,10 @@
 A JSON config file (via --config or the QIPM_BOUNDS_CONFIG environment
 variable) can preset any analysis option, including the objective/status
 regex patterns of the external-solver adapter; command-line flags override
-it. Exit code is 0 on full success, 1 when the config file, a flag value,
-the suite directory or the report formats are invalid (one line:
-`invalid config <path>: <reason>` or `invalid option: <reason>`, before any
-analysis runs), and 2 when any instance errored.
+it. Exit code is 0 on full success, 1 when the command line, the config
+file, a flag value, the suite directory or the report formats are invalid
+(one line: `invalid config <path>: <reason>` or `invalid option: <reason>`,
+before any analysis runs), and 2 when any instance errored.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ def _load_config(path: str | None) -> AnalysisConfig:
 
 
 # flags named after the AnalysisConfig field they override
-FLAG_FIELDS = ("epsilon", "seed", "workers", "sigma_min_timeout",
-               "sigma_min_samples", "classical_cmd", "classical_timeout",
-               "duration_min", "duration_max", "duration_points")
+FLAG_FIELDS = ("epsilon", "seed", "sigma_min_timeout", "sigma_min_samples",
+               "classical_cmd", "classical_timeout", "duration_min",
+               "duration_max", "duration_points")
 
 
 def _apply_flags(cfg: AnalysisConfig,
@@ -67,6 +67,14 @@ def _suite_formats(args: argparse.Namespace) -> set[str]:
         raise SystemExit(f"invalid option: --formats {args.formats!r} is "
                          f"not a subset of {','.join(FORMATS)}")
     return formats
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line with exit code 1, as a bad flag
+    value is; exit code 2 means an instance errored."""
+
+    def error(self, message):
+        raise SystemExit(f"invalid option: {message}")
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -99,7 +107,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qipm-bounds",
         description="Quantum runtime lower bounds and exclusion analysis for "
                     "hybrid interior point methods on LP instances.")
@@ -118,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
     p_suite.add_argument("--formats", default=",".join(FORMATS),
                          help="comma-separated non-empty subset of "
                          f"{','.join(FORMATS)}")
-    p_suite.add_argument("--workers", type=int,
-                         help="parallel analysis workers (default 1)")
     _add_common_flags(p_suite)
 
     args = parser.parse_args(argv)

@@ -22,19 +22,19 @@ import math
 import platform
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
+from typing import ClassVar
 
 from . import qcost
 from .classical import (SolveOutcome, command_argv, solve_external,
                         solve_internal_ipm)
 from .lp_model import parse_mps
 from .newton import build_fbar, build_oss, canonical_iterate, select_basis
-from .spectral import (kappa_lower_mnes, kappa_lower_oss, sparsity_mnes,
-                       sparsity_oss)
+from .spectral import (DEFAULT_SAMPLES, DEFAULT_TIMEOUT, kappa_lower_mnes,
+                       kappa_lower_oss, sparsity_mnes, sparsity_oss)
 from .standardize import standardize
 
 FORMULATIONS = ("mnes", "oss")
@@ -43,13 +43,15 @@ FORMULATIONS = ("mnes", "oss")
 @dataclass
 class AnalysisConfig:
     """Knobs of the per-instance pipeline; defaults match the harness CLI."""
+    # beta_mu = beta * (x's / n) at the build iterate; a constant, not a
+    # field, because it reaches only the OSS rhs, which no record reads
+    beta: ClassVar[float] = 0.5
     epsilon: float = 0.1
-    beta: float = 0.5  # beta_mu = beta * (x's / n) at the build iterate
     seed: int = 0
     # bounds the sigma_min iteration, including the lazy NES factorization
     # of its inverse operator; sigma_max_lower runs outside it
-    sigma_min_timeout: float = 60.0
-    sigma_min_samples: int = 10000
+    sigma_min_timeout: float = DEFAULT_TIMEOUT
+    sigma_min_samples: int = DEFAULT_SAMPLES
     duration_min: float = qcost.DEFAULT_DURATION_MIN
     duration_max: float = qcost.DEFAULT_DURATION_MAX
     duration_points: int = qcost.DEFAULT_DURATION_POINTS
@@ -57,7 +59,6 @@ class AnalysisConfig:
     classical_timeout: float = 600.0
     objective_pattern: str | None = None
     status_patterns: dict[str, str] | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -67,8 +68,6 @@ class AnalysisConfig:
         if self.sigma_min_timeout <= 0 and self.sigma_min_samples < 1:
             raise ValueError("sigma_min_samples must be at least 1 when "
                              "sigma_min_timeout <= 0 selects sampling")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if not 0.0 < self.classical_timeout < math.inf:
             raise ValueError("classical_timeout must lie in (0, inf)")
         self.durations()  # a bad grid fails here, not after the analysis
@@ -310,17 +309,9 @@ def run_suite(directory: str | Path,
     if not instances:
         warnings.append(f"no MPS instances found under {directory}")
 
-    paths = [str(p) for p, _ in instances]
-    families = [fam for _, fam in instances]
-    configs = [cfg] * len(instances)
-    # read at call time, so a wrapper patched onto the module applies;
-    # with workers > 1 the pool pickles it, so it must be picklable
-    if cfg.workers > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(analyze_instance, paths, configs,
-                                    families))
-    else:
-        records = list(map(analyze_instance, paths, configs, families))
+    # serial, so no classical solve shares the machine with another; the
+    # name is read at call time, so a wrapper patched onto the module applies
+    records = [analyze_instance(str(p), cfg, fam) for p, fam in instances]
 
     durations = cfg.durations()
     curves, counts, excluded = exclusion_curve(records, durations)

@@ -20,6 +20,8 @@ INF = math.inf
 # for the objective direction
 _ROW_SENSES = {"L": "<=", "G": ">=", "E": "="}
 _SENSE_CODES = {"<=": "L", ">=": "G", "=": "E"}
+_INTEGRALITY_WARNING = ("integrality markers present; integer restrictions "
+                        "dropped (LP relaxation kept)")
 
 
 class MpsParseError(ValueError):
@@ -414,10 +416,8 @@ def parse_mps(text: str) -> GeneralLP:
                     kind = toks[-1].strip("'\"").upper()
             if kind in ("INTORG", "INTEND"):
                 int_mode = kind == "INTORG"
-                if int_mode and not any("integrality" in w for w in warnings):
-                    warnings.append(
-                        "integrality markers present; integer restrictions "
-                        "dropped (LP relaxation kept)")
+                if int_mode:
+                    _note_integrality(warnings)
                 continue
             cname = toks[0]
             if cname in col_index:
@@ -522,6 +522,12 @@ def _strip_set_name(toks: list[str], row_index: dict[str, int],
     raise MpsParseError("entry has unpaired row/value fields", line_no)
 
 
+def _note_integrality(warnings: list[str]) -> None:
+    """Record the dropped integrality once per file."""
+    if _INTEGRALITY_WARNING not in warnings:
+        warnings.append(_INTEGRALITY_WARNING)
+
+
 _VALUE_BOUNDS = {"UP", "LO", "FX", "UI", "LI"}
 _FLAG_BOUNDS = {"FR", "MI", "PL", "BV"}
 
@@ -574,17 +580,13 @@ def _apply_bound(toks: list[str], columns: list[ColumnDef],
         col.upper = INF
     elif code == "BV":
         col.lower, col.upper = 0.0, 1.0
-        if not any("integrality" in w for w in warnings):
-            warnings.append("integrality markers present; integer "
-                            "restrictions dropped (LP relaxation kept)")
+        _note_integrality(warnings)
     elif code in ("UI", "LI"):
         if code == "UI":
             col.upper = val
         else:
             col.lower = val
-        if not any("integrality" in w for w in warnings):
-            warnings.append("integrality markers present; integer "
-                            "restrictions dropped (LP relaxation kept)")
+        _note_integrality(warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -73,19 +73,22 @@ class BasisSelection:
     """m linearly independent columns of A plus a reusable factorization.
 
     `basic` is standardize.core_basis's read-only column pick; `nonbasic`
-    the complement in ascending order. solve/solve_t apply A_B^-1 and
-    A_B^-T through the retained factorization (A_B is never inverted).
+    the complement in ascending order. `a_b` and `a_n` are A's column
+    blocks A[:, basic] and A[:, nonbasic], sliced once for every operator
+    built on this basis. solve/solve_t apply A_B^-1 and A_B^-T through the
+    retained LU factorization of a_b (A_B is never inverted).
     """
     basic: np.ndarray
     nonbasic: np.ndarray
-    _solve: Callable[[np.ndarray], np.ndarray]
-    _solve_t: Callable[[np.ndarray], np.ndarray]
+    a_b: SparseMatrix
+    a_n: SparseMatrix
+    lu: splinalg.SuperLU
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self._solve(v)
+        return self.lu.solve(np.asarray(v, dtype=float))
 
     def solve_t(self, v: np.ndarray) -> np.ndarray:
-        return self._solve_t(v)
+        return self.lu.solve(np.asarray(v, dtype=float), trans="T")
 
     @property
     def m(self) -> int:
@@ -108,12 +111,10 @@ def select_basis(A: SparseMatrix) -> BasisSelection:
     mask[basic] = False
     nonbasic = np.flatnonzero(mask)
 
-    a_b = A.columns(basic).tocsc()
-    lu = splinalg.splu(a_b)
-    return BasisSelection(
-        basic=basic, nonbasic=nonbasic,
-        _solve=lambda v: lu.solve(np.asarray(v, dtype=float)),
-        _solve_t=lambda v: lu.solve(np.asarray(v, dtype=float), trans="T"))
+    a_b = A.columns(basic)
+    return BasisSelection(basic=basic, nonbasic=nonbasic, a_b=a_b,
+                          a_n=A.columns(nonbasic),
+                          lu=splinalg.splu(a_b.tocsc()))
 
 
 def factor_nes(A, d2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -216,8 +217,7 @@ def build_mnes(std: StandardLP, it: Iterate, basis: BasisSelection,
     the basis factorization for both solves; dim m.
     """
     _check_iterate(std, it)
-    A = std.A.tocsr()
-    a_t = A.T.tocsr()
+    A, a_t = std.A.tocsr(), std.A.tocsc().T
     d2 = it.d2
     db = np.sqrt(it.x[basis.basic] / it.s[basis.basic])
     db_inv = 1.0 / db
@@ -246,10 +246,13 @@ def build_fbar(basis: BasisSelection, A: SparseMatrix,
     factorization of A_N D_N^2 A_N' and no basis solve. It is factored on
     first use; sigma_min_upper iterates on it only to choose the vector at
     which the forward Rayleigh quotient ||F' u|| / ||u|| is taken.
+
+    `A` is the matrix `basis` was picked from; the operator reads only the
+    basis's own blocks of it.
     """
     m = basis.m
     k = len(basis.nonbasic)
-    a_n, a_nt = _nonbasic_block(A, basis)
+    a_n, a_nt = basis.a_n.tocsr(), basis.a_n.tocsc().T
     db = np.sqrt(it.x[basis.basic] / it.s[basis.basic])
     db_inv = 1.0 / db
     d2n = it.x[basis.nonbasic] / it.s[basis.nonbasic]
@@ -263,8 +266,7 @@ def build_fbar(basis: BasisSelection, A: SparseMatrix,
 
     inverse_gram = None
     if k >= m:
-        a_b = A.columns(basis.basic).tocsr()
-        a_bt = a_b.T.tocsr()
+        a_b, a_bt = basis.a_b.tocsr(), basis.a_b.tocsc().T
         solve = functools.cache(lambda: factor_nes(a_n, d2n))
 
         def inverse_gram(u):
@@ -282,7 +284,7 @@ def null_space_matrix(basis: BasisSelection, A: SparseMatrix) -> NewtonOperator:
     """
     n = A.n_cols
     k = len(basis.nonbasic)
-    a_n, a_nt = _nonbasic_block(A, basis)
+    a_n, a_nt = basis.a_n.tocsr(), basis.a_n.tocsc().T
 
     def matvec(v):
         v = np.asarray(v, dtype=float)
@@ -296,19 +298,6 @@ def null_space_matrix(basis: BasisSelection, A: SparseMatrix) -> NewtonOperator:
         return a_nt @ basis.solve_t(w[basis.basic]) - w[basis.nonbasic]
 
     return NewtonOperator((n, k), "nullspace", matvec, rmatvec)
-
-
-def _nonbasic_block(A: SparseMatrix, basis: BasisSelection):
-    """CSR A_N and its CSR transpose, built once for F and V, which the
-    harness builds on the same basis."""
-    return _column_block(
-        A, np.asarray(basis.nonbasic, dtype=np.intp).tobytes())
-
-
-@functools.lru_cache(maxsize=1)
-def _column_block(A: SparseMatrix, cols: bytes):
-    block = A.columns(np.frombuffer(cols, dtype=np.intp)).tocsr()
-    return block, block.T.tocsr()
 
 
 def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
@@ -327,10 +316,9 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
     forward Rayleigh quotient ||O' u|| / ||u|| is taken.
     """
     _check_iterate(std, it)
-    A = std.A.tocsr()
+    A, a_t = std.A.tocsr(), std.A.tocsc().T
     m, n = std.m, std.n
     V = null_space_matrix(basis, std.A)
-    a_t = A.T.tocsr()
     d2 = it.d2
     s_inv = 1.0 / it.s
     solve = functools.cache(lambda: factor_nes(A, d2))

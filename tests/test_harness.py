@@ -61,8 +61,6 @@ class TestAnalyzeInstance:
         for kwargs, match in [({"epsilon": 0.0}, "epsilon"),
                               ({"epsilon": 2.0}, "epsilon"),
                               ({"duration_points": 1}, "points"),
-                              ({"workers": 0}, "workers"),
-                              ({"workers": -3}, "workers"),
                               ({"sigma_min_timeout": 0.0,
                                 "sigma_min_samples": 0}, "sigma_min_samples"),
                               ({"sigma_min_timeout": -1.0,
@@ -87,11 +85,10 @@ class TestAnalyzeInstance:
     def test_option_surface(self):
         # a new option shows up here as a reviewed diff
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
-            "epsilon", "beta", "seed", "sigma_min_timeout",
+            "epsilon", "seed", "sigma_min_timeout",
             "sigma_min_samples", "duration_min",
             "duration_max", "duration_points", "classical_cmd",
-            "classical_timeout", "objective_pattern", "status_patterns",
-            "workers"]
+            "classical_timeout", "objective_pattern", "status_patterns"]
 
     def test_basis_accepts_what_rank_repair_keeps(self, tmp_path):
         # both LPs are feasible (HiGHS: 1.0) and rank repair keeps both rows,
@@ -371,20 +368,6 @@ class TestRunSuite:
             assert alone.formulations == rec.formulations
         assert len(calls) == 3
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
-        src = (corpus_dir() / "tiny" / "bounds_mix.mps").read_text()
-        (tmp_path / "one.mps").write_text(src)
-        (tmp_path / "two.mps").write_text(src)
-        seq = run_suite(tmp_path, FAST)
-        par_cfg = AnalysisConfig(sigma_min_timeout=10.0,
-                                 sigma_min_samples=500, workers=2)
-        par = run_suite(tmp_path, par_cfg)
-        for a, b in zip(seq.records, par.records):
-            assert a.name == b.name
-            for f in ("mnes", "oss"):
-                assert a.formulations[f].total_cycles == \
-                    b.formulations[f].total_cycles
-
 
 @pytest.fixture(scope="module")
 def suite(tmp_path_factory):
@@ -542,6 +525,10 @@ class TestCli:
         # missing file all end in one clean message instead of a traceback
         for text, match in [(json.dumps({"sigma_max_iters": 0}),
                              "unknown config keys"),
+                            (json.dumps({"beta": 0.5}),
+                             "unknown config keys"),
+                            (json.dumps({"workers": 2}),
+                             "unknown config keys"),
                             (json.dumps({"ipm": {"bogus": 1}}), "ipm"),
                             (json.dumps({"bogus": 1}), "bogus"),
                             (json.dumps([1, 2]), "JSON object"),
@@ -569,8 +556,10 @@ class TestCli:
                 (["analyze", str(corpus_dir() / "raw" / "rankdef_dup.mps")],
                  ["--sigma-min-timeout", "0", "--sigma-min-samples", "0"],
                  "sigma_min_samples"),
+                (analyze, ["--epsilon", "abc"], "invalid float value: 'abc'"),
+                (analyze, ["--bogus", "1"], "unrecognized arguments"),
                 (["suite", str(path.parent)], ["--workers", "-3"],
-                 "workers")]:
+                 "unrecognized arguments")]:
             with pytest.raises(SystemExit, match=match) as exc:
                 cli.main([*command, *flags])
             assert str(exc.value).startswith("invalid option: ")
@@ -596,14 +585,16 @@ class TestCli:
             with pytest.raises(SystemExit, match="bad pattern") as exc:
                 cli.main([*command, "--config", str(cfg_path)])
             assert str(exc.value).startswith(f"invalid config {cfg_path}: ")
-        # the interpreter turns that message into one stderr line and exit 1
-        proc = subprocess.run(
-            [sys.executable, "-m", "qipm_bounds.cli", "analyze", str(path),
-             "--classical-cmd", "foo"], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("invalid option: ")
-        assert "Traceback" not in proc.stderr
+        # the interpreter turns that message into one stderr line and exit
+        # 1, for a usage error too (exit 2 means an instance errored)
+        for flags in (["--classical-cmd", "foo"], ["--epsilon", "abc"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qipm_bounds.cli", "analyze",
+                 str(path), *flags], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("invalid option: ")
+            assert len(proc.stderr.splitlines()) == 1
 
     def test_invalid_suite_inputs_exit_before_analysis(self, tmp_path,
                                                        monkeypatch):

@@ -211,6 +211,27 @@ ENDATA
         assert lp.n_cols == 1
         assert any("integrality" in w for w in lp.warnings)
 
+    def test_integrality_warning_after_a_warning_naming_integrality(self):
+        # an earlier warning that quotes a row named "integrality" does not
+        # stand in for the integrality warning
+        text = """NAME INT
+ROWS
+ N  obj
+ L  integrality
+COLUMNS
+    x  obj  1  integrality  1
+RHS
+    RHS  integrality  4
+    RHS  integrality  5
+BOUNDS
+ BV BND  x
+ENDATA
+"""
+        assert parse_mps(text).warnings == [
+            "duplicate RHS for row 'integrality'; last value kept",
+            "integrality markers present; integer restrictions dropped "
+            "(LP relaxation kept)"]
+
     @pytest.mark.parametrize("start,end", [
         ("M1  'MARKER'  'INTORG'", "M2  'MARKER'  'INTEND'"),
         ("M1  MARKER  INTORG", "M2  MARKER  INTEND"),

@@ -102,6 +102,27 @@ class TestSelectBasis:
         assert rows == list(range(60))
         assert all(np.count_nonzero(a[:, j]) == 1 for j in basis.basic)
 
+    def test_basis_slices_its_blocks_once(self, monkeypatch):
+        # n >= 2m, so build_fbar also carries the inverse Gram, which reads
+        # A_B; F and V read the blocks select_basis sliced
+        std = standardize(parse_mps(generators.slack_ladder(60, 80, 1)))
+        assert std.n >= 2 * std.m
+        calls = []
+        columns = SparseMatrix.columns
+
+        def counting_columns(self, idx):
+            calls.append(len(idx))
+            return columns(self, idx)
+
+        monkeypatch.setattr(SparseMatrix, "columns", counting_columns)
+        basis = select_basis(std.A)
+        build_fbar(basis, std.A, canonical_iterate(std.m, std.n))
+        null_space_matrix(basis, std.A)
+        assert calls == [std.m, std.n - std.m]
+        a = std.A.to_dense()
+        assert np.array_equal(basis.a_b.to_dense(), a[:, basis.basic])
+        assert np.array_equal(basis.a_n.to_dense(), a[:, basis.nonbasic])
+
     def test_one_factorization_per_instance(self, monkeypatch):
         # rank repair and the basis share core_basis's QR; a dependent row
         # adds rank repair's row pick and one QR of the repaired matrix
