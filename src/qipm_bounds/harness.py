@@ -275,7 +275,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
                 record.classical.objective)
         stages["classical"] = time.perf_counter() - t
 
-        grid = [qcost.to_fraction(t_) for t_ in cfg.durations()]
+        grid = qcost.exact_grid(tuple(cfg.durations()))
         for formulation in FORMULATIONS:
             tau = record.exclusion_threshold(formulation)
             if tau is not None:
@@ -346,7 +346,7 @@ def exclusion_curve(records: list[InstanceRecord],
     counts records without a threshold per family (errors, failed
     formulations or a classical run that is not optimal).
     """
-    grid = [qcost.to_fraction(t_) for t_ in duration_grid]
+    grid = qcost.exact_grid(tuple(duration_grid))
     curves: dict[str, dict[str, list[float]]] = {}
     counts: dict[str, dict[str, list[list[int]]]] = {}
     excluded: dict[str, int] = {}

@@ -56,18 +56,27 @@ class SparseMatrix:
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int,
                      entries) -> "SparseMatrix":
-        """Build from an iterable of (row, col, value) triples."""
-        entries = list(entries)
-        rows, cols, vals = np.array(
-            entries, dtype=float).reshape(len(entries), 3).T
+        """Build from a (k, 3) array of (row, col, value) rows or an
+        iterable of such triples."""
+        if not isinstance(entries, np.ndarray):
+            entries = np.fromiter(entries, dtype=(float, 3))
+        rows, cols, vals = np.asarray(entries, dtype=float).reshape(
+            len(entries), 3).T
         bad = ~((0 <= rows) & (rows < n_rows) & (0 <= cols) & (cols < n_cols))
         if bad.any():
-            i, j, _ = entries[int(np.argmax(bad))]
+            k = int(np.argmax(bad))
+            i, j = (int(x) if x.is_integer() else x
+                    for x in (float(rows[k]), float(cols[k])))
             raise IndexError(f"entry ({i}, {j}) outside {n_rows}x{n_cols}")
-        coo = sparse.coo_matrix(
-            (vals, (rows.astype(int), cols.astype(int))),
-            shape=(n_rows, n_cols), dtype=float)
-        return cls(coo.tocsr())
+        # group by row, keeping the entry order within a row, as a COO to
+        # CSR conversion does; construction then sums duplicates in order
+        rows = rows.astype(np.intp)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(sparse.csr_matrix(
+            (vals[order], cols.astype(np.intp)[order], indptr),
+            shape=(n_rows, n_cols)))
 
     @classmethod
     def from_dense(cls, a) -> "SparseMatrix":
@@ -217,11 +226,9 @@ class GeneralLP:
             raise ValueError("coefficient matrix shape does not match rows/columns")
         if len(self.objective) != len(self.columns):
             raise ValueError("objective length does not match columns")
-        names = [r.name for r in self.rows]
-        if len(set(names)) != len(names):
+        if len({r.name for r in self.rows}) != len(self.rows):
             raise ValueError("duplicate row names")
-        cnames = [c.name for c in self.columns]
-        if len(set(cnames)) != len(cnames):
+        if len({c.name for c in self.columns}) != len(self.columns):
             raise ValueError("duplicate column names")
 
 
@@ -285,25 +292,22 @@ def _detect_fixed_format(lines: list[str]) -> bool:
     """
     in_rows = False
     for raw in lines:
-        if not raw.strip() or raw.lstrip().startswith("*"):
+        toks = raw.split()
+        if not toks or toks[0][0] == "*":
             continue
-        if raw[:1] not in (" ", "\t"):
-            head = raw.split()[0].upper()
+        if raw[0] not in " \t":
+            head = toks[0].upper()
             in_rows = head == "ROWS"
             if _SECTION_RANK.get(head, -1) > _SECTION_RANK["ROWS"]:
                 break
             continue
-        if in_rows and len(raw.split()) != 2:
+        if in_rows and len(toks) != 2:
             return True
     return False
 
 
 def _num(tok: str, line_no: int) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    # only a token float() rejects can hold a Fortran D exponent
+    """A number float() rejects: it may still hold a Fortran D exponent."""
     try:
         return float(tok.replace("D", "E").replace("d", "e"))
     except ValueError:
@@ -316,7 +320,9 @@ def parse_mps(text: str) -> GeneralLP:
     Default variable bounds are [0, +inf); unspecified RHS entries are 0.
     RANGES turn a row into a two-sided constraint per the MPS convention.
     Bound codes UP, LO, FX, FR, MI, PL, BV are handled (BV gives bounds
-    [0, 1]); integrality is dropped with a recorded warning.
+    [0, 1]); integrality is dropped with a recorded warning. Extra N rows
+    are ignored with a warning, and so are their COLUMNS, RHS and RANGES
+    entries.
     """
     lines = text.splitlines()
     fixed = _detect_fixed_format(lines)
@@ -329,9 +335,12 @@ def parse_mps(text: str) -> GeneralLP:
     free_rows: set[str] = set()
     columns: list[ColumnDef] = []
     col_index: dict[str, int] = {}
-    closed_cols: set[str] = set()
     last_col: str | None = None
-    coeff_entries: list[tuple[int, int, float]] = []
+    j = -1  # index of last_col
+    # coefficient triples, one flat list per field
+    coef_rows: list[int] = []
+    coef_cols: list[int] = []
+    coef_vals: list[float] = []
     obj_coeffs: dict[int, float] = {}
     objective_constant = 0.0
     warnings: list[str] = []
@@ -340,15 +349,14 @@ def parse_mps(text: str) -> GeneralLP:
     section: str | None = None
     saw_endata = False
     pending_objsense = False
-    int_mode = False
+    row_of = row_index.get
 
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("*"):
+    for line_no, line in enumerate(lines, 1):
+        toks = line.split()
+        if not toks or toks[0][0] == "*":
             continue
 
-        if line[:1] not in (" ", "\t"):
-            toks = line.split()
+        if line[0] not in " \t":
             head = toks[0].upper()
             if head not in _SECTION_RANK:
                 raise MpsParseError(f"unknown section {toks[0]!r}", line_no)
@@ -376,16 +384,101 @@ def parse_mps(text: str) -> GeneralLP:
                 break
             continue
 
-        toks = _fixed_tokens(line) if fixed else line.split()
-        if not toks:
-            continue
+        if fixed:
+            toks = _fixed_tokens(line)
+            if not toks:
+                continue
 
-        if section == "OBJSENSE" and pending_objsense:
-            objective_sense = toks[0].lower()[:3]
-            pending_objsense = False
-            continue
+        if section == "COLUMNS":
+            # only a line with a quote, or with MARKER second, can be a marker
+            if "'" in line or len(toks) > 2 and toks[1].upper() == "MARKER":
+                kind = None
+                if len(toks) >= 3 and \
+                        toks[1].upper() in ("'MARKER'", "MARKER"):
+                    kind = toks[2].strip("'\"").upper()
+                elif "'MARKER'" in (t.upper() for t in toks):
+                    kind = toks[-1].strip("'\"").upper()
+                if kind in ("INTORG", "INTEND"):
+                    if kind == "INTORG":
+                        _note_integrality(warnings)
+                    continue
+            cname = toks[0]
+            if cname != last_col:
+                if cname in col_index:
+                    raise MpsParseError(f"duplicate column {cname!r}", line_no)
+                j = col_index[cname] = len(columns)
+                columns.append(ColumnDef(cname))
+                last_col = cname
+            n_toks = len(toks)
+            if not n_toks & 1:
+                raise MpsParseError("COLUMNS entry has unpaired row/value",
+                                    line_no)
+            k = 1
+            while k < n_toks:
+                rname, tok = toks[k], toks[k + 1]
+                k += 2
+                try:
+                    v = float(tok)
+                except ValueError:
+                    v = _num(tok, line_no)
+                i = row_of(rname)
+                if i is not None:
+                    coef_rows.append(i)
+                    coef_cols.append(j)
+                    coef_vals.append(v)
+                elif rname == objective_name:
+                    obj_coeffs[j] = obj_coeffs.get(j, 0.0) + v
+                elif rname not in free_rows:
+                    raise MpsParseError(
+                        f"coefficient references undeclared row {rname!r}",
+                        line_no)
 
-        if section == "ROWS":
+        elif section == "BOUNDS":
+            _apply_bound(toks, columns, col_index, warnings, line_no)
+
+        elif section == "RHS" or section == "RANGES":
+            pairs = _strip_set_name(toks, row_index, objective_name,
+                                    free_rows, line_no)
+            for k in range(0, len(pairs), 2):
+                rname, tok = pairs[k], pairs[k + 1]
+                try:
+                    v = float(tok)
+                except ValueError:
+                    v = _num(tok, line_no)
+                if rname == objective_name:
+                    if section == "RHS":
+                        # MPS convention: RHS on the objective row is the
+                        # negated objective constant
+                        objective_constant = -v
+                        warnings.append(
+                            "RHS entry on objective row interpreted as "
+                            "negated objective constant")
+                    else:
+                        raise MpsParseError("RANGES entry on objective row",
+                                            line_no)
+                    continue
+                i = row_of(rname)
+                if i is None:
+                    if rname in free_rows:
+                        continue  # entries of ignored free rows are dropped
+                    raise MpsParseError(
+                        f"{section} references undeclared row {rname!r}",
+                        line_no)
+                row = rows[i]
+                if section == "RHS":
+                    if rname in rhs_seen:
+                        warnings.append(f"duplicate RHS for row {rname!r}; "
+                                        "last value kept")
+                    rhs_seen.add(rname)
+                    row.rhs = v
+                else:
+                    row.range = v
+                    if row.sense == "=" and v < 0:
+                        warnings.append(
+                            f"negative range on equality row {rname!r}: "
+                            "interval [rhs+range, rhs] convention applied")
+
+        elif section == "ROWS":
             if len(toks) != 2:
                 raise MpsParseError("ROWS entry needs sense and name", line_no)
             sense_code, name = toks[0].upper(), toks[1]
@@ -405,84 +498,9 @@ def parse_mps(text: str) -> GeneralLP:
             else:
                 raise MpsParseError(f"unknown row sense {sense_code!r}", line_no)
 
-        elif section == "COLUMNS":
-            kind = None
-            if "MARKER" in line.upper():
-                if len(toks) >= 3 and \
-                        toks[1].upper() in ("'MARKER'", "MARKER"):
-                    kind = toks[2].strip("'\"").upper()
-                elif len(toks) >= 2 and \
-                        "'MARKER'" in (t.upper() for t in toks):
-                    kind = toks[-1].strip("'\"").upper()
-            if kind in ("INTORG", "INTEND"):
-                int_mode = kind == "INTORG"
-                if int_mode:
-                    _note_integrality(warnings)
-                continue
-            cname = toks[0]
-            if cname in col_index:
-                if cname in closed_cols:
-                    raise MpsParseError(f"duplicate column {cname!r}", line_no)
-            else:
-                col_index[cname] = len(columns)
-                columns.append(ColumnDef(cname))
-                if last_col is not None:
-                    closed_cols.add(last_col)
-            last_col = cname
-            j = col_index[cname]
-            pairs = toks[1:]
-            if len(pairs) % 2 != 0:
-                raise MpsParseError("COLUMNS entry has unpaired row/value",
-                                    line_no)
-            for k in range(0, len(pairs), 2):
-                rname, v = pairs[k], _num(pairs[k + 1], line_no)
-                if rname == objective_name:
-                    obj_coeffs[j] = obj_coeffs.get(j, 0.0) + v
-                elif rname in row_index:
-                    coeff_entries.append((row_index[rname], j, v))
-                elif rname in free_rows:
-                    pass  # coefficients of ignored free rows are dropped
-                else:
-                    raise MpsParseError(
-                        f"coefficient references undeclared row {rname!r}",
-                        line_no)
-
-        elif section in ("RHS", "RANGES"):
-            pairs = _strip_set_name(toks, row_index, objective_name, line_no)
-            for k in range(0, len(pairs), 2):
-                rname, v = pairs[k], _num(pairs[k + 1], line_no)
-                if rname == objective_name:
-                    if section == "RHS":
-                        # MPS convention: RHS on the objective row is the
-                        # negated objective constant
-                        objective_constant = -v
-                        warnings.append(
-                            "RHS entry on objective row interpreted as "
-                            "negated objective constant")
-                    else:
-                        raise MpsParseError("RANGES entry on objective row",
-                                            line_no)
-                    continue
-                if rname not in row_index:
-                    raise MpsParseError(
-                        f"{section} references undeclared row {rname!r}",
-                        line_no)
-                row = rows[row_index[rname]]
-                if section == "RHS":
-                    if rname in rhs_seen:
-                        warnings.append(f"duplicate RHS for row {rname!r}; "
-                                        "last value kept")
-                    rhs_seen.add(rname)
-                    row.rhs = v
-                else:
-                    row.range = v
-                    if row.sense == "=" and v < 0:
-                        warnings.append(
-                            f"negative range on equality row {rname!r}: "
-                            "interval [rhs+range, rhs] convention applied")
-
-        elif section == "BOUNDS":
-            _apply_bound(toks, columns, col_index, warnings, line_no)
+        elif section == "OBJSENSE" and pending_objsense:
+            objective_sense = toks[0].lower()[:3]
+            pending_objsense = False
 
         else:
             raise MpsParseError("data before any section header", line_no)
@@ -496,10 +514,11 @@ def parse_mps(text: str) -> GeneralLP:
         raise MpsParseError(f"unsupported OBJSENSE {objective_sense!r}")
 
     coefficients = SparseMatrix.from_entries(
-        len(rows), len(columns), coeff_entries)
+        len(rows), len(columns),
+        np.column_stack((coef_rows, coef_cols, coef_vals)))
     objective = np.zeros(len(columns))
-    for j, v in obj_coeffs.items():
-        objective[j] = v
+    if obj_coeffs:
+        objective[list(obj_coeffs)] = list(obj_coeffs.values())
     lp = GeneralLP(
         name=problem_name, objective_sense=objective_sense,
         objective_name=objective_name, rows=rows, columns=columns,
@@ -510,14 +529,13 @@ def parse_mps(text: str) -> GeneralLP:
 
 
 def _strip_set_name(toks: list[str], row_index: dict[str, int],
-                    objective_name: str | None, line_no: int) -> list[str]:
+                    objective_name: str | None, free_rows: set[str],
+                    line_no: int) -> list[str]:
     """Drop the leading RHS/RANGES set name, tolerating files that omit it."""
-    def is_row(t):
-        return t in row_index or t == objective_name
-
     if len(toks) % 2 == 1:
         return toks[1:]
-    if is_row(toks[0]):
+    first = toks[0]
+    if first in row_index or first == objective_name or first in free_rows:
         return toks  # nonstandard: set name omitted
     raise MpsParseError("entry has unpaired row/value fields", line_no)
 
@@ -538,11 +556,15 @@ def _apply_bound(toks: list[str], columns: list[ColumnDef],
     code = toks[0].upper()
     if code in _VALUE_BOUNDS:
         if len(toks) == 4:
-            cname, val = toks[2], _num(toks[3], line_no)
+            cname, tok = toks[2], toks[3]
         elif len(toks) == 3 and toks[1] in col_index:
-            cname, val = toks[1], _num(toks[2], line_no)  # set name omitted
+            cname, tok = toks[1], toks[2]  # set name omitted
         else:
             raise MpsParseError(f"malformed {code} bound", line_no)
+        try:
+            val = float(tok)
+        except ValueError:
+            val = _num(tok, line_no)
     elif code in _FLAG_BOUNDS:
         if len(toks) >= 3 and toks[2] in col_index:
             cname = toks[2]
@@ -555,10 +577,11 @@ def _apply_bound(toks: list[str], columns: list[ColumnDef],
     else:
         raise MpsParseError(f"unknown bound code {code!r}", line_no)
 
-    if cname not in col_index:
+    k = col_index.get(cname)
+    if k is None:
         raise MpsParseError(f"bound references undeclared column {cname!r}",
                             line_no)
-    col = columns[col_index[cname]]
+    col = columns[k]
     if code == "UP":
         col.upper = val
         if val < 0 and col.lower == 0.0:

@@ -219,3 +219,10 @@ def duration_grid(d_min: float = DEFAULT_DURATION_MIN,
     if REFERENCE_CYCLE_DURATION not in grid:
         grid.append(REFERENCE_CYCLE_DURATION)
     return sorted(grid)
+
+
+@functools.lru_cache(maxsize=8)
+def exact_grid(durations: tuple[float, ...]) -> tuple[Fraction, ...]:
+    """The durations as exact rationals (`to_fraction`), converted once per
+    distinct tuple of values, whichever config or caller they come from."""
+    return tuple(to_fraction(t) for t in durations)

@@ -11,12 +11,11 @@ plus a core QR, that rank repair and newton.select_basis both read.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
 import numpy as np
-from scipy import linalg
+from scipy import linalg, sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from .lp_model import (INF, ColumnDef, GeneralLP, RowDef, SparseMatrix,
@@ -50,25 +49,30 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     lp.validate()
     sign = 1.0 if lp.objective_sense == "min" else -1.0
     log: list[str] = list(lp.transform_log)
-    for c in lp.columns:
-        if c.lower > c.upper:
-            raise InfeasibleProblem(
-                f"variable {c.name} has empty bound interval "
-                f"[{c.lower}, {c.upper}]")
-    csr, csc = lp.coefficients.tocsr(), lp.coefficients.tocsc()
-    pattern = csr.astype(bool)
+    lower, upper = _column_bounds(lp.columns)
+    empty_bounds = lower > upper
+    if empty_bounds.any():
+        c = lp.columns[int(np.argmax(empty_bounds))]
+        raise InfeasibleProblem(
+            f"variable {c.name} has empty bound interval "
+            f"[{c.lower}, {c.upper}]")
+    csr = lp.coefficients.tocsr()
+    # canonical CSR: sorted, no explicit zeros, so every entry is a nonzero
+    indptr, indices = csr.indptr, csr.indices
+    entry_row = np.repeat(np.arange(lp.n_rows), np.diff(indptr))
     names = [r.name for r in lp.rows]
-    lo, hi = np.array([r.interval() for r in lp.rows],
-                      dtype=float).reshape(-1, 2).T.copy()
+    lo0, hi0 = _row_intervals(lp.rows)
+    lo, hi = lo0.copy(), hi0.copy()
     live_r = np.ones(lp.n_rows, dtype=bool)
     live_c = np.ones(lp.n_cols, dtype=bool)
-    fixed = np.array([c.lower == c.upper for c in lp.columns], dtype=bool)
+    fixed = lower == upper
     constant = lp.objective_constant
 
     changed = True
     while changed:
-        # boolean mat-vec: does the row meet a live column
-        empty = live_r & ~(pattern @ live_c)
+        # does the row meet a live column
+        empty = live_r & ~np.bincount(entry_row[live_c[indices]],
+                                      minlength=lp.n_rows).astype(bool)
         for i in np.flatnonzero(empty):
             if lo[i] > 0.0 or hi[i] < 0.0:
                 raise InfeasibleProblem(
@@ -79,13 +83,15 @@ def presolve(lp: GeneralLP) -> GeneralLP:
         changed = bool(empty.any())
 
         # fixing a column leaves the live rows, and so this test, unchanged
-        empty = live_c & ~(pattern.T @ live_r)
+        empty = live_c & ~np.bincount(indices[live_r[entry_row]],
+                                      minlength=lp.n_cols).astype(bool)
         for j in np.flatnonzero(live_c & (fixed | empty)):
             c, cost = lp.columns[j], float(lp.objective[j])
             if fixed[j]:
                 if not math.isfinite(c.lower):
                     raise InfeasibleProblem(
                         f"variable {c.name} is fixed at a non-finite value")
+                csc = lp.coefficients.tocsc()
                 seg = slice(csc.indptr[j], csc.indptr[j + 1])
                 rows = csc.indices[seg]
                 on = live_r[rows]
@@ -113,18 +119,28 @@ def presolve(lp: GeneralLP) -> GeneralLP:
             live_c[j] = False
             changed = True
 
-        if _merge_duplicate_rows(csr[:, live_c], live_r, lo, hi, names, log):
+        # A on the live columns, as CSR arrays with the original indices
+        on = live_c[indices]
+        sub_ptr = np.concatenate([[0], np.cumsum(on)])[indptr]
+        if _merge_duplicate_rows(sub_ptr, indices[on], csr.data[on], live_r,
+                                 lo, hi, names, log):
             changed = True
 
+    # an untouched row is copied as it is, so its ends stay exact
     kept = np.flatnonzero(live_r)
+    untouched = (lo[kept] == lo0[kept]) & (hi[kept] == hi0[kept])
     out = GeneralLP(
         name=lp.name, objective_sense=lp.objective_sense,
         objective_name=lp.objective_name,
-        rows=[_kept_row(lp.rows[i], l, h) for i, l, h in
-              zip(kept, lo[kept].tolist(), hi[kept].tolist())],
+        rows=[RowDef(r.name, r.sense, r.rhs, r.range) if same
+              else RowDef.from_interval(r.name, l, h)
+              for r, same, l, h in zip([lp.rows[i] for i in kept.tolist()],
+                                       untouched.tolist(), lo[kept].tolist(),
+                                       hi[kept].tolist())],
         columns=[ColumnDef(c.name, c.lower, c.upper)
-                 for c, on in zip(lp.columns, live_c) if on],
-        coefficients=SparseMatrix(csr[live_r][:, live_c]),
+                 for c, on in zip(lp.columns, live_c.tolist()) if on],
+        coefficients=lp.coefficients if live_r.all() and live_c.all()
+        else SparseMatrix(csr[live_r][:, live_c]),
         objective=np.asarray(lp.objective, dtype=float)[live_c],
         objective_constant=constant,
         warnings=list(lp.warnings), transform_log=log)
@@ -132,26 +148,46 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     return out
 
 
-def _kept_row(row: RowDef, lo: float, hi: float) -> RowDef:
-    """Copy of `row` if its interval is untouched, so its ends stay exact."""
-    if (lo, hi) == row.interval():
-        return dataclasses.replace(row)
-    return RowDef.from_interval(row.name, lo, hi)
+def _row_intervals(rows: list[RowDef]) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) arrays of the rows' interval() ends."""
+    return np.array([r.interval() for r in rows], dtype=float).reshape(-1, 2).T
 
 
-def _merge_duplicate_rows(sub, live_r, lo, hi, names, log) -> bool:
-    """Merge live rows of `sub` (A on the live columns) whose coefficient
-    vectors agree up to positive scaling into the first such row."""
-    sub.sort_indices()  # the first entry of a row is its leading one
+def _column_bounds(columns: list[ColumnDef]) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) arrays of the columns' bounds."""
+    return (np.array([c.lower for c in columns], dtype=float),
+            np.array([c.upper for c in columns], dtype=float))
+
+
+def _merge_duplicate_rows(indptr, indices, data, live_r, lo, hi, names,
+                          log) -> bool:
+    """Merge live rows of A on the live columns, given by its sorted CSR
+    arrays, whose coefficient vectors agree up to positive scaling into the
+    first such row.
+
+    Only rows that share their sparsity pattern with another live row can
+    merge; a hash of each row's pattern and nonzero count picks them out,
+    and only they are compared exactly. Two intervals that cross by no more
+    than the tolerance merge into an equality between the crossed ends.
+    """
+    nnz = np.diff(indptr)
+    # pattern hash: the nonzero count plus a wrapping sum of mixed indices
+    mixed = (indices.astype(np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
+    acc = np.zeros(len(indices) + 1, dtype=np.uint64)
+    np.cumsum(mixed ^ (mixed >> np.uint64(29)), out=acc[1:])
+    cand = np.flatnonzero(live_r & (nnz > 0))
+    hashes = (acc[indptr[1:]] - acc[indptr[:-1]] + nnz.astype(np.uint64))[cand]
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not shared.size:
+        return False
     merged = False
     first_of: dict[tuple, tuple[int, float]] = {}
-    for i in np.flatnonzero(live_r):
-        seg = slice(sub.indptr[i], sub.indptr[i + 1])
-        vals = sub.data[seg]
-        if not len(vals):
-            continue
+    for i in cand[np.isin(hashes, shared)].tolist():
+        seg = slice(indptr[i], indptr[i + 1])
+        vals = data[seg]
         first = vals[0]
-        key = (first > 0, sub.indices[seg].tobytes(),
+        key = (first > 0, indices[seg].tobytes(),
                tuple((vals / first).tolist()))
         if key not in first_of:
             first_of[key] = (i, first)
@@ -164,6 +200,8 @@ def _merge_duplicate_rows(sub, live_r, lo, hi, names, log) -> bool:
             raise InfeasibleProblem(
                 f"rows {names[k]} and {names[i]} are positively scaled "
                 "duplicates with disjoint intervals")
+        if new_lo > new_hi:
+            new_lo = new_hi = 0.5 * (new_lo + new_hi)
         lo[k], hi[k] = new_lo, new_hi
         live_r[i] = False
         log.append(f"merge duplicate row {names[i]} into {names[k]}")
@@ -182,100 +220,104 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     infinite value raises ValueError.
     """
     lp.validate()
-    for col in lp.columns:
+    lower, upper = _column_bounds(lp.columns)
+    bad = (lower > upper) | ((lower == upper) & ~np.isfinite(lower))
+    if bad.any():
+        col = lp.columns[int(np.argmax(bad))]
         if col.lower > col.upper:
             raise InfeasibleProblem(
                 f"variable {col.name} has empty bound interval "
                 f"[{col.lower}, {col.upper}]")
-        if col.lower == col.upper and not math.isfinite(col.lower):
-            raise ValueError(
-                f"variable {col.name} is fixed at a non-finite value")
+        raise ValueError(
+            f"variable {col.name} is fixed at a non-finite value")
     sign = 1.0 if lp.objective_sense == "min" else -1.0
     log = list(lp.transform_log)
 
+    # x = shifts + T x' with T the +-1 map of free splits and mirrors; a
+    # free column takes two new columns, every other column one
+    free = (lower == -INF) & (upper == INF)
+    mirror = (lower == -INF) & ~free  # x' = up - x >= 0
+    bounded = (lower != -INF) & (upper < INF)  # upper bound becomes a row
+    width = 1 + free.astype(np.intp)
+    t_ptr = np.concatenate([[0], np.cumsum(width)])
+    first = t_ptr[:-1]  # first new column of each
+    n_struct = int(t_ptr[-1])
+    t_val = np.ones(n_struct)
+    t_val[first[mirror]] = -1.0
+    t_val[first[free] + 1] = -1.0
+    shifts = np.where(mirror, upper, np.where(free, 0.0, lower))
+    cost = np.repeat(sign * np.asarray(lp.objective, dtype=float),
+                     width) * t_val
+
     names: list[str] = []
     provenance: list[str] = []
-    cost: list[float] = []
-    b: list[float] = []
-    # pending (column, width) pairs: finite two-sided bounds become rows below
-    upper_rows: list[tuple[int, float]] = []
-
-    def add_col(name, prov, c):
-        names.append(name)
-        provenance.append(prov)
-        cost.append(c)
-        return len(names) - 1
-
-    # x = shifts + T x' with T the +-1 map of free splits and mirrors
-    t_map: list[tuple[int, int, float]] = []
-    shifts = np.zeros(lp.n_cols)
-    for j, col in enumerate(lp.columns):
-        lo, up = col.lower, col.upper
-        cj = sign * float(lp.objective[j])
-        if lo == -INF and up == INF:
-            p = add_col(col.name + "+", "free_pos", cj)
-            q = add_col(col.name + "-", "free_neg", -cj)
-            t_map += [(j, p, 1.0), (j, q, -1.0)]
+    for col, is_free, is_mirror, is_bounded in zip(
+            lp.columns, free.tolist(), mirror.tolist(), bounded.tolist()):
+        if is_free:
+            names += [col.name + "+", col.name + "-"]
+            provenance += ["free_pos", "free_neg"]
             log.append(f"split free variable {col.name}")
-        elif lo == -INF:
-            # only an upper bound: mirror the variable, x' = up - x >= 0
-            p = add_col(col.name + "~", "original", -cj)
-            t_map.append((j, p, -1.0))
-            shifts[j] = up
+        elif is_mirror:
+            names.append(col.name + "~")
+            provenance.append("original")
             log.append(f"mirror upper-bounded variable {col.name}")
         else:
-            p = add_col(col.name, "original", cj)
-            t_map.append((j, p, 1.0))
-            shifts[j] = lo
-            if up < INF:
-                upper_rows.append((p, up - lo))
+            names.append(col.name)
+            provenance.append("original")
+            if is_bounded:
                 log.append(f"upper bound of {col.name} becomes a row")
-            if lo != 0.0:
-                log.append(f"shift {col.name} by {lo}")
+            if col.lower != 0.0:
+                log.append(f"shift {col.name} by {col.lower}")
 
     a = lp.coefficients.tocsr()
-    structural = a @ SparseMatrix.from_entries(
-        lp.n_cols, len(names), t_map).tocsr()
+    structural = a @ sparse.csr_matrix(
+        (t_val, np.arange(n_struct), t_ptr),
+        shape=(lp.n_cols, n_struct))
     # original objective = sign * (standard min value) + constant + shift part
     obj_shift = float(np.dot(lp.objective, shifts))
     row_shifts = a @ shifts  # each row summed in CSR order
 
-    entries: list[tuple[int, int, float]] = []  # slack and bound-row entries
-    for i, row in enumerate(lp.rows):
-        lo, hi = row.interval()
-        shift = row_shifts[i]
-        if lo == hi:
-            b.append(lo - shift)
-        elif lo == -INF:
-            s = add_col(f"_sl_{row.name}", "slack", 0.0)
-            entries.append((i, s, 1.0))
-            b.append(hi - shift)
-        elif hi == INF:
-            s = add_col(f"_su_{row.name}", "surplus", 0.0)
-            entries.append((i, s, -1.0))
-            b.append(lo - shift)
-        else:
-            # ranged row: slack with finite upper bound hi - lo
-            s = add_col(f"_sl_{row.name}", "slack", 0.0)
-            entries.append((i, s, 1.0))
-            b.append(hi - shift)
-            upper_rows.append((s, hi - lo))
-            log.append(f"ranged row {row.name}: bounded slack added")
+    # rows: = keeps its rhs, <= gains a slack, >= a surplus, and a ranged
+    # row a slack bounded by the range width
+    lo, hi = _row_intervals(lp.rows)
+    eq = lo == hi
+    surplus = ~eq & (lo != -INF) & (hi == INF)
+    ranged = ~eq & (lo != -INF) & (hi != INF)
+    b_rows = np.where(eq | surplus, lo, hi) - row_shifts
+    slack_rows = np.flatnonzero(~eq)
+    m0, n_slack = lp.n_rows, len(slack_rows)
+    for i, is_surplus in zip(slack_rows.tolist(),
+                             surplus[slack_rows].tolist()):
+        name = lp.rows[i].name
+        names.append(f"_su_{name}" if is_surplus else f"_sl_{name}")
+        provenance.append("surplus" if is_surplus else "slack")
+    for i in np.flatnonzero(ranged).tolist():
+        log.append(f"ranged row {lp.rows[i].name}: bounded slack added")
 
-    m0 = len(lp.rows)
-    for k, (jcol, width) in enumerate(upper_rows):
-        t = add_col(f"_bs_{names[jcol]}", "bound_slack", 0.0)
-        entries.append((m0 + k, jcol, 1.0))
-        entries.append((m0 + k, t, 1.0))
-        b.append(width)
+    # one bound row per finite width, bounded columns first, then ranged
+    # slacks: its column and its own bound slack, both with coefficient 1
+    bound_cols = np.concatenate(
+        [first[bounded], n_struct + np.flatnonzero(ranged[slack_rows])])
+    widths = np.concatenate([(upper - lower)[bounded], (hi - lo)[ranged]])
+    n_bound = len(bound_cols)
+    m, n = m0 + n_bound, n_struct + n_slack + n_bound
+    names += [f"_bs_{names[jcol]}" for jcol in bound_cols.tolist()]
+    provenance += ["bound_slack"] * n_bound
 
-    m, n = m0 + len(upper_rows), len(names)
-    structural.resize(m, n)
+    # A: the structural entries, one slack entry per inequality row, and
+    # per bound row its column and its bound slack
+    st = structural.tocoo()
+    entries = np.column_stack((
+        np.concatenate([st.row, slack_rows,
+                        np.repeat(m0 + np.arange(n_bound), 2)]),
+        np.concatenate([st.col, n_struct + np.arange(n_slack), np.column_stack(
+            (bound_cols, n - n_bound + np.arange(n_bound))).ravel()]),
+        np.concatenate([st.data, np.where(surplus[slack_rows], -1.0, 1.0),
+                        np.ones(2 * n_bound)])))
     return StandardLP(
-        A=SparseMatrix(structural +
-                       SparseMatrix.from_entries(m, n, entries).tocsr()),
-        b=np.asarray(b, dtype=float),
-        c=np.asarray(cost, dtype=float),
+        A=SparseMatrix.from_entries(m, n, entries),
+        b=np.concatenate([b_rows, widths]),
+        c=np.concatenate([cost, np.zeros(n_slack + n_bound)]),
         column_provenance=provenance,
         column_names=names,
         name=lp.name,

@@ -6,6 +6,9 @@ dense NumPy/LAPACK products and inverses only.
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -16,6 +19,16 @@ from qipm_bounds.newton import NewtonOperator
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def load_gen_corpus():
+    """tools/gen_corpus.py as a module, loaded by path; its main() writes
+    the bundled corpus and is never called from the tests."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "gen_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_corpus", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def random_full_rank(rng, m: int, n: int, density: float = 0.4) -> np.ndarray:

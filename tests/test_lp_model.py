@@ -1,12 +1,12 @@
 """MPS parser/writer and sparse matrix behavior."""
 
-import importlib.util
 import inspect
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
 
+from conftest import load_gen_corpus
 from qipm_bounds.corpus import corpus_files
 from qipm_bounds.lp_model import (INF, MpsParseError, SparseMatrix, emit_mps,
                                   parse_mps)
@@ -57,6 +57,7 @@ class TestSparseMatrix:
             dense[i, j] += v  # small integers: every order sums exactly
         m = SparseMatrix.from_entries(6, 9, iter(entries))
         assert np.array_equal(m.to_dense(), dense)
+        assert SparseMatrix.from_entries(6, 9, np.array(entries)) == m
         assert m.nnz == np.count_nonzero(dense)
         empty = SparseMatrix.from_entries(2, 3, [])
         assert (empty.shape, empty.nnz) == ((2, 3), 0)
@@ -292,6 +293,38 @@ ENDATA
         assert lp.columns[0].name == "COL A"
         assert lp.coefficients.to_dense()[0, 0] == 2.0
 
+    def test_entries_on_ignored_free_rows_are_dropped(self):
+        # the extra N row AUX is ignored; its COLUMNS, RHS and RANGES
+        # entries go with it, set name given or omitted, and the one
+        # warning per free row says so
+        text = """NAME FREE
+ROWS
+ N  COST
+ N  AUX
+ L  R1
+COLUMNS
+    X  COST  1  AUX  5
+    X  R1  1
+RHS
+    RHS  AUX  3
+    RHS  R1  4
+RANGES
+    RNG  AUX  2
+BOUNDS
+ UP BND  X  9
+ENDATA
+"""
+        expected = ["extra free row 'AUX' ignored (first N row 'COST' is the "
+                    "objective)"]
+        for body in (text, text.replace("    RHS  AUX  3", "    AUX  3")):
+            lp = parse_mps(body)
+            assert [(r.name, r.sense, r.rhs, r.range) for r in lp.rows] == \
+                [("R1", "<=", 4.0, None)]
+            assert lp.coefficients.to_dense().tolist() == [[1.0]]
+            assert lp.objective.tolist() == [1.0]
+            assert lp.objective_constant == 0.0
+            assert lp.warnings == expected
+
     def test_windows_line_endings(self):
         lp = parse_mps(MINIMAL.replace("\n", "\r\n"))
         assert lp.rows[0].rhs == 4.0
@@ -299,6 +332,96 @@ ENDATA
     def test_parser_determinism(self, tiny_min_text):
         a, b = parse_mps(tiny_min_text), parse_mps(tiny_min_text)
         assert _lp_signature(a) == _lp_signature(b)
+
+
+_HEAD = "NAME T\nROWS\n N  obj\n L  c1\n"
+_COLS = "COLUMNS\n    x  obj  1  c1  1\n"
+_FIXED_HEAD = "NAME          FIXED\nROWS\n N  THE OBJ\n L  ROW ONE\nCOLUMNS\n"
+_FIXED_COL = "    " + "COL A".ljust(10) + "ROW ONE".ljust(10) + "2.0\n"
+
+
+# every MpsParseError raise site, with its exact message and line number
+_ERROR_CASES = [
+    ("NAME T\nROWZ\nENDATA\n", 2, "unknown section 'ROWZ'"),
+    (_HEAD + _COLS + "ROWS\nENDATA\n", 7,
+     "section ROWS out of order after COLUMNS"),
+    ("NAME T\nCOLUMNS\nENDATA\n", 2, "section COLUMNS before ROWS"),
+    ("COLUMNS\nENDATA\n", 1, "section COLUMNS before ROWS"),
+    (_HEAD + "RHS\nENDATA\n", 5, "section RHS before COLUMNS"),
+    ("NAME T\nROWS\n N  obj\n L\nENDATA\n", 4,
+     "ROWS entry needs sense and name"),
+    (_HEAD + " G  c1\nENDATA\n", 5, "duplicate row 'c1'"),
+    (_HEAD + " L  obj\nENDATA\n", 5, "duplicate row 'obj'"),
+    (_HEAD + " Q  c2\nENDATA\n", 5, "unknown row sense 'Q'"),
+    (_HEAD + _COLS + "    y  c1  1\n    x  c1  2\nENDATA\n", 8,
+     "duplicate column 'x'"),
+    (_HEAD + "COLUMNS\n    x  obj  1  c1\nENDATA\n", 6,
+     "COLUMNS entry has unpaired row/value"),
+    (_HEAD + "COLUMNS\n    x  obj  1  c1  1x\nENDATA\n", 6,
+     "cannot parse number '1x'"),
+    (_HEAD + "COLUMNS\n    x  obj  1  zz  1\nENDATA\n", 6,
+     "coefficient references undeclared row 'zz'"),
+    (_HEAD + _COLS + "RHS\n    RHS  c1  four\nENDATA\n", 8,
+     "cannot parse number 'four'"),
+    (_HEAD + _COLS + "RHS\n    RHS  zz  4\nENDATA\n", 8,
+     "RHS references undeclared row 'zz'"),
+    (_HEAD + _COLS + "RANGES\n    RNG  zz  4\nENDATA\n", 8,
+     "RANGES references undeclared row 'zz'"),
+    (_HEAD + _COLS + "RANGES\n    RNG  obj  4\nENDATA\n", 8,
+     "RANGES entry on objective row"),
+    (_HEAD + _COLS + "RHS\n    RHS  c1  4  obj\nENDATA\n", 8,
+     "entry has unpaired row/value fields"),
+    (_HEAD + _COLS + "RANGES\n    zz  4\nENDATA\n", 8,
+     "entry has unpaired row/value fields"),
+    (_HEAD + _COLS + "BOUNDS\n UP BND  x  1  2\nENDATA\n", 8,
+     "malformed UP bound"),
+    (_HEAD + _COLS + "BOUNDS\n LO  zz  1\nENDATA\n", 8,
+     "malformed LO bound"),
+    (_HEAD + _COLS + "BOUNDS\n UP BND  x  big\nENDATA\n", 8,
+     "cannot parse number 'big'"),
+    (_HEAD + _COLS + "BOUNDS\n FR BND  zz\nENDATA\n", 8,
+     "FR bound references unknown column"),
+    (_HEAD + _COLS + "BOUNDS\n XX BND  x  1\nENDATA\n", 8,
+     "unknown bound code 'XX'"),
+    (_HEAD + _COLS + "BOUNDS\n UP BND  zz  1\nENDATA\n", 8,
+     "bound references undeclared column 'zz'"),
+    ("    x  1\nENDATA\n", 1, "data before any section header"),
+    ("NAME T\n    x  1\nENDATA\n", 2, "data before any section header"),
+    ("NAME T\nOBJSENSE MAX\n    MIN\nENDATA\n", 3,
+     "data before any section header"),
+    (_HEAD + _COLS, None, "missing ENDATA; file ends inside section COLUMNS"),
+    ("", None, "missing ENDATA; file ends inside section HEADER"),
+    ("NAME T\nROWS\n L  c1\nCOLUMNS\n    x  c1  1\nENDATA\n", None,
+     "no objective (N) row declared"),
+    ("NAME T\nOBJSENSE\n    SIDEWAYS\nROWS\n N  obj\nENDATA\n", None,
+     "unsupported OBJSENSE 'sid'"),
+    # fixed format: names with blanks
+    (_FIXED_HEAD.replace("COLUMNS\n", " G  ROW ONE\nCOLUMNS\n")
+     + "ENDATA\n", 5, "duplicate row 'ROW ONE'"),
+    (_FIXED_HEAD + "    " + "COL A".ljust(10) + "THE OBJ".ljust(10)
+     + "1.0".ljust(15) + "ROW TWO".ljust(10) + "2.0\nENDATA\n", 6,
+     "coefficient references undeclared row 'ROW TWO'"),
+    (_FIXED_HEAD + _FIXED_COL.replace("2.0", "2,0") + "ENDATA\n", 6,
+     "cannot parse number '2,0'"),
+    (_FIXED_HEAD + _FIXED_COL + "RHS\n    " + "RHS".ljust(10)
+     + "ROW 1".ljust(10) + "4.0\nENDATA\n", 8,
+     "RHS references undeclared row 'ROW 1'"),
+    (_FIXED_HEAD + _FIXED_COL + "BOUNDS\n UP " + "BND".ljust(10)
+     + "COL B".ljust(10) + "4.0\nENDATA\n", 8,
+     "bound references undeclared column 'COL B'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,line_no,message", _ERROR_CASES,
+    ids=[f"{k}-{re.sub(r'[^A-Za-z]+', '_', msg)[:40]}"
+         for k, (_, _, msg) in enumerate(_ERROR_CASES)])
+def test_parse_error_contract(text, line_no, message):
+    with pytest.raises(MpsParseError) as exc:
+        parse_mps(text)
+    assert exc.value.line_no == line_no
+    prefix = "" if line_no is None else f"line {line_no}: "
+    assert str(exc.value) == prefix + message
 
 
 def _lp_signature(lp):
@@ -345,12 +468,8 @@ ENDATA
 
     def test_corpus_matches_its_generator(self):
         # every bundled file is the output of the generator function named
-        # after it; main() is never called, since it writes the corpus
-        path = Path(__file__).resolve().parent.parent / "tools" / \
-            "gen_corpus.py"
-        spec = importlib.util.spec_from_file_location("gen_corpus", path)
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
+        # after it
+        gen = load_gen_corpus()
         generators = {name for name, fn in inspect.getmembers(
             gen, inspect.isfunction) if fn.__module__ == "gen_corpus"
             and not name.startswith("_") and name != "main"}

@@ -8,7 +8,8 @@ import mpmath as mp
 import pytest
 
 from qipm_bounds.qcost import (ceil_log_term, chebyshev_bracket, duration_grid,
-                               hermitian_dilation_params, qlsa_query_count,
+                               exact_grid, hermitian_dilation_params,
+                               qlsa_query_count,
                                runtime_lower_bound, to_fraction,
                                total_quantum_cycles)
 
@@ -183,6 +184,14 @@ class TestRuntime:
         assert grid == sorted(grid)
         assert grid[0] == pytest.approx(1e-15)
         assert grid[-1] == pytest.approx(1e-3)
+
+    def test_exact_grid_converts_each_grid_once(self):
+        grid = duration_grid()
+        exact = exact_grid(tuple(grid))
+        assert exact == tuple(to_fraction(t) for t in grid)
+        assert exact_grid(tuple(duration_grid())) is exact  # equal values
+        assert exact_grid((0.1, 8e-10)) == (Fraction(1, 10),
+                                            Fraction(8, 10 ** 10))
 
     @pytest.mark.parametrize("d_min, d_max", [
         (float("nan"), 1e-3), (1e-15, float("nan")), (1e-15, float("inf")),

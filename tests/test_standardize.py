@@ -8,9 +8,9 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from conftest import rng_for
+from conftest import load_gen_corpus, rng_for
 from qipm_bounds.lp_model import (INF, ColumnDef, GeneralLP, RowDef,
-                                  SparseMatrix, parse_mps)
+                                  SparseMatrix, emit_mps, parse_mps)
 from qipm_bounds.newton import select_basis
 from qipm_bounds.standardize import (RANK_TOL, InfeasibleProblem,
                                      UnboundedProblem, ensure_full_row_rank,
@@ -99,6 +99,52 @@ class TestPresolve:
         assert any("merge duplicate" in e for e in out.transform_log)
         # tightest interval wins: both describe x + y <= 3
         assert out.rows[0].interval() == (-INF, 3.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_merges_match_a_pairwise_reference(self, seed):
+        # few patterns, scaled by powers of two (exact ratios) of either
+        # sign, plus rows that share a pattern with other values
+        rng = rng_for(300 + seed)
+        base = rng.integers(-2, 3, size=(3, 5)).astype(float)
+        base[:, 0] = 1.0
+        vecs = []
+        for _ in range(14):
+            row = base[int(rng.integers(3))]
+            vec = row * rng.choice([1.0, 2.0, 0.5, -1.0])
+            if rng.random() < 0.2:
+                vec = vec.copy()
+                vec[0] += 1.0  # same pattern, another direction
+            vecs.append(vec)
+        rows = [(f"r{i}", "<=", 10.0) for i in range(len(vecs))]
+        coeffs = [(i, j, v) for i, vec in enumerate(vecs)
+                  for j, v in enumerate(vec) if v != 0.0]
+        out = presolve(make_lp(rows, [(f"x{j}", 0.0, INF) for j in range(5)],
+                               coeffs, np.ones(5)))
+        expected_log, kept = [], []
+        for i, vec in enumerate(vecs):
+            k = next((k for k in kept if any(
+                np.array_equal(vec, alpha * vecs[k])
+                for alpha in (0.25, 0.5, 1.0, 2.0, 4.0))), None)
+            if k is None:
+                kept.append(i)
+            else:
+                expected_log.append(f"merge duplicate row r{i} into r{k}")
+        assert [r.name for r in out.rows] == [f"r{i}" for i in kept]
+        assert out.transform_log == expected_log
+
+    def test_merge_crossing_inside_tolerance_yields_equality(self):
+        # x + y >= 1 and x + y <= 1 - 5e-14 cross by less than the merge
+        # tolerance: the merged row is an equality between the two ends,
+        # never an inverted interval
+        lp = make_lp([("R1", ">=", 1.0), ("R2", "<=", 2.0 - 1e-13)],
+                     [("x", 0.0, INF), ("y", 0.0, INF)],
+                     [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0), (1, 1, 2.0)],
+                     [1.0, 1.0])
+        out = presolve(lp)
+        assert [(r.name, r.sense, r.range) for r in out.rows] == \
+            [("R1", "=", None)]
+        lo, hi = out.rows[0].interval()
+        assert lo == hi and (2.0 - 1e-13) / 2.0 <= lo <= 1.0
 
     def test_fixed_variable_substituted(self):
         lp = make_lp([("r0", "<=", 5.0)],
@@ -414,6 +460,54 @@ RANDOM_DIGEST = \
     "8e1a3ec4b3f7ccac7006762dd38887dae4b06ff646935bf3678a2e66a5c88b55"
 
 
+def general_lp_digest(texts) -> str:
+    """SHA-256 over every field of parse_mps(text) and of its presolve."""
+    h = hashlib.sha256()
+    for text in texts:
+        lp = parse_mps(text)
+        for out in (lp, presolve(lp)):
+            a = out.coefficients.tocsr()
+            for arr in (a.indptr.astype(np.int64), a.indices.astype(np.int64),
+                        a.data, out.objective):
+                h.update(np.ascontiguousarray(arr).tobytes())
+                h.update(b"|")
+            h.update(repr((
+                a.shape, out.name, out.objective_sense, out.objective_name,
+                [(r.name, r.sense, r.rhs, r.range) for r in out.rows],
+                [(c.name, c.lower, c.upper) for c in out.columns],
+                out.objective_constant, out.warnings,
+                out.transform_log)).encode())
+    return h.hexdigest()
+
+
+def generated_texts() -> list[str]:
+    """Bench-sized instances from tools/gen_corpus.py."""
+    gen = load_gen_corpus()
+    return [gen.flow_grid(12, 12), gen.flow_grid(20, 20),
+            gen.slack_ladder(600, 800), gen.slack_ladder(1200, 1600)]
+
+
+def corpus_texts() -> list[str]:
+    from qipm_bounds.corpus import corpus_files
+    return [p.read_text() for p in corpus_files()]
+
+
+def random_texts() -> list[str]:
+    return [emit_mps(random_general_lp(seed)) for seed in range(200)]
+
+
+# recorded before the reader, presolve and to_standard_form moved onto flat
+# arrays
+GENERATED_DIGEST = \
+    "89527f880393f617d989d57389e680e8e56a4b9ca062f4adf701836404871266"
+PARSED_CORPUS_DIGEST = \
+    "77d7f161c3b4f0c7365a681db9120cbd4f781579d68f9705f2c2eadef542edcb"
+PARSED_RANDOM_DIGEST = \
+    "b1db5aded87c0b1754702397622eb751b733a133da962315005e18fed30beb6c"
+PARSED_GENERATED_DIGEST = \
+    "75148ac0e4e3349bf772fd1f9f3ba75ac80392c4be820bae3770ff06213a08bb"
+
+
 class TestPinnedStandardForm:
     """The standard form is bit-identical to the one these digests record;
     every quantum bound downstream is computed from it."""
@@ -427,6 +521,26 @@ class TestPinnedStandardForm:
     def test_random_general_lps(self):
         lps = [random_general_lp(seed) for seed in range(200)]
         assert standard_form_digest(lps) == RANDOM_DIGEST
+
+    def test_generated(self):
+        lps = [parse_mps(text) for text in generated_texts()]
+        assert standard_form_digest(lps) == GENERATED_DIGEST
+
+
+class TestPinnedParseAndPresolve:
+    """parse_mps and presolve outputs are bit-identical to the ones these
+    digests record, warnings and transform logs included."""
+
+    def test_corpus(self):
+        texts = corpus_texts()
+        assert len(texts) == 7
+        assert general_lp_digest(texts) == PARSED_CORPUS_DIGEST
+
+    def test_random_general_lps(self):
+        assert general_lp_digest(random_texts()) == PARSED_RANDOM_DIGEST
+
+    def test_generated(self):
+        assert general_lp_digest(generated_texts()) == PARSED_GENERATED_DIGEST
 
 
 class TestPipelineProperties:
