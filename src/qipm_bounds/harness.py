@@ -6,7 +6,11 @@ sparsity and condition-number lower bounds -> query/cycle lower bounds
 (tomography dimension m for the MNES, n for the OSS) -> classical solve ->
 exclusion flags over a cycle-duration grid, all read, like the curves and
 the report's `threshold_duration`, from one exact threshold per formulation
-(`InstanceRecord.exclusion_threshold`). `analyze_instance` holds the one
+(`InstanceRecord.exclusion_threshold`). Everything from the basis through
+the cycle counts is a function of the standard-form A and the config alone:
+the spectral seed derives from the suite seed and a digest of A's content,
+so `run_suite` analyzes each distinct matrix once and its other instances
+share those results exactly. `analyze_instance` holds the one
 per-instance guard: a failure in any stage sets the record's status to
 "error" and keeps what the earlier stages filled in, so `analyze` and
 `suite` record the same fault the same way. Inside it, each formulation has
@@ -15,6 +19,7 @@ its own guard, so one formulation's failure leaves the other's result.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import json
@@ -27,6 +32,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import ClassVar
+
+import numpy as np
 
 from . import qcost
 from .classical import (SolveOutcome, command_argv, solve_external,
@@ -96,10 +103,16 @@ class AnalysisConfig:
         ).hexdigest()[:16]
 
 
-def instance_seed(suite_seed: int, family: str, name: str) -> int:
-    """Deterministic per-instance seed derived from the suite seed."""
-    digest = hashlib.sha256(f"{suite_seed}:{family}/{name}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+def _matrix_digest(A) -> bytes:
+    """SHA-256 of A's shape and canonical CSR indptr, indices and data as
+    fixed-width little-endian bytes: equal matrices give equal digests in
+    any process, whatever their index dtypes."""
+    csr = A.tocsr()
+    h = hashlib.sha256(np.asarray(csr.shape, dtype="<i8").tobytes())
+    for arr, dtype in ((csr.indptr, "<i8"), (csr.indices, "<i8"),
+                       (csr.data, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.digest()
 
 
 @dataclass
@@ -133,6 +146,8 @@ class InstanceRecord:
     error: str | None = None
     m: int = 0
     n: int = 0
+    # the spectral seed the estimates used, from cfg.seed and a digest of
+    # the standard-form A; 0 without a standard form
     seed: int = 0
     config_hash: str = ""
     timestamp: str = ""
@@ -216,13 +231,16 @@ def _analyze_formulation(formulation: str, std, basis, it, beta_mu,
 
 
 def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
-                     family: str = "misc") -> InstanceRecord:
-    """Run the full pipeline on one MPS file; failures become record fields."""
+                     family: str = "misc", *,
+                     _memo: dict | None = None) -> InstanceRecord:
+    """Run the full pipeline on one MPS file; failures become record fields.
+
+    `_memo` is run_suite's per-call map from a matrix digest to the first
+    such instance's formulation results; a hit copies them."""
     cfg = config or AnalysisConfig()
     path = Path(path)
     record = InstanceRecord(
         name=path.stem, family=family, path=str(path),
-        seed=instance_seed(cfg.seed, family, path.stem),
         config_hash=cfg.config_hash(),
         timestamp=datetime.now(timezone.utc).isoformat(),
         hardware=f"{platform.platform()} / {platform.processor() or 'unknown'}")
@@ -247,7 +265,11 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         stages["standardize"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        basis = select_basis(std.A)
+        digest = _matrix_digest(std.A)
+        record.seed = int.from_bytes(hashlib.sha256(
+            f"{cfg.seed}:".encode() + digest).digest()[:8], "big")
+        shared = None if _memo is None else _memo.get(digest)
+        basis = select_basis(std.A) if shared is None else None
         stages["basis"] = time.perf_counter() - t
 
         it = canonical_iterate(std.m, std.n)
@@ -255,8 +277,11 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         for formulation in FORMULATIONS:
             t = time.perf_counter()
             record.formulations[formulation] = _analyze_formulation(
-                formulation, std, basis, it, beta_mu, cfg, record.seed)
+                formulation, std, basis, it, beta_mu, cfg, record.seed) \
+                if shared is None else dataclasses.replace(shared[formulation])
             stages[formulation] = time.perf_counter() - t
+        if _memo is not None and shared is None:
+            _memo[digest] = dict(record.formulations)
 
         t = time.perf_counter()
         if cfg.classical_cmd:
@@ -275,11 +300,14 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
                 record.classical.objective)
         stages["classical"] = time.perf_counter() - t
 
+        # the grid ascends, so the flags t < tau are k Trues, then Falses
         grid = qcost.exact_grid(tuple(cfg.durations()))
         for formulation in FORMULATIONS:
             tau = record.exclusion_threshold(formulation)
             if tau is not None:
-                record.exclusion[formulation] = [t_ < tau for t_ in grid]
+                k = bisect.bisect_left(grid, tau)
+                record.exclusion[formulation] = \
+                    [True] * k + [False] * (len(grid) - k)
     except Exception as exc:  # the one guard: a failure costs one record
         record.status = "error"
         record.error = f"{type(exc).__name__}: {exc}"
@@ -310,8 +338,12 @@ def run_suite(directory: str | Path,
         warnings.append(f"no MPS instances found under {directory}")
 
     # serial, so no classical solve shares the machine with another; the
-    # name is read at call time, so a wrapper patched onto the module applies
-    records = [analyze_instance(str(p), cfg, fam) for p, fam in instances]
+    # name is read at call time, so a wrapper patched onto the module applies.
+    # The config is fixed within the call, so a matrix digest alone keys the
+    # quantum-side results; the memo lives only as long as this call.
+    memo: dict[bytes, dict[str, FormulationResult]] = {}
+    records = [analyze_instance(str(p), cfg, fam, _memo=memo)
+               for p, fam in instances]
 
     durations = cfg.durations()
     curves, counts, excluded = exclusion_curve(records, durations)
@@ -327,6 +359,7 @@ def run_suite(directory: str | Path,
         "suite_seconds": time.perf_counter() - t0,
         "instances": len(records),
         "errored": errored,
+        "distinct_matrices": len(memo),
     }
     return SuiteReport(
         records=records, duration_grid=durations,
@@ -358,9 +391,10 @@ def exclusion_curve(records: list[InstanceRecord],
             taus = [r.exclusion_threshold(formulation) for r in fam_records]
             dropped.update(r.name for r, tau in zip(fam_records, taus)
                            if tau is None)
-            taus = [tau for tau in taus if tau is not None]
-            pair_counts = [[sum(t_ < tau for tau in taus), len(taus)]
-                           for t_ in grid]
+            # the taus above t_ are those after bisect_right in sorted order
+            taus = sorted(tau for tau in taus if tau is not None)
+            pair_counts = [[len(taus) - bisect.bisect_right(taus, t_),
+                            len(taus)] for t_ in grid]
             curves[fam][formulation] = [below / total if total else 0.0
                                         for below, total in pair_counts]
             counts[fam][formulation] = pair_counts

@@ -8,6 +8,7 @@ keeps LP relaxations only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -284,15 +285,19 @@ def _fixed_tokens(line: str) -> list[str]:
     return toks
 
 
-def _detect_fixed_format(lines: list[str]) -> bool:
+def _detect_fixed_format(lines: list[str]) -> tuple[bool, list[list[str]]]:
     """Heuristic dialect detection from the ROWS section.
 
     Free-format ROWS data lines split into exactly two tokens; anything else
-    (names with embedded blanks) forces fixed-column slicing.
+    (names with embedded blanks) forces fixed-column slicing. Returns the
+    flag and the split of every line read, a prefix of `lines`, so that the
+    reader splits none of them again.
     """
     in_rows = False
+    split: list[list[str]] = []
     for raw in lines:
         toks = raw.split()
+        split.append(toks)
         if not toks or toks[0][0] == "*":
             continue
         if raw[0] not in " \t":
@@ -302,8 +307,8 @@ def _detect_fixed_format(lines: list[str]) -> bool:
                 break
             continue
         if in_rows and len(toks) != 2:
-            return True
-    return False
+            return True, split
+    return False, split
 
 
 def _num(tok: str, line_no: int) -> float:
@@ -325,7 +330,9 @@ def parse_mps(text: str) -> GeneralLP:
     entries.
     """
     lines = text.splitlines()
-    fixed = _detect_fixed_format(lines)
+    fixed, head_split = _detect_fixed_format(lines)
+    split = itertools.chain(head_split,
+                            map(str.split, lines[len(head_split):]))
 
     problem_name = ""
     objective_sense = "min"
@@ -351,8 +358,7 @@ def parse_mps(text: str) -> GeneralLP:
     pending_objsense = False
     row_of = row_index.get
 
-    for line_no, line in enumerate(lines, 1):
-        toks = line.split()
+    for line_no, (line, toks) in enumerate(zip(lines, split), 1):
         if not toks or toks[0][0] == "*":
             continue
 

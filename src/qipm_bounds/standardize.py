@@ -39,7 +39,8 @@ class UnboundedProblem(Exception):
 def presolve(lp: GeneralLP) -> GeneralLP:
     """Remove vacuous structure from an LP, keeping it equivalent.
 
-    Empty rows are dropped (or declared infeasible), empty columns are fixed
+    Empty rows are dropped (or declared infeasible, as is any row whose lower
+    end is +inf or whose upper end is -inf), empty columns are fixed
     at their best bound (or declared unbounded), variables with equal bounds
     are substituted out, and rows identical up to positive scaling are merged.
     The returned LP carries a transform log of every action taken. The
@@ -149,8 +150,16 @@ def presolve(lp: GeneralLP) -> GeneralLP:
 
 
 def _row_intervals(rows: list[RowDef]) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) arrays of the rows' interval() ends."""
-    return np.array([r.interval() for r in rows], dtype=float).reshape(-1, 2).T
+    """(lower, upper) arrays of the rows' interval() ends. A row whose lower
+    end is +inf or whose upper end is -inf raises InfeasibleProblem."""
+    lo, hi = np.array([r.interval() for r in rows],
+                      dtype=float).reshape(-1, 2).T
+    bad = (lo == INF) | (hi == -INF)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InfeasibleProblem(
+            f"row {rows[i].name} requires activity in [{lo[i]}, {hi[i]}]")
+    return lo, hi
 
 
 def _column_bounds(columns: list[ColumnDef]) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +225,9 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     with a finite upper bound which, like every two-sided variable bound,
     becomes an extra equality row with its own bound slack. Free variables
     split into positive/negative parts; max objectives are negated. A column
-    with lower > upper raises InfeasibleProblem, and one fixed at an
-    infinite value raises ValueError.
+    with lower > upper, like a row whose lower end is +inf or whose upper
+    end is -inf, raises InfeasibleProblem, and a column fixed at an infinite
+    value raises ValueError.
     """
     lp.validate()
     lower, upper = _column_bounds(lp.columns)

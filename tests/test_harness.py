@@ -1,10 +1,13 @@
 """Pipeline orchestration, curves, reports and the CLI."""
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
 import os
+import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,9 +19,13 @@ from qipm_bounds.classical import SolveOutcome
 from qipm_bounds.corpus import corpus_dir
 from qipm_bounds.harness import (AnalysisConfig, FormulationResult,
                                  InstanceRecord, analyze_instance,
-                                 exclusion_curve, instance_seed, run_suite)
-from qipm_bounds.report import (difficulty_svg, emit_report, exclusion_svg,
-                                records_csv, report_from_json, report_json)
+                                 exclusion_curve, run_suite)
+from qipm_bounds.lp_model import parse_mps
+from qipm_bounds.qcost import to_fraction
+from qipm_bounds.report import (TIMING_COLUMNS, difficulty_svg, emit_report,
+                                exclusion_svg, records_csv, report_from_json,
+                                report_json)
+from qipm_bounds.standardize import standardize
 
 FAST = AnalysisConfig(sigma_min_timeout=10.0, sigma_min_samples=500)
 
@@ -224,8 +231,15 @@ class TestAnalyzeInstance:
                     fa.sigma_min_ub, fa.query_count, fa.total_cycles) == \
                    (fb.sparsity, fb.kappa_lower, fb.gamma, fb.sigma_max_lb,
                     fb.sigma_min_ub, fb.query_count, fb.total_cycles)
-        assert a.seed == b.seed == instance_seed(FAST.seed, "tiny",
-                                                 "bounds_mix")
+        # the seed derives from the suite seed and the standard-form A
+        csr = standardize(parse_mps(path.read_text())).A.tocsr()
+        matrix = hashlib.sha256(struct.pack("<2q", *csr.shape)
+                                + csr.indptr.astype("<i8").tobytes()
+                                + csr.indices.astype("<i8").tobytes()
+                                + csr.data.astype("<f8").tobytes()).digest()
+        seed = int.from_bytes(hashlib.sha256(
+            f"{FAST.seed}:".encode() + matrix).digest()[:8], "big")
+        assert a.seed == b.seed == seed
         assert a.classical.objective == pytest.approx(b.classical.objective,
                                                       rel=1e-12)
 
@@ -283,6 +297,70 @@ class TestExclusionCurve:
         curves, _, _ = exclusion_curve(recs, grid)
         for series in curves["fam"].values():
             assert all(a >= b for a, b in zip(series, series[1:]))
+
+
+    def test_bisection_matches_the_elementwise_definition(self):
+        # ties, inf (zero cycles, positive wall) and zero (zero cycles, zero
+        # wall) thresholds, duplicate records and unsorted grids
+        rng = random.Random(2024)
+        # the first four are the taus 1.5/4800, 0.75/4800, 1.5/1200, 0.75/1200
+        pool = [0.0003125, 0.00015625, 0.00125, 0.000625, 1e-9, 1e-3, 7.25]
+        seen = set()
+        for trial in range(60):
+            recs = []
+            for k in range(rng.randint(0, 7)):
+                wall = rng.choice([0.0, 1.5, 0.75, 1.0, rng.random()])
+                cycles = [rng.choice([0, 4800, 1200, rng.randint(1, 10 ** 9)])
+                          for _ in range(2)]
+                rec = synthetic_record(f"r{k}", rng.choice("ab"), *cycles,
+                                       wall)
+                if rng.random() < 0.2:
+                    rec.classical.status = "iteration_limit"
+                recs.append(rec)
+                if rng.random() < 0.3:
+                    recs.append(dataclasses.replace(rec, name=f"r{k}'"))
+            grid = [rng.choice(pool) if rng.random() < 0.5
+                    else 10.0 ** rng.uniform(-12, 1) for _ in range(9)]
+            curves, counts, excluded = exclusion_curve(recs, grid)
+            for fam in counts:
+                fam_recs = [r for r in recs if r.family == fam]
+                for f in ("mnes", "oss"):
+                    taus = [r.exclusion_threshold(f) for r in fam_recs]
+                    taus = [tau for tau in taus if tau is not None]
+                    seen.update(tau for tau in taus
+                                if tau in (0, math.inf) or any(
+                                    to_fraction(t) == tau for t in grid))
+                    assert counts[fam][f] == [
+                        [sum(to_fraction(t) < tau for tau in taus),
+                         len(taus)] for t in grid], trial
+        assert {0, math.inf, Fraction(1, 3200), Fraction(1, 1600)} <= seen
+
+    def test_instance_flags_match_the_elementwise_definition(
+            self, monkeypatch):
+        import qipm_bounds.harness as harness
+        import qipm_bounds.qcost as qcost
+
+        rng = random.Random(7)
+        grid = FAST.durations()
+        assert (grid[0], grid[-1]) == (1e-15, 1e-3)
+        # the last three put tau exactly on 1e-15, 8e-10 and 1e-3
+        cases = [(0, 0.0), (0, 1.5), (4800, 0.0), (10 ** 15, 1.0),
+                 (10 ** 10, 8.0), (1000, 1.0),
+                 *((rng.randint(1, 10 ** 12), rng.random())
+                   for _ in range(6))]
+        for cycles, wall in cases:
+            monkeypatch.setattr(qcost, "total_quantum_cycles",
+                                lambda *a, c=cycles: c)
+            monkeypatch.setattr(harness, "solve_internal_ipm",
+                                lambda std, w=wall: SolveOutcome(
+                                    status="optimal", objective=0.0,
+                                    wall_time=w))
+            rec = analyze_instance(corpus_dir() / "tiny" / "bounds_mix.mps",
+                                   FAST, family="tiny")
+            for f in ("mnes", "oss"):
+                tau = rec.exclusion_threshold(f)
+                assert rec.exclusion[f] == [qcost.to_fraction(t) < tau
+                                            for t in grid]
 
 
 class TestThresholdTie:
@@ -367,6 +445,131 @@ class TestRunSuite:
             assert alone.status == rec.status == "ok"
             assert alone.formulations == rec.formulations
         assert len(calls) == 3
+
+
+    @staticmethod
+    def _untimed_csv(report) -> list[dict[str, str]]:
+        import csv as csvmod
+        import io
+        return [{k: v for k, v in row.items() if k not in TIMING_COLUMNS}
+                for row in csvmod.DictReader(io.StringIO(records_csv(report)))]
+
+    @staticmethod
+    def _flow_copies(root: Path) -> None:
+        """One flow grid under three names and families, and a replica
+        that differs from it only in b."""
+        text = generators.flow_grid(8, 8, 1)
+        for rel in ("g.mps", "a/g.mps", "b/h.mps"):
+            (root / rel).parent.mkdir(exist_ok=True)
+            (root / rel).write_text(text)
+        (root / "b" / "replica.mps").write_text(
+            generators.flow_grid(8, 8, 1, 1))
+
+    @pytest.mark.parametrize("where", ["corpus", "flow"])
+    def test_suite_records_equal_standalone_records(self, where, tmp_path):
+        if where == "corpus":
+            root, distinct = corpus_dir(), 7
+        else:
+            root, distinct = tmp_path, 1
+            self._flow_copies(root)
+        report = run_suite(root, FAST)
+        alone = [analyze_instance(r.path, FAST, r.family)
+                 for r in report.records]
+        assert self._untimed_csv(report) == self._untimed_csv(
+            dataclasses.replace(report, records=alone))
+        assert [r.seed for r in report.records] == [r.seed for r in alone]
+        assert report.metadata["distinct_matrices"] == distinct
+        assert report.metadata["instances"] == (7 if where == "corpus"
+                                                else 4)
+
+    def test_one_analysis_per_matrix(self, tmp_path, monkeypatch):
+        import qipm_bounds.harness as harness
+        calls = []
+
+        def counting(name):
+            fn = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(harness, name, wrapper)
+
+        for name in ("select_basis", "build_fbar", "build_oss",
+                     "kappa_lower_mnes", "kappa_lower_oss", "standardize"):
+            counting(name)
+        self._flow_copies(tmp_path)
+        records = run_suite(tmp_path, FAST).records
+        assert sorted(calls) == sorted(
+            ["select_basis", "build_fbar", "build_oss", "kappa_lower_mnes",
+             "kappa_lower_oss"] + ["standardize"] * 4)
+        for rec in records:
+            assert rec.status == "ok"
+            assert list(rec.stage_seconds) == [
+                "parse", "standardize", "basis", "mnes", "oss", "classical"]
+        first, *rest = records
+        for rec in rest:  # equal copies, never the first record's objects
+            for f, result in first.formulations.items():
+                assert rec.formulations[f] == result
+                assert rec.formulations[f] is not result
+
+    def test_memo_does_not_outlive_the_call(self, tmp_path, monkeypatch):
+        import qipm_bounds.harness as harness
+        self._flow_copies(tmp_path)
+        before = run_suite(tmp_path, FAST).records
+        assert all(r.formulations["oss"].ok for r in before)
+
+        def fault(*args, **kwargs):
+            raise RuntimeError("patched between suites")
+
+        monkeypatch.setattr(harness, "kappa_lower_oss", fault)
+        after = run_suite(tmp_path, FAST).records
+        for rec in after:
+            assert rec.formulations["oss"].failure == \
+                "RuntimeError: patched between suites"
+            assert rec.formulations["mnes"] == before[0].formulations["mnes"]
+
+    def test_quantum_side_exception_is_not_memoized(self, tmp_path,
+                                                    monkeypatch):
+        import qipm_bounds.harness as harness
+        self._flow_copies(tmp_path)
+        select_basis, calls = harness.select_basis, []
+
+        def fails_once(A):
+            calls.append(A.shape)
+            if len(calls) == 1:
+                raise RuntimeError("first basis fails")
+            return select_basis(A)
+
+        monkeypatch.setattr(harness, "select_basis", fails_once)
+        report = run_suite(tmp_path, FAST)
+        first, *rest = report.records
+        assert first.error == "RuntimeError: first basis fails"
+        assert len(calls) == 2
+        assert all(r.status == "ok" for r in rest)
+        assert report.metadata["distinct_matrices"] == 1
+
+    def test_same_matrix_same_seed_and_kappa_bits(self, tmp_path):
+        text = generators.flow_grid(8, 8, 1)
+        (tmp_path / "one.mps").write_text(text)
+        (tmp_path / "two.mps").write_text(text)
+        a = analyze_instance(tmp_path / "one.mps", FAST, "fam_a")
+        b = analyze_instance(tmp_path / "two.mps", FAST, "fam_b")
+        assert a.seed == b.seed != 0
+        for f in ("mnes", "oss"):
+            fa, fb = a.formulations[f], b.formulations[f]
+            assert [x.hex() for x in (fa.kappa_lower, fa.sigma_max_lb,
+                                      fa.sigma_min_ub)] == \
+                [x.hex() for x in (fb.kappa_lower, fb.sigma_max_lb,
+                                   fb.sigma_min_ub)]
+        # another suite seed gives another spectral seed
+        other = analyze_instance(tmp_path / "one.mps",
+                                 dataclasses.replace(FAST, seed=1), "fam_a")
+        assert other.seed not in (0, a.seed)
+
+    def test_seed_is_zero_without_a_standard_form(self, tmp_path):
+        (tmp_path / "bad.mps").write_text("THIS IS NOT MPS\n")
+        [rec] = run_suite(tmp_path, FAST).records
+        assert rec.status == "error" and rec.seed == 0
 
 
 @pytest.fixture(scope="module")

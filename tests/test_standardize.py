@@ -146,6 +146,29 @@ class TestPresolve:
         lo, hi = out.rows[0].interval()
         assert lo == hi and (2.0 - 1e-13) / 2.0 <= lo <= 1.0
 
+    # a >= row at rhs +inf, an = row at +inf and a <= row at -inf
+    @pytest.mark.parametrize("sense, rhs", [(">=", INF), ("=", INF),
+                                            ("<=", -INF)])
+    def test_infinite_wrong_side_end_is_infeasible(self, sense, rhs):
+        cols = [("x", 0.0, INF), ("y", 0.0, INF)]
+        alone = make_lp([("R1", sense, rhs)], cols, [(0, 0, 1.0), (0, 1, 1.0)],
+                        [1.0, 1.0])
+        # merged with a positively scaled duplicate, before and after it
+        first = make_lp([("R1", sense, rhs), ("R2", "<=", 4.0)], cols,
+                        [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 2.0), (1, 1, 2.0)],
+                        [1.0, 1.0])
+        second = make_lp([("R2", "<=", 4.0), ("R1", sense, rhs)], cols,
+                         [(0, 0, 2.0), (0, 1, 2.0), (1, 0, 1.0), (1, 1, 1.0)],
+                         [1.0, 1.0])
+        for lp in (alone, first, second):
+            with pytest.raises(InfeasibleProblem, match="row R1 requires"):
+                presolve(lp)
+            with pytest.raises(InfeasibleProblem, match="row R1 requires"):
+                to_standard_form(lp)
+        text = emit_mps(alone)
+        with pytest.raises(InfeasibleProblem, match="row R1 requires"):
+            standardize(parse_mps(text))
+
     def test_fixed_variable_substituted(self):
         lp = make_lp([("r0", "<=", 5.0)],
                      [("x", 2.0, 2.0), ("y", 0.0, INF)],
