@@ -103,6 +103,14 @@ class AnalysisConfig:
         ).hexdigest()[:16]
 
 
+def _hardware() -> str:
+    """System, release and machine, as in platform.platform(). Both that
+    and platform.processor() read the processor field, which on Linux runs
+    `uname -p` as a subprocess; platform.uname() leaves it unread."""
+    u = platform.uname()
+    return f"{u.system}-{u.release}-{u.machine}"
+
+
 def _matrix_digest(A) -> bytes:
     """SHA-256 of A's shape and canonical CSR indptr, indices and data as
     fixed-width little-endian bytes: equal matrices give equal digests in
@@ -243,7 +251,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         name=path.stem, family=family, path=str(path),
         config_hash=cfg.config_hash(),
         timestamp=datetime.now(timezone.utc).isoformat(),
-        hardware=f"{platform.platform()} / {platform.processor() or 'unknown'}")
+        hardware=_hardware())
     stages = record.stage_seconds
 
     t = time.perf_counter()
@@ -353,8 +361,7 @@ def run_suite(directory: str | Path,
                         "from curve denominators")
     metadata = {
         "created": datetime.now(timezone.utc).isoformat(),
-        "hardware": f"{platform.platform()} / "
-                    f"{platform.processor() or 'unknown'}",
+        "hardware": _hardware(),
         "python": platform.python_version(),
         "suite_seconds": time.perf_counter() - t0,
         "instances": len(records),

@@ -151,11 +151,14 @@ class SparseMatrix:
 @dataclass
 class RowDef:
     """One constraint row: sense is '<=', '>=' or '='; range follows the
-    MPS RANGES convention and widens the row to a two-sided interval."""
+    MPS RANGES convention and widens the row to a two-sided interval.
+    `lower`, set only by from_interval, is the exact lower end of a
+    two-sided row, which rhs - range need not reproduce."""
     name: str
     sense: str
     rhs: float = 0.0
     range: float | None = None
+    lower: float | None = None
 
     def interval(self) -> tuple[float, float]:
         """Effective (lower, upper) interval of the row activity."""
@@ -175,20 +178,21 @@ class RowDef:
                     hi = self.rhs + r
                 else:
                     lo = self.rhs + r
-        return lo, hi
+        return (lo if self.lower is None else self.lower), hi
 
     @classmethod
     def from_interval(cls, name: str, lo: float, hi: float) -> "RowDef":
-        """Row whose activity interval is [lo, hi]. A two-sided interval
-        becomes a ranged '<=' row, whose interval() lower end hi - (hi - lo)
-        can differ from lo by the rounding of the subtraction."""
+        """Row whose activity interval is exactly [lo, hi]. A two-sided
+        interval becomes a ranged '<=' row that keeps lo as its `lower`,
+        because hi - (hi - lo) can differ from lo by the rounding of the
+        subtraction; emit_mps writes it with its range hi - lo."""
         if lo == hi:
             return cls(name, "=", lo)
         if lo == -INF:
             return cls(name, "<=", hi)
         if hi == INF:
             return cls(name, ">=", lo)
-        return cls(name, "<=", hi, range=hi - lo)
+        return cls(name, "<=", hi, range=hi - lo, lower=lo)
 
 
 @dataclass

@@ -12,6 +12,7 @@ of each system back to full Newton updates (dx, dy, ds).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,9 +141,11 @@ class NewtonOperator:
 
     apply/apply_transpose accept a vector of matching dimension or a 2-D
     array of stacked column vectors. kind is one of "nes", "mnes", "oss",
-    "fbar", "nullspace". inverse_gram, set only when shape[0] <= shape[1],
-    applies (op op')^-1 to a single vector of length shape[0]; its top
-    eigenvectors u minimize the Rayleigh quotient ||op' u|| / ||u||.
+    "oss_a", "fbar", "nullspace". inverse_gram, set only when
+    shape[0] <= shape[1], applies (op op')^-1 to a single vector of length
+    shape[0]; its top eigenvectors u minimize the Rayleigh quotient
+    ||op' u|| / ||u||. blocks, when set, split the operator into
+    OperatorBlocks whose singular values together are exactly its own.
     """
     shape: tuple[int, int]
     kind: str
@@ -150,6 +153,7 @@ class NewtonOperator:
     _rmatvec: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray | None = None
     inverse_gram: Callable[[np.ndarray], np.ndarray] | None = None
+    blocks: tuple[OperatorBlock, ...] = ()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -168,6 +172,20 @@ class NewtonOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.shape[1]))
+
+
+@dataclass(frozen=True)
+class OperatorBlock:
+    """One column block of an operator whose column blocks are mutually
+    orthogonal, so that the operator's singular values are the union of
+    its blocks'. `op` may hold the block transposed, which keeps its
+    singular values. `floor` is a certified lower bound on the block's
+    smallest singular value, and with `exact` it is that value exactly;
+    `ceiling` is a certified upper bound on its largest."""
+    op: NewtonOperator
+    floor: float
+    exact: bool = False
+    ceiling: float = math.inf
 
 
 def _dmul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -314,6 +332,9 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
     t = M^-1 (-p + A_N D_N^2 q), where P_N scatters onto the nonbasic rows.
     sigma_min_upper iterates on it only to choose the vector at which the
     forward Rayleigh quotient ||O' u|| / ||u|| is taken.
+
+    When x and s are constant vectors, as at canonical_iterate, the
+    operator also carries its two column blocks (see _oss_blocks).
     """
     _check_iterate(std, it)
     A, a_t = std.A.tocsr(), std.A.tocsc().T
@@ -341,9 +362,52 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
         t = solve()(A @ (d2 * z) - vy)
         return s_inv * (a_t @ t - z)
 
+    blocks = ()
+    if n and np.all(it.x == it.x[0]) and np.all(it.s == it.s[0]):
+        blocks = _oss_blocks(std, A, a_t, V, solve, float(it.x[0]),
+                             float(it.s[0]))
     tau = beta_mu - it.x * it.s
     return NewtonOperator((n, n), "oss", matvec, rmatvec, rhs=tau,
-                          inverse_gram=inverse_gram)
+                          inverse_gram=inverse_gram, blocks=blocks)
+
+
+def _oss_blocks(std: StandardLP, A, a_t, V: NewtonOperator, solve, x: float,
+                s: float) -> tuple[OperatorBlock, ...]:
+    """The nonempty column blocks of O = [-xA'  sV] at X = xI, S = sI.
+
+    Block split: O'O = diag(x^2 A A', s^2 V'V) because A V = 0, so
+    sigma(O) = x sigma(A) u s sigma(V).
+    - The A-block is held as x A (m x n). Its inverse Gram
+      (x^2 A A')^-1 = M^-1 / (x s), with M = A D^2 A' = (x / s) A A', takes
+      one solve of the factorization `solve` that O's own inverse uses.
+      A floor: if every row i owns a private column with entry p_i
+      (standardize.private_singletons), then A A' >= diag(p_i^2), the
+      private columns' share of it, so sigma_min(xA') >= x min |p_i|;
+      otherwise the floor is 0. A ceiling: ||A||_2^2 <= ||A||_1 ||A||_inf
+      (Hoelder), so sigma_max(xA') <= x sqrt(||A||_1 ||A||_inf).
+    - The V-block is s V (n x (n - m)). V floor: V'V = I + F'F >= I with
+      F = A_B^-1 A_N, so sigma_min(sV) >= s, with equality when
+      n - m > m, because F'F then has rank at most m < n - m.
+    """
+    m, n = std.m, std.n
+    blocks = []
+    if m:
+        # core_basis's crash gives each covered row its private column
+        covered, _, basic, _ = core_basis(std.A)
+        floor = 0.0
+        if covered.size == m:
+            floor = x * float(np.abs(np.asarray(A[covered, basic[:m]])).min())
+        ceiling = x * math.sqrt(splinalg.norm(A, 1) * splinalg.norm(A, np.inf))
+        a_block = NewtonOperator(
+            (m, n), "oss_a", lambda v: x * (A @ v), lambda u: x * (a_t @ u),
+            inverse_gram=lambda u: solve()(u) / (x * s))
+        blocks.append(OperatorBlock(a_block, floor, ceiling=ceiling))
+    if n > m:
+        v_block = NewtonOperator(
+            (n, n - m), "nullspace", lambda v: s * V.apply(v),
+            lambda w: s * V.apply_transpose(w))
+        blocks.append(OperatorBlock(v_block, s, exact=n - m > m))
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,24 @@ affects soundness. Only a non-positive timeout replaces the iteration by
 the minimum of ||op w|| over seeded random unit vectors. Both directions
 combine into a condition-number estimate that never exceeds the true
 kappa, so the derived difficulty gamma = s * kappa is itself a lower bound.
+
+The OSS operator O = [-X A'  S V] at a constant iterate X = xI, S = sI
+(build_oss attaches its blocks there) is bounded from its two column
+blocks, never by iterating on O itself:
+- block split: O'O = diag(x^2 A A', s^2 V'V) because A V = 0, so
+  sigma(O) = x sigma(A) u s sigma(V);
+- V floor: V'V = I + F'F >= I, so sigma_min(sV) >= s, and it equals s
+  when n - m > m, because F'F then has rank at most m < n - m;
+- A floor: if every row i owns a private column with entry p_i, then
+  A A' >= diag(p_i^2), so sigma_min(xA') >= x min |p_i|; otherwise 0.
+sigma_min then takes the exact s when n - m > m, and runs the A-block and
+then the V-block only where its floor lies below the best value so far;
+see kappa_lower_oss.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -319,12 +333,72 @@ def kappa_lower_mnes(fbar: NewtonOperator, m: int, n: int,
 def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                     seed: int = 0, n_samples: int = DEFAULT_SAMPLES
                     ) -> KappaBound:
-    """kappa(O) = sigma_max / sigma_min estimated directly from below."""
-    smax = sigma_max_lower(oss, seed=seed)
-    smin, method = sigma_min_upper(oss, timeout=timeout, n_samples=n_samples,
-                                   seed=seed, sigma_max_hint=smax)
+    """kappa(O) = sigma_max / sigma_min estimated from below.
+
+    An operator without blocks (a dense test operator, or O at an iterate
+    whose x or s is not constant) is estimated directly. When
+    newton.build_oss attached O's two column blocks, x A (the A-block,
+    held on its m side) and s V (the V-block), three facts compose the
+    bound without any Krylov iteration in n dimensions:
+    - block split: with X = xI and S = sI, O'O = diag(x^2 A A', s^2 V'V)
+      because A V = 0, so sigma(O) = x sigma(A) u s sigma(V);
+    - V floor: V'V = I + F'F >= I, so sigma_min(sV) >= s, with equality
+      when n - m > m, because F'F then has rank at most m < n - m;
+    - A floor: if every row i owns a private column with entry p_i
+      (standardize.private_singletons), then A A' >= diag(p_i^2), so
+      sigma_min(xA') >= x min |p_i|; otherwise the floor is 0.
+    sigma_max is the largest sigma_max_lower value over the blocks, taken
+    highest certified ceiling first; a block whose ceiling (for the
+    A-block x sqrt(||A||_1 ||A||_inf)) the best value already reaches
+    cannot raise it and does not run. sigma_min starts at s, exact and
+    labelled rank_deficiency_exact, when n - m > m, else at infinity.
+    Then the A-block and then the V-block run sigma_min_upper unless their
+    floor is at least the best value so far, which they could not lower;
+    a smaller result replaces the best value and its label. Every value
+    kept bounds sigma_min(O) from above. `timeout` bounds the whole
+    sigma_min stage with one deadline: once a best value exists, a block
+    starts only before the deadline, with the time left.
+    """
+    if oss.blocks:
+        smax, smin, method = _block_extremes(oss.blocks, timeout, seed,
+                                             n_samples)
+    else:
+        smax = sigma_max_lower(oss, seed=seed)
+        smin, method = sigma_min_upper(oss, timeout=timeout,
+                                       n_samples=n_samples, seed=seed,
+                                       sigma_max_hint=smax)
     # O is invertible at a strictly positive iterate; a zero estimate
     # signals numerical breakdown
     kappa = (np.inf if smin == 0.0
              else max(smax * (1.0 - _FP_SHAVE) / smin, 1.0))
     return KappaBound(kappa, smax, smin, method)
+
+
+def _block_extremes(blocks, timeout: float, seed: int, n_samples: int
+                    ) -> tuple[float, float, str]:
+    """(sigma_max_lb, sigma_min_ub, method) of an operator composed of
+    newton.OperatorBlocks, by kappa_lower_oss's rules."""
+    # the blocks with the highest ceilings first, so that a block whose
+    # ceiling the best value already reaches need not run
+    smax = 0.0
+    for block in sorted(blocks, key=lambda b: -b.ceiling):
+        if block.ceiling > smax:
+            smax = max(smax, sigma_max_lower(block.op, seed=seed))
+    smin, method = min(((b.floor, "rank_deficiency_exact")
+                        for b in blocks if b.exact), default=(math.inf, ""))
+    deadline = time.monotonic() + timeout
+    for block in blocks:
+        if block.floor >= smin:
+            continue
+        left = timeout
+        if timeout > 0 and smin < math.inf:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break  # smin already bounds sigma_min from above
+        # the pad scales with the block's own norm, which its ceiling bounds
+        value, label = sigma_min_upper(block.op, timeout=left,
+                                       n_samples=n_samples, seed=seed,
+                                       sigma_max_hint=min(smax, block.ceiling))
+        if value < smin:
+            smin, method = value, label
+    return smax, smin, method

@@ -133,7 +133,7 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     out = GeneralLP(
         name=lp.name, objective_sense=lp.objective_sense,
         objective_name=lp.objective_name,
-        rows=[RowDef(r.name, r.sense, r.rhs, r.range) if same
+        rows=[RowDef(r.name, r.sense, r.rhs, r.range, r.lower) if same
               else RowDef.from_interval(r.name, l, h)
               for r, same, l, h in zip([lp.rows[i] for i in kept.tolist()],
                                        untouched.tolist(), lo[kept].tolist(),

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import platform
 import random
 import struct
 import subprocess
@@ -570,6 +571,24 @@ class TestRunSuite:
         (tmp_path / "bad.mps").write_text("THIS IS NOT MPS\n")
         [rec] = run_suite(tmp_path, FAST).records
         assert rec.status == "error" and rec.seed == 0
+
+    def test_hardware_string_starts_no_process(self, tmp_path, monkeypatch):
+        # platform.processor() runs `uname -p` as a subprocess on Linux, so
+        # neither it nor any other process start may happen while a record
+        # is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no process may start here")
+
+        monkeypatch.setattr(platform, "processor", forbidden)
+        monkeypatch.setattr(subprocess, "Popen", forbidden)
+        (tmp_path / "tiny_min.mps").write_text(
+            (corpus_dir() / "tiny" / "tiny_min.mps").read_text())
+        rec = analyze_instance(tmp_path / "tiny_min.mps", FAST)
+        report = run_suite(tmp_path, FAST)
+        assert rec.status == "ok" and report.records[0].status == "ok"
+        u = platform.uname()
+        assert rec.hardware == report.metadata["hardware"] == \
+            f"{u.system}-{u.release}-{u.machine}"
 
 
 @pytest.fixture(scope="module")

@@ -1,20 +1,33 @@
 """Sparsity rules and one-sided singular value / condition number bounds."""
 
 import dataclasses
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import (dense_fbar, dense_oss, op_from_dense, random_iterate,
                       random_standard_lp, rng_for)
-from qipm_bounds import newton
-from qipm_bounds.lp_model import SparseMatrix
-from qipm_bounds.newton import (build_fbar, build_oss, canonical_iterate,
-                                select_basis)
-from qipm_bounds.spectral import (_FP_PAD, NumericalError, kappa_lower_mnes,
-                                  kappa_lower_oss, sigma_max_lower,
-                                  sigma_min_upper, sparsity_mnes,
-                                  sparsity_oss)
+from qipm_bounds import newton, spectral
+from qipm_bounds.corpus import corpus_files
+from qipm_bounds.lp_model import SparseMatrix, StandardLP, parse_mps
+from qipm_bounds.newton import (OperatorBlock, build_fbar, build_oss,
+                                canonical_iterate, select_basis)
+from qipm_bounds.spectral import (_FP_PAD, _FP_SHAVE, NumericalError,
+                                  kappa_lower_mnes, kappa_lower_oss,
+                                  sigma_max_lower, sigma_min_upper,
+                                  sparsity_mnes, sparsity_oss)
+from qipm_bounds.standardize import standardize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import generators  # noqa: E402
+
+# relative slack a kappa lower bound may show above a dense SVD's kappa,
+# for the SVD's own rounding
+KAPPA_RTOL = 1e-10
 
 
 def oss_pattern_oracle(a: np.ndarray, basic, nonbasic) -> np.ndarray:
@@ -345,3 +358,132 @@ class TestDifficulty:
             kb = kappa_lower_oss(oss, timeout=5.0, n_samples=200, seed=3)
             kappas.add(kb.kappa_lower)
         assert len(kappas) == 1
+
+
+def slack_style_lp(seed: int, m: int, k: int) -> StandardLP:
+    """A = [R | diag(p)]: every row owns a private column with entry p_i."""
+    rng = rng_for(seed)
+    r = rng.normal(size=(m, k)) * (rng.random((m, k)) < 0.5)
+    p = rng.choice([-1.0, 1.0], size=m) * rng.uniform(0.5, 4.0, size=m)
+    a = np.hstack([r, np.diag(p)])
+    return StandardLP(
+        A=SparseMatrix(sparse.csr_matrix(a)), b=a @ np.ones(m + k),
+        c=np.ones(m + k), column_provenance=["original"] * (m + k),
+        column_names=[f"x{j}" for j in range(m + k)], name=f"slack_{seed}")
+
+
+def _canonical_oss(std: StandardLP):
+    basis = select_basis(std.A)
+    it = canonical_iterate(std.m, std.n)
+    dense = dense_oss(std.A.to_dense(), basis.basic, basis.nonbasic, it)
+    return build_oss(std, it, basis, 0.5), dense
+
+
+def _corpus_forms() -> list[StandardLP]:
+    return [standardize(parse_mps(p.read_text())) for p in corpus_files()]
+
+
+class TestComposedOss:
+    """kappa_lower_oss on the column blocks build_oss attaches at a
+    constant iterate: sigma(O) = x sigma(A) u s sigma(V)."""
+
+    def test_one_sided_against_dense_svd_on_every_route(self, monkeypatch):
+        routes = {"oss_a": 0, "nullspace": 0, "exact": 0}
+        real = spectral.sigma_min_upper
+
+        def counted(op, **kwargs):
+            routes[op.kind] += 1
+            return real(op, **kwargs)
+
+        monkeypatch.setattr(spectral, "sigma_min_upper", counted)
+        forms = _corpus_forms()
+        for seed in range(200):
+            rng = rng_for(9000 + seed)
+            m = int(rng.integers(2, 10))
+            if seed % 2:
+                n = int(rng.integers(m, 3 * m + 1))
+                forms.append(random_standard_lp(9000 + seed, m, n))
+            else:
+                forms.append(slack_style_lp(9000 + seed, m,
+                                            int(rng.integers(1, 2 * m + 1))))
+        for seed, std in enumerate(forms):
+            oss, dense = _canonical_oss(std)
+            assert oss.blocks
+            kb = kappa_lower_oss(oss, seed=seed)
+            svals = np.linalg.svd(dense, compute_uv=False)
+            assert kb.kappa_lower <= svals[0] / svals[-1] * (1.0 + KAPPA_RTOL)
+            assert kb.sigma_max_lb <= svals[0] * (1.0 + KAPPA_RTOL)
+            assert kb.sigma_min_ub >= svals[-1] * (1.0 - KAPPA_RTOL)
+            if kb.sigma_min_method == "rank_deficiency_exact":
+                # the V floor s = 1, exact because n - m > m
+                assert kb.sigma_min_ub == 1.0 and std.n - std.m > std.m
+                routes["exact"] += 1
+        assert min(routes.values()) >= 1, routes
+
+    def test_matches_the_operator_path_on_the_corpus(self):
+        for seed, std in enumerate(_corpus_forms()):
+            oss, _ = _canonical_oss(std)
+            composed = kappa_lower_oss(oss, seed=seed)
+            whole = kappa_lower_oss(dataclasses.replace(oss, blocks=()),
+                                    seed=seed)
+            assert composed.kappa_lower == pytest.approx(whole.kappa_lower,
+                                                         rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_general_iterate_keeps_the_direct_estimate(self, seed):
+        rng = rng_for(9500 + seed)
+        std = random_standard_lp(9500 + seed, 4, 9)
+        basis = select_basis(std.A)
+        oss = build_oss(std, random_iterate(rng, 4, 9), basis, 0.5)
+        assert oss.blocks == ()
+        smax = sigma_max_lower(oss, seed=seed)
+        smin, method = sigma_min_upper(oss, timeout=5.0, seed=seed,
+                                       sigma_max_hint=smax)
+        kb = kappa_lower_oss(oss, timeout=5.0, seed=seed)
+        assert (kb.kappa_lower, kb.sigma_max_lb, kb.sigma_min_ub,
+                kb.sigma_min_method) == (
+            max(smax * (1.0 - _FP_SHAVE) / smin, 1.0), smax, smin, method)
+
+    # the survey seed-2 slack_ladder_13 form and the slack seed-3 slack_600
+    # form: the top two singular values of O lie about 1e-6 apart, one in
+    # each block, where one Lanczos on O stopped between them
+    @pytest.mark.parametrize("args", [(13, 17, 2), (600, 800, 3)])
+    def test_near_double_top_singular_value(self, args):
+        std = standardize(parse_mps(generators.slack_ladder(*args)))
+        oss, dense = _canonical_oss(std)
+        top = np.linalg.svd(dense, compute_uv=False)[0]
+        for seed in range(3):
+            kb = kappa_lower_oss(oss, seed=seed)
+            assert kb.sigma_max_lb == pytest.approx(top, rel=1e-9)
+            assert kb.sigma_max_lb <= top * (1.0 + KAPPA_RTOL)
+
+    @pytest.mark.parametrize("timeout, pause, calls",
+                             [(2.0, 0.2, 2), (0.1, 0.2, 1)])
+    def test_both_blocks_share_one_deadline(self, monkeypatch, timeout,
+                                            pause, calls):
+        rng = rng_for(12)
+        blocks = (OperatorBlock(op_from_dense(rng.normal(size=(5, 8))), 0.0),
+                  OperatorBlock(op_from_dense(rng.normal(size=(8, 3))), 0.0))
+        oss = dataclasses.replace(op_from_dense(np.eye(8), kind="oss"),
+                                  blocks=blocks)
+        seen = []
+        real = spectral.sigma_min_upper
+
+        def slow(op, timeout, **kwargs):
+            start = time.monotonic()
+            time.sleep(pause)
+            out = real(op, timeout=timeout, **kwargs)
+            seen.append((timeout, time.monotonic() - start))
+            return out
+
+        monkeypatch.setattr(spectral, "sigma_min_upper", slow)
+        kb = kappa_lower_oss(oss, timeout=timeout)
+        assert len(seen) == calls and seen[0][0] == timeout
+        if calls == 2:
+            # the second block gets what the first left of the deadline
+            (_, first), (left, _) = seen
+            assert 0.0 < left <= timeout - first
+        else:
+            # past the deadline, the first block's value stands
+            assert kb.sigma_min_ub == real(blocks[0].op, timeout=timeout,
+                                           sigma_max_hint=kb.sigma_max_lb)[0]

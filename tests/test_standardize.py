@@ -192,6 +192,54 @@ class TestPresolve:
         assert out.rows[0].interval() == lp.rows[0].interval()
         assert out.rows[0] is not lp.rows[0]
 
+    # hi - (hi - lo) != lo for both; no ranged '<=' or '>=' row gives the
+    # second one exactly
+    @pytest.mark.parametrize("lo, hi", [
+        (-0.7312715117751976, 854.4066356201084),
+        (-174.2520133664412, 202.96914653259458)])
+    def test_rebuilt_ranged_row_keeps_exact_ends(self, lo, hi):
+        assert RowDef.from_interval("r0", lo, hi).interval() == (lo, hi)
+        # shifted by a fixed variable x = 1 with coefficient 0.5
+        row = RowDef.from_interval("r0", lo + 0.5, hi + 0.5)
+        lp = make_lp([("r0", ">=", 0.0)], [("x", 1.0, 1.0), ("y", 0.0, INF)],
+                     [(0, 0, 0.5), (0, 1, 1.0)], [1.0, 1.0])
+        lp.rows = [row]
+        out = presolve(lp)
+        expected = (row.interval()[0] - 0.5, row.interval()[1] - 0.5)
+        assert out.rows[0].interval() == expected
+        std = to_standard_form(out)
+        # the bound row of the ranged slack holds the exact width
+        assert std.b[-1] == expected[1] - expected[0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shifted_and_merged_rows_keep_exact_ends(self, seed):
+        rng = rng_for(3000 + seed)
+        cols = [("x", 0.0, INF), ("y", 0.0, INF), ("f", 1.0, 1.0)]
+        for _ in range(200):
+            if rng.random() < 0.5:
+                lo = float(rng.uniform(-1.0, 1.0))
+                hi = lo + float(10.0 ** rng.uniform(-3.0, 4.0))
+            else:
+                lo = -float(10.0 ** rng.uniform(-3.0, 3.0))
+                hi = float(10.0 ** rng.uniform(-3.0, 3.0))
+            shift = float(rng.uniform(-2.0, 2.0))
+            # shifted: a fixed f = 1 with coefficient `shift`
+            shifted = make_lp([("r", ">=", 0.0)], cols,
+                              [(0, 0, 1.0), (0, 1, 1.0), (0, 2, shift)],
+                              [1.0, 1.0, 0.0])
+            shifted.rows = [RowDef.from_interval("r", lo, hi)]
+            [row] = presolve(shifted).rows
+            assert row.interval() == (lo - shift, hi - shift)
+            # merged: r1 >= lo and 2 * r1 <= 2 * hi, so [lo, hi] after merge
+            merged = make_lp([("r1", ">=", lo), ("r2", "<=", 2.0 * hi)],
+                             cols[:2], [(0, 0, 1.0), (0, 1, 1.0),
+                                        (1, 0, 2.0), (1, 1, 2.0)],
+                             [1.0, 1.0])
+            out = presolve(merged)
+            assert out.rows[0].interval() == (lo, hi)
+            std = to_standard_form(out)
+            assert (std.b[0], std.b[-1]) == (hi, hi - lo)
+
     def test_empty_column_unbounded(self):
         lp = make_lp([("r0", "<=", 1.0)], [("x", 0.0, INF), ("z", 0.0, INF)],
                      [(0, 0, 1.0)], [1.0, -1.0])
