@@ -3,9 +3,12 @@
 sigma_max is estimated from below (Rayleigh quotients cannot exceed it),
 sigma_min from above (the forward Rayleigh quotient at the top Ritz vector of
 a Lanczos iteration on the inverse Gram operator, which one sparse
-factorization of A D^2 A' applies, wherever that iteration stops; or, with a
-zero timeout, the minimum of ||O w|| over random unit vectors). The inverse
-only chooses the vector, so its accuracy never affects the bound. Both
+factorization applies, wherever that iteration stops; or, with a zero
+timeout, the minimum of ||op w|| over random unit vectors). The inverse only
+chooses the vector, so its accuracy never affects the bound. At the all-ones
+iterate the OSS bound is composed from A and the coupling F that MNES bounds:
+the singular values of O are those of A together with sqrt(1 + sigma_i(F)^2),
+and 1 when n - m > m, so no iteration runs on the n x n operator. Both
 directions push the estimated condition number below the true one, so
 gamma = s * kappa is a certified lower bound on the difficulty entering the
 quantum cost formulas.

@@ -141,11 +141,12 @@ class NewtonOperator:
 
     apply/apply_transpose accept a vector of matching dimension or a 2-D
     array of stacked column vectors. kind is one of "nes", "mnes", "oss",
-    "oss_a", "fbar", "nullspace". inverse_gram, set only when
-    shape[0] <= shape[1], applies (op op')^-1 to a single vector of length
-    shape[0]; its top eigenvectors u minimize the Rayleigh quotient
-    ||op' u|| / ||u||. blocks, when set, split the operator into
-    OperatorBlocks whose singular values together are exactly its own.
+    "oss_a", "fbar", "nullspace". inverse_gram, set only by build_fbar
+    (when n - m >= m) and on O's A-block, applies (op op')^-1 to a single
+    vector of length shape[0]; its top eigenvectors u minimize the Rayleigh
+    quotient ||op' u|| / ||u||. floor and ceiling are certified bounds on
+    the smallest and the largest singular value. build_oss sets a_block,
+    fbar and s at a constant iterate (see there).
     """
     shape: tuple[int, int]
     kind: str
@@ -153,7 +154,11 @@ class NewtonOperator:
     _rmatvec: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray | None = None
     inverse_gram: Callable[[np.ndarray], np.ndarray] | None = None
-    blocks: tuple[OperatorBlock, ...] = ()
+    floor: float = 0.0
+    ceiling: float = math.inf
+    a_block: NewtonOperator | None = None
+    fbar: NewtonOperator | None = None
+    s: float = 0.0
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -172,20 +177,6 @@ class NewtonOperator:
 
     def to_dense(self) -> np.ndarray:
         return self.apply(np.eye(self.shape[1]))
-
-
-@dataclass(frozen=True)
-class OperatorBlock:
-    """One column block of an operator whose column blocks are mutually
-    orthogonal, so that the operator's singular values are the union of
-    its blocks'. `op` may hold the block transposed, which keeps its
-    singular values. `floor` is a certified lower bound on the block's
-    smallest singular value, and with `exact` it is that value exactly;
-    `ceiling` is a certified upper bound on its largest."""
-    op: NewtonOperator
-    floor: float
-    exact: bool = False
-    ceiling: float = math.inf
 
 
 def _dmul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -325,24 +316,18 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
     The input vector stacks the dy block (m) over the null-space coefficient
     block (n - m); tau_i = beta_mu - x_i s_i.
 
-    The operator carries the inverse Gram (O O')^-1 = O^-T O^-1, built from
-    one sparse factorization of M = A D^2 A' (factored on first use) and no
-    basis solve: O^-1 r = (vy, -dx_N) with vy = -M^-1 A S^-1 r and
-    dx = S^-1 r + D^2 A' vy, and O^-T (p, q) = S^-1 (A' t - P_N q) with
-    t = M^-1 (-p + A_N D_N^2 q), where P_N scatters onto the nonbasic rows.
-    sigma_min_upper iterates on it only to choose the vector at which the
-    forward Rayleigh quotient ||O' u|| / ||u|| is taken.
-
-    When x and s are constant vectors, as at canonical_iterate, the
-    operator also carries its two column blocks (see _oss_blocks).
+    When x and s are constant vectors, x 1 and s 1 as at canonical_iterate,
+    O'O = diag(x^2 A A', s^2 V'V) because A V = 0, so sigma(O) is
+    x sigma(A) together with s sigma(V), and O carries both parts:
+    - a_block, x A (m x n; see _a_block);
+    - fbar, the coupling F = A_B^-1 A_N (build_fbar at this iterate), and
+      s: V'V = I + F'F, so sigma(sV) is s sqrt(1 + sigma_i(F)^2), plus s
+      itself when n - m > m, because F'F then has rank at most m < n - m.
     """
     _check_iterate(std, it)
     A, a_t = std.A.tocsr(), std.A.tocsc().T
     m, n = std.m, std.n
     V = null_space_matrix(basis, std.A)
-    d2 = it.d2
-    s_inv = 1.0 / it.s
-    solve = functools.cache(lambda: factor_nes(A, d2))
 
     def matvec(w):
         vy, vl = w[:m], w[m:]
@@ -353,61 +338,36 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
         bot = V.apply_transpose(_dmul(it.s, u))
         return np.concatenate([top, bot], axis=0)
 
-    def inverse_gram(r):
-        # (p, q) = O^-1 r with p = vy and P_N q = z, then O^-T (p, q)
-        vy = -solve()(A @ (s_inv * r))
-        dx = s_inv * r + d2 * (a_t @ vy)
-        z = np.zeros(n)
-        z[basis.nonbasic] = -dx[basis.nonbasic]
-        t = solve()(A @ (d2 * z) - vy)
-        return s_inv * (a_t @ t - z)
-
-    blocks = ()
-    if n and np.all(it.x == it.x[0]) and np.all(it.s == it.s[0]):
-        blocks = _oss_blocks(std, A, a_t, V, solve, float(it.x[0]),
-                             float(it.s[0]))
     tau = beta_mu - it.x * it.s
-    return NewtonOperator((n, n), "oss", matvec, rmatvec, rhs=tau,
-                          inverse_gram=inverse_gram, blocks=blocks)
+    oss = NewtonOperator((n, n), "oss", matvec, rmatvec, rhs=tau)
+    if n and np.all(it.x == it.x[0]) and np.all(it.s == it.s[0]):
+        oss.fbar, oss.s = build_fbar(basis, std.A, it), float(it.s[0])
+        if m:
+            oss.a_block = _a_block(A, a_t, basis, it)
+    return oss
 
 
-def _oss_blocks(std: StandardLP, A, a_t, V: NewtonOperator, solve, x: float,
-                s: float) -> tuple[OperatorBlock, ...]:
-    """The nonempty column blocks of O = [-xA'  sV] at X = xI, S = sI.
+def _a_block(A, a_t, basis: BasisSelection, it: Iterate) -> NewtonOperator:
+    """O's A-block x A (m x n) at the constant iterate X = xI, S = sI.
 
-    Block split: O'O = diag(x^2 A A', s^2 V'V) because A V = 0, so
-    sigma(O) = x sigma(A) u s sigma(V).
-    - The A-block is held as x A (m x n). Its inverse Gram
-      (x^2 A A')^-1 = M^-1 / (x s), with M = A D^2 A' = (x / s) A A', takes
-      one solve of the factorization `solve` that O's own inverse uses.
-      A floor: if every row i owns a private column with entry p_i
-      (standardize.private_singletons), then A A' >= diag(p_i^2), the
-      private columns' share of it, so sigma_min(xA') >= x min |p_i|;
-      otherwise the floor is 0. A ceiling: ||A||_2^2 <= ||A||_1 ||A||_inf
-      (Hoelder), so sigma_max(xA') <= x sqrt(||A||_1 ||A||_inf).
-    - The V-block is s V (n x (n - m)). V floor: V'V = I + F'F >= I with
-      F = A_B^-1 A_N, so sigma_min(sV) >= s, with equality when
-      n - m > m, because F'F then has rank at most m < n - m.
+    - Inverse Gram: (x^2 A A')^-1 = M^-1 / (x s) with M = A D^2 A' =
+      (x / s) A A', one solve of M's sparse factorization (factored on
+      first use).
+    - Floor: A A' >= A_B A_B', so sigma_min(xA') >= x sigma_min(A_B). When
+      A_B has m entries it is a scaled permutation, and that is
+      x min |a_b|; otherwise the floor is 0.
+    - Ceiling: ||A||_2^2 <= ||A||_1 ||A||_inf (Hoelder), so
+      sigma_max(xA') <= x sqrt(||A||_1 ||A||_inf).
     """
-    m, n = std.m, std.n
-    blocks = []
-    if m:
-        # core_basis's crash gives each covered row its private column
-        covered, _, basic, _ = core_basis(std.A)
-        floor = 0.0
-        if covered.size == m:
-            floor = x * float(np.abs(np.asarray(A[covered, basic[:m]])).min())
-        ceiling = x * math.sqrt(splinalg.norm(A, 1) * splinalg.norm(A, np.inf))
-        a_block = NewtonOperator(
-            (m, n), "oss_a", lambda v: x * (A @ v), lambda u: x * (a_t @ u),
-            inverse_gram=lambda u: solve()(u) / (x * s))
-        blocks.append(OperatorBlock(a_block, floor, ceiling=ceiling))
-    if n > m:
-        v_block = NewtonOperator(
-            (n, n - m), "nullspace", lambda v: s * V.apply(v),
-            lambda w: s * V.apply_transpose(w))
-        blocks.append(OperatorBlock(v_block, s, exact=n - m > m))
-    return tuple(blocks)
+    x, s = float(it.x[0]), float(it.s[0])
+    solve = functools.cache(lambda: factor_nes(A, it.d2))
+    floor = 0.0
+    if basis.a_b.nnz == basis.m:
+        floor = x * float(np.abs(basis.a_b.tocsr().data).min())
+    return NewtonOperator(
+        A.shape, "oss_a", lambda v: x * (A @ v), lambda u: x * (a_t @ u),
+        inverse_gram=lambda u: solve()(u) / (x * s), floor=floor,
+        ceiling=x * math.sqrt(splinalg.norm(A, 1) * splinalg.norm(A, np.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ never leave the interval [sigma_min, sigma_max]: sigma_max from below at the
 top Ritz vector of a Krylov iteration on the Gram operator, sigma_min from
 above at the vector that a Krylov iteration picks, wherever that iteration
 stops (convergence, iteration cap, breakdown or wall-clock timeout). When
-the operator carries an inverse Gram operator (OSS and F, through one
-sparse A D^2 A' factorization), the vector is the top Ritz vector of that
-inverse; otherwise, or when the factorization fails, it is the smallest
-Ritz vector of the forward Gram operator. Either way the certificate is the
+the operator carries an inverse Gram operator (F, through one sparse
+factorization of A_N D_N^2 A_N', and O's A-block, through one of
+A D^2 A'), the vector is the top Ritz vector of that inverse; otherwise,
+or when the factorization fails, it is the smallest Ritz vector of the
+forward Gram operator. Either way the certificate is the
 forward Rayleigh quotient at that vector, so the inverse's accuracy never
 affects soundness. Only a non-positive timeout replaces the iteration by
 the minimum of ||op w|| over seeded random unit vectors. Both directions
@@ -18,17 +19,18 @@ combine into a condition-number estimate that never exceeds the true
 kappa, so the derived difficulty gamma = s * kappa is itself a lower bound.
 
 The OSS operator O = [-X A'  S V] at a constant iterate X = xI, S = sI
-(build_oss attaches its blocks there) is bounded from its two column
-blocks, never by iterating on O itself:
+(build_oss attaches its parts there) is bounded from the A-block x A and
+the coupling F = A_B^-1 A_N, never by iterating on O itself:
 - block split: O'O = diag(x^2 A A', s^2 V'V) because A V = 0, so
   sigma(O) = x sigma(A) u s sigma(V);
-- V floor: V'V = I + F'F >= I, so sigma_min(sV) >= s, and it equals s
-  when n - m > m, because F'F then has rank at most m < n - m;
-- A floor: if every row i owns a private column with entry p_i, then
-  A A' >= diag(p_i^2), so sigma_min(xA') >= x min |p_i|; otherwise 0.
-sigma_min then takes the exact s when n - m > m, and runs the A-block and
-then the V-block only where its floor lies below the best value so far;
-see kappa_lower_oss.
+- V from F: V'V = I + F'F, so sigma(sV) is s sqrt(1 + sigma_i(F)^2),
+  plus s itself when n - m > m, because F'F then has rank at most m;
+- A floor: A A' >= A_B A_B', so sigma_min(xA') >= x min |a_b| when A_B is
+  a scaled permutation (one entry per row); otherwise the floor is 0.
+sigma_max lifts F's estimate and adds the A-block's only where its
+Hoelder ceiling can win. sigma_min takes the exact s when n - m > m, and
+runs the A-block, and then F when n - m <= m, only where its floor lies
+below the best value so far; see kappa_lower_oss.
 """
 
 from __future__ import annotations
@@ -244,8 +246,9 @@ def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
     Rayleigh quotient of op on its smaller side at the vector v the
     iteration picks, wherever it stops: convergence, max_iters, breakdown
     or the timeout, which ends the iteration early (after at least one
-    step) without discarding it. When op.inverse_gram is set, v is the top
-    Ritz vector of that inverse (op op')^-1, whose lazy factorization runs
+    step) without discarding it. When op.inverse_gram is set (on F when
+    n - m >= m, and on O's A-block), v is the top Ritz vector of that
+    inverse (op op')^-1, whose lazy factorization runs
     under the same timeout, and the quotient is ||op' v|| / ||v||; if the
     factorization or an inverse solve fails, v is instead the smallest Ritz
     vector of the forward Gram operator. Every Rayleigh quotient bounds
@@ -335,33 +338,28 @@ def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                     ) -> KappaBound:
     """kappa(O) = sigma_max / sigma_min estimated from below.
 
-    An operator without blocks (a dense test operator, or O at an iterate
+    An operator without parts (a dense test operator, or O at an iterate
     whose x or s is not constant) is estimated directly. When
-    newton.build_oss attached O's two column blocks, x A (the A-block,
-    held on its m side) and s V (the V-block), three facts compose the
-    bound without any Krylov iteration in n dimensions:
-    - block split: with X = xI and S = sI, O'O = diag(x^2 A A', s^2 V'V)
-      because A V = 0, so sigma(O) = x sigma(A) u s sigma(V);
-    - V floor: V'V = I + F'F >= I, so sigma_min(sV) >= s, with equality
-      when n - m > m, because F'F then has rank at most m < n - m;
-    - A floor: if every row i owns a private column with entry p_i
-      (standardize.private_singletons), then A A' >= diag(p_i^2), so
-      sigma_min(xA') >= x min |p_i|; otherwise the floor is 0.
-    sigma_max is the largest sigma_max_lower value over the blocks, taken
-    highest certified ceiling first; a block whose ceiling (for the
-    A-block x sqrt(||A||_1 ||A||_inf)) the best value already reaches
-    cannot raise it and does not run. sigma_min starts at s, exact and
-    labelled rank_deficiency_exact, when n - m > m, else at infinity.
-    Then the A-block and then the V-block run sigma_min_upper unless their
-    floor is at least the best value so far, which they could not lower;
-    a smaller result replaces the best value and its label. Every value
-    kept bounds sigma_min(O) from above. `timeout` bounds the whole
-    sigma_min stage with one deadline: once a best value exists, a block
-    starts only before the deadline, with the time left.
+    newton.build_oss attached O's parts at X = xI, S = sI, the A-block x A
+    and the coupling F with s, sigma(O) = x sigma(A) u s sigma(V), where
+    sigma(sV) is s sqrt(1 + sigma_i(F)^2), plus s itself when n - m > m,
+    and no Krylov iteration runs in n dimensions:
+    - sigma_max is the larger of s sqrt(1 + sigma_max_lower(F)^2), when
+      n > m, and sigma_max_lower of the A-block, which runs only when its
+      certified ceiling x sqrt(||A||_1 ||A||_inf) exceeds the former.
+    - sigma_min starts at s, exact and labelled rank_deficiency_exact,
+      when n - m > m, else at infinity. Then the A-block runs
+      sigma_min_upper unless its floor (x min |a_b| when A_B is a scaled
+      permutation, else 0) is at least the best value so far, and, when
+      0 < n - m <= m and s is below the best value, so does F, lifted to
+      s sqrt(1 + value^2); a smaller result replaces the best value and
+      its label. Every value kept bounds sigma_min(O) from above.
+    `timeout` bounds the whole sigma_min stage with one deadline: once a
+    best value exists, a part starts only before the deadline, with the
+    time left.
     """
-    if oss.blocks:
-        smax, smin, method = _block_extremes(oss.blocks, timeout, seed,
-                                             n_samples)
+    if oss.fbar is not None:
+        smax, smin, method = _composed_extremes(oss, timeout, seed, n_samples)
     else:
         smax = sigma_max_lower(oss, seed=seed)
         smin, method = sigma_min_upper(oss, timeout=timeout,
@@ -374,31 +372,40 @@ def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
     return KappaBound(kappa, smax, smin, method)
 
 
-def _block_extremes(blocks, timeout: float, seed: int, n_samples: int
-                    ) -> tuple[float, float, str]:
-    """(sigma_max_lb, sigma_min_ub, method) of an operator composed of
-    newton.OperatorBlocks, by kappa_lower_oss's rules."""
-    # the blocks with the highest ceilings first, so that a block whose
-    # ceiling the best value already reaches need not run
-    smax = 0.0
-    for block in sorted(blocks, key=lambda b: -b.ceiling):
-        if block.ceiling > smax:
-            smax = max(smax, sigma_max_lower(block.op, seed=seed))
-    smin, method = min(((b.floor, "rank_deficiency_exact")
-                        for b in blocks if b.exact), default=(math.inf, ""))
+def _composed_extremes(oss: NewtonOperator, timeout: float, seed: int,
+                       n_samples: int) -> tuple[float, float, str]:
+    """(sigma_max_lb, sigma_min_ub, method) of O from its A-block and F,
+    by kappa_lower_oss's rules."""
+    a, f, s = oss.a_block, oss.fbar, oss.s
+    m, k = f.shape  # k = n - m
+    smax = fmax = 0.0
+    if k:
+        fmax = sigma_max_lower(f, seed=seed)
+        smax = s * math.sqrt(1.0 + fmax * fmax)
+    if a is not None and a.ceiling > smax:
+        smax = max(smax, sigma_max_lower(a, seed=seed))
+    smin, method = (s, "rank_deficiency_exact") if k > m else (math.inf, "")
     deadline = time.monotonic() + timeout
-    for block in blocks:
-        if block.floor >= smin:
-            continue
+
+    def upper(op, hint):
         left = timeout
         if timeout > 0 and smin < math.inf:
             left = deadline - time.monotonic()
             if left <= 0:
-                break  # smin already bounds sigma_min from above
+                return None  # smin already bounds sigma_min from above
+        return sigma_min_upper(op, timeout=left, n_samples=n_samples,
+                               seed=seed, sigma_max_hint=hint)
+
+    if a is not None and a.floor < smin:
         # the pad scales with the block's own norm, which its ceiling bounds
-        value, label = sigma_min_upper(block.op, timeout=left,
-                                       n_samples=n_samples, seed=seed,
-                                       sigma_max_hint=min(smax, block.ceiling))
-        if value < smin:
-            smin, method = value, label
+        out = upper(a, min(smax, a.ceiling))
+        if out is not None and out[0] < smin:
+            smin, method = out
+    if 0 < k <= m and s < smin:
+        out = upper(f, fmax)
+        if out is not None:
+            value, label = out
+            value = s * math.sqrt(1.0 + value * value)
+            if value < smin:
+                smin, method = value, label
     return smax, smin, method

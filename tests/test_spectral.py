@@ -1,6 +1,8 @@
 """Sparsity rules and one-sided singular value / condition number bounds."""
 
 import dataclasses
+import importlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -14,8 +16,8 @@ from conftest import (dense_fbar, dense_oss, op_from_dense, random_iterate,
 from qipm_bounds import newton, spectral
 from qipm_bounds.corpus import corpus_files
 from qipm_bounds.lp_model import SparseMatrix, StandardLP, parse_mps
-from qipm_bounds.newton import (OperatorBlock, build_fbar, build_oss,
-                                canonical_iterate, select_basis)
+from qipm_bounds.newton import (Iterate, NewtonOperator, build_fbar,
+                                build_oss, canonical_iterate, select_basis)
 from qipm_bounds.spectral import (_FP_PAD, _FP_SHAVE, NumericalError,
                                   kappa_lower_mnes, kappa_lower_oss,
                                   sigma_max_lower, sigma_min_upper,
@@ -24,6 +26,8 @@ from qipm_bounds.standardize import standardize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import generators  # noqa: E402
+
+standardize_module = importlib.import_module("qipm_bounds.standardize")
 
 # relative slack a kappa lower bound may show above a dense SVD's kappa,
 # for the SVD's own rounding
@@ -181,7 +185,12 @@ class TestSigmaMinUpper:
 
 
 def _newton_case(seed: int, kind: str, canonical: bool):
-    """(operator, its dense oracle) of a random LP with n - m >= m."""
+    """(operator, its dense oracle) of a random LP with n - m >= m.
+
+    For "oss" the operator is O's A-block x A, the one OSS part with an
+    inverse Gram. build_oss attaches it at a constant iterate only, so the
+    non-canonical case takes a constant iterate with x != s.
+    """
     rng = rng_for(7000 + seed)
     m = int(rng.integers(2, 10))
     n = int(rng.integers(2 * m, 2 * m + 10))
@@ -190,8 +199,10 @@ def _newton_case(seed: int, kind: str, canonical: bool):
     it = canonical_iterate(m, n) if canonical else random_iterate(rng, m, n)
     a = std.A.to_dense()
     if kind == "oss":
-        return (build_oss(std, it, basis, 0.5),
-                dense_oss(a, basis.basic, basis.nonbasic, it))
+        if not canonical:
+            x, s = rng.uniform(0.3, 3.0, size=2)
+            it = Iterate(np.full(n, x), np.zeros(m), np.full(n, s))
+        return build_oss(std, it, basis, 0.5).a_block, it.x[0] * a
     return (build_fbar(basis, std.A, it),
             dense_fbar(a, basis.basic, basis.nonbasic, it))
 
@@ -283,7 +294,8 @@ class TestInverseKrylov:
         assert sigma_min_upper(op, seed=4, sigma_max_hint=2.0) == forward
 
     def test_sampling_never_factors(self, monkeypatch):
-        op, _ = _newton_case(1, "oss", canonical=True)
+        op, _ = _newton_case(1, "fbar", canonical=True)
+        assert op.inverse_gram is not None
 
         def unexpected(A, d2):
             raise AssertionError("sampling must not factor")
@@ -383,12 +395,36 @@ def _corpus_forms() -> list[StandardLP]:
     return [standardize(parse_mps(p.read_text())) for p in corpus_files()]
 
 
+def _composed_forms() -> list[StandardLP]:
+    """The corpus forms and 200 random ones, half of them slack-style."""
+    forms = _corpus_forms()
+    for seed in range(200):
+        rng = rng_for(9000 + seed)
+        m = int(rng.integers(2, 10))
+        if seed % 2:
+            n = int(rng.integers(m, 3 * m + 1))
+            forms.append(random_standard_lp(9000 + seed, m, n))
+        else:
+            forms.append(slack_style_lp(9000 + seed, m,
+                                        int(rng.integers(1, 2 * m + 1))))
+    return forms
+
+
+def _edge_form(a: np.ndarray) -> StandardLP:
+    m, n = a.shape
+    return StandardLP(
+        A=SparseMatrix(sparse.csr_matrix(a)), b=np.zeros(m), c=np.ones(n),
+        column_provenance=["original"] * n,
+        column_names=[f"x{j}" for j in range(n)], name="edge")
+
+
 class TestComposedOss:
-    """kappa_lower_oss on the column blocks build_oss attaches at a
-    constant iterate: sigma(O) = x sigma(A) u s sigma(V)."""
+    """kappa_lower_oss on the parts build_oss attaches at a constant
+    iterate: sigma(O) = x sigma(A) u s sqrt(1 + sigma(F)^2), plus s when
+    n - m > m."""
 
     def test_one_sided_against_dense_svd_on_every_route(self, monkeypatch):
-        routes = {"oss_a": 0, "nullspace": 0, "exact": 0}
+        routes = {"oss_a": 0, "fbar": 0, "exact": 0}
         real = spectral.sigma_min_upper
 
         def counted(op, **kwargs):
@@ -396,26 +432,16 @@ class TestComposedOss:
             return real(op, **kwargs)
 
         monkeypatch.setattr(spectral, "sigma_min_upper", counted)
-        forms = _corpus_forms()
-        for seed in range(200):
-            rng = rng_for(9000 + seed)
-            m = int(rng.integers(2, 10))
-            if seed % 2:
-                n = int(rng.integers(m, 3 * m + 1))
-                forms.append(random_standard_lp(9000 + seed, m, n))
-            else:
-                forms.append(slack_style_lp(9000 + seed, m,
-                                            int(rng.integers(1, 2 * m + 1))))
-        for seed, std in enumerate(forms):
+        for seed, std in enumerate(_composed_forms()):
             oss, dense = _canonical_oss(std)
-            assert oss.blocks
+            assert oss.fbar is not None
             kb = kappa_lower_oss(oss, seed=seed)
             svals = np.linalg.svd(dense, compute_uv=False)
             assert kb.kappa_lower <= svals[0] / svals[-1] * (1.0 + KAPPA_RTOL)
             assert kb.sigma_max_lb <= svals[0] * (1.0 + KAPPA_RTOL)
             assert kb.sigma_min_ub >= svals[-1] * (1.0 - KAPPA_RTOL)
             if kb.sigma_min_method == "rank_deficiency_exact":
-                # the V floor s = 1, exact because n - m > m
+                # the exact s = 1, a singular value because n - m > m
                 assert kb.sigma_min_ub == 1.0 and std.n - std.m > std.m
                 routes["exact"] += 1
         assert min(routes.values()) >= 1, routes
@@ -424,8 +450,8 @@ class TestComposedOss:
         for seed, std in enumerate(_corpus_forms()):
             oss, _ = _canonical_oss(std)
             composed = kappa_lower_oss(oss, seed=seed)
-            whole = kappa_lower_oss(dataclasses.replace(oss, blocks=()),
-                                    seed=seed)
+            whole = kappa_lower_oss(
+                dataclasses.replace(oss, a_block=None, fbar=None), seed=seed)
             assert composed.kappa_lower == pytest.approx(whole.kappa_lower,
                                                          rel=1e-6)
 
@@ -435,7 +461,7 @@ class TestComposedOss:
         std = random_standard_lp(9500 + seed, 4, 9)
         basis = select_basis(std.A)
         oss = build_oss(std, random_iterate(rng, 4, 9), basis, 0.5)
-        assert oss.blocks == ()
+        assert oss.a_block is None and oss.fbar is None
         smax = sigma_max_lower(oss, seed=seed)
         smin, method = sigma_min_upper(oss, timeout=5.0, seed=seed,
                                        sigma_max_hint=smax)
@@ -457,15 +483,77 @@ class TestComposedOss:
             assert kb.sigma_max_lb == pytest.approx(top, rel=1e-9)
             assert kb.sigma_max_lb <= top * (1.0 + KAPPA_RTOL)
 
+    def test_composes_from_f_without_the_null_space(self, monkeypatch):
+        # sigma(sV) is lifted from F, the operator MNES bounds, so no
+        # matvec reaches the null-space operator, and at the same seed
+        # sigma_max(O) is at least the lift of MNES's sigma_max(F)
+        applied = []
+        for name in ("apply", "apply_transpose"):
+            def counted(op, v, real=getattr(NewtonOperator, name)):
+                if op.kind == "nullspace":
+                    applied.append(op.shape)
+                return real(op, v)
+
+            monkeypatch.setattr(NewtonOperator, name, counted)
+        for seed, std in enumerate(_composed_forms()):
+            oss, dense = _canonical_oss(std)
+            kb = kappa_lower_oss(oss, seed=seed)
+            fbar = build_fbar(select_basis(std.A), std.A,
+                              canonical_iterate(std.m, std.n))
+            mnes = kappa_lower_mnes(fbar, std.m, std.n, seed=seed)
+            if std.n > std.m:
+                assert kb.sigma_max_lb >= math.sqrt(
+                    1.0 + mnes.sigma_max_lb ** 2) * (1.0 - 1e-15)
+            top = np.linalg.svd(dense, compute_uv=False)[0]
+            assert kb.sigma_max_lb <= top * (1.0 + KAPPA_RTOL)
+        assert applied == []
+
+    @pytest.mark.parametrize("a, expected", [
+        # n = m: O = -xA', F is m x 0 and adds nothing
+        (np.array([[2.0, 1.0], [0.0, 3.0]]),
+         (1.7675918792339058, 3.25661653798294, 1.8424029756185223,
+          "iterative")),
+        # m = 0: O = sV = -sI, only the exact s
+        (np.zeros((0, 3)), (1.0, 1.0, 1.0, "rank_deficiency_exact")),
+    ])
+    def test_edge_forms_bit_for_bit(self, a, expected):
+        oss, _ = _canonical_oss(_edge_form(a))
+        kb = kappa_lower_oss(oss)
+        assert (kb.kappa_lower, kb.sigma_max_lb, kb.sigma_min_ub,
+                kb.sigma_min_method) == expected
+
+    def test_a_floor_comes_from_the_basis(self, monkeypatch):
+        # A_B of a slack-style form is diag(p), so the floor is min |p|;
+        # a random form's A_B has more than m entries and the floor is 0.
+        # Neither build runs the core QR again, even when its cache misses
+        def unexpected(*args):
+            raise AssertionError("build_oss reran the core basis")
+
+        forms = [(slack_style_lp(9100, 6, 4), True),
+                 (random_standard_lp(9101, 5, 9), False)]
+        bases = [select_basis(std.A) for std, _ in forms]
+        monkeypatch.setattr(newton, "core_basis", unexpected)
+        monkeypatch.setattr(standardize_module, "_pivoted_qr", unexpected)
+        for (std, covered), basis in zip(forms, bases):
+            oss = build_oss(std, canonical_iterate(std.m, std.n), basis, 0.5)
+            kb = kappa_lower_oss(oss, seed=1)
+            p = std.A.to_dense()[:, -std.m:].diagonal()
+            assert oss.a_block.floor == (np.abs(p).min() if covered else 0.0)
+            svals = np.linalg.svd(std.A.to_dense(), compute_uv=False)
+            assert oss.a_block.floor <= svals[-1]
+            assert kb.sigma_min_ub > 0.0
+
     @pytest.mark.parametrize("timeout, pause, calls",
                              [(2.0, 0.2, 2), (0.1, 0.2, 1)])
     def test_both_blocks_share_one_deadline(self, monkeypatch, timeout,
                                             pause, calls):
+        # the A-block's floor is 0 and n - m = 3 <= m = 5, so both parts
+        # may run: sigma_min(10 A') lies far above s = 1, which F can reach
         rng = rng_for(12)
-        blocks = (OperatorBlock(op_from_dense(rng.normal(size=(5, 8))), 0.0),
-                  OperatorBlock(op_from_dense(rng.normal(size=(8, 3))), 0.0))
+        a_block = op_from_dense(10.0 * rng.normal(size=(5, 8)), kind="oss_a")
+        fbar = op_from_dense(rng.normal(size=(5, 3)), kind="fbar")
         oss = dataclasses.replace(op_from_dense(np.eye(8), kind="oss"),
-                                  blocks=blocks)
+                                  a_block=a_block, fbar=fbar, s=1.0)
         seen = []
         real = spectral.sigma_min_upper
 
@@ -473,17 +561,17 @@ class TestComposedOss:
             start = time.monotonic()
             time.sleep(pause)
             out = real(op, timeout=timeout, **kwargs)
-            seen.append((timeout, time.monotonic() - start))
+            seen.append((op.kind, timeout, time.monotonic() - start))
             return out
 
         monkeypatch.setattr(spectral, "sigma_min_upper", slow)
         kb = kappa_lower_oss(oss, timeout=timeout)
-        assert len(seen) == calls and seen[0][0] == timeout
+        assert len(seen) == calls and seen[0][:2] == ("oss_a", timeout)
         if calls == 2:
-            # the second block gets what the first left of the deadline
-            (_, first), (left, _) = seen
-            assert 0.0 < left <= timeout - first
+            # F gets what the A-block left of the deadline
+            (_, _, first), (kind, left, _) = seen
+            assert kind == "fbar" and 0.0 < left <= timeout - first
         else:
-            # past the deadline, the first block's value stands
-            assert kb.sigma_min_ub == real(blocks[0].op, timeout=timeout,
+            # past the deadline, the A-block's value stands
+            assert kb.sigma_min_ub == real(a_block, timeout=timeout,
                                            sigma_max_hint=kb.sigma_max_lb)[0]
