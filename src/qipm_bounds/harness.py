@@ -8,13 +8,14 @@ exclusion flags over a cycle-duration grid, all read, like the curves and
 the report's `threshold_duration`, from one exact threshold per formulation
 (`InstanceRecord.exclusion_threshold`). Everything from the basis through
 the cycle counts is a function of the standard-form A and the config alone:
-the spectral seed derives from the suite seed and a digest of A's content,
-so `run_suite` analyzes each distinct matrix once and its other instances
-share those results exactly. `analyze_instance` holds the one
-per-instance guard: a failure in any stage sets the record's status to
-"error" and keeps what the earlier stages filled in, so `analyze` and
-`suite` record the same fault the same way. Inside it, each formulation has
-its own guard, so one formulation's failure leaves the other's result.
+the spectral seed derives from the suite seed and `std.A.digest()`, the
+matrix's one identity, so `run_suite` analyzes each distinct matrix once,
+keyed on that digest, and its other instances share those results exactly.
+`analyze_instance` holds the one per-instance guard: a failure in any
+stage sets the record's status to "error" and keeps what the earlier stages
+filled in, so `analyze` and `suite` record the same fault the same way.
+Inside it, each formulation has its own guard, so one formulation's failure
+leaves the other's result.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 from typing import ClassVar
-
-import numpy as np
 
 from . import qcost
 from .classical import (SolveOutcome, command_argv, solve_external,
@@ -68,6 +67,10 @@ class AnalysisConfig:
     status_patterns: dict[str, str] | None = None
 
     def __post_init__(self):
+        for name in ("seed", "sigma_min_samples", "duration_points"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if math.isnan(self.sigma_min_timeout):
@@ -111,18 +114,6 @@ def _hardware() -> str:
     return f"{u.system}-{u.release}-{u.machine}"
 
 
-def _matrix_digest(A) -> bytes:
-    """SHA-256 of A's shape and canonical CSR indptr, indices and data as
-    fixed-width little-endian bytes: equal matrices give equal digests in
-    any process, whatever their index dtypes."""
-    csr = A.tocsr()
-    h = hashlib.sha256(np.asarray(csr.shape, dtype="<i8").tobytes())
-    for arr, dtype in ((csr.indptr, "<i8"), (csr.indices, "<i8"),
-                       (csr.data, "<f8")):
-        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    return h.digest()
-
-
 @dataclass
 class FormulationResult:
     """Quantum-side analysis of one Newton-system formulation."""
@@ -154,8 +145,9 @@ class InstanceRecord:
     error: str | None = None
     m: int = 0
     n: int = 0
-    # the spectral seed the estimates used, from cfg.seed and a digest of
-    # the standard-form A; 0 without a standard form
+    # the spectral seed the estimates used: the first 8 bytes (big-endian)
+    # of SHA-256 over f"{cfg.seed}:" and the standard-form A.digest(); 0
+    # without a standard form
     seed: int = 0
     config_hash: str = ""
     timestamp: str = ""
@@ -243,8 +235,9 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
                      _memo: dict | None = None) -> InstanceRecord:
     """Run the full pipeline on one MPS file; failures become record fields.
 
-    `_memo` is run_suite's per-call map from a matrix digest to the first
-    such instance's formulation results; a hit copies them."""
+    `_memo` is run_suite's per-call map from `std.A.digest()` to the
+    formulation results of the first instance with that matrix; a hit
+    copies them and skips the basis."""
     cfg = config or AnalysisConfig()
     path = Path(path)
     record = InstanceRecord(
@@ -273,7 +266,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         stages["standardize"] = time.perf_counter() - t
 
         t = time.perf_counter()
-        digest = _matrix_digest(std.A)
+        digest = std.A.digest()
         record.seed = int.from_bytes(hashlib.sha256(
             f"{cfg.seed}:".encode() + digest).digest()[:8], "big")
         shared = None if _memo is None else _memo.get(digest)
@@ -347,7 +340,7 @@ def run_suite(directory: str | Path,
 
     # serial, so no classical solve shares the machine with another; the
     # name is read at call time, so a wrapper patched onto the module applies.
-    # The config is fixed within the call, so a matrix digest alone keys the
+    # The config is fixed within the call, so A.digest() alone keys the
     # quantum-side results; the memo lives only as long as this call.
     memo: dict[bytes, dict[str, FormulationResult]] = {}
     records = [analyze_instance(str(p), cfg, fam, _memo=memo)

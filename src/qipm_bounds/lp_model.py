@@ -8,6 +8,7 @@ keeps LP relaxations only.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -41,8 +42,8 @@ class SparseMatrix:
     Construction canonicalizes the entry list: duplicate coordinates are
     summed, explicit zeros are dropped, and indices are bounds-checked.
     Backed by CSR storage; a CSC copy is built lazily for column access.
-    Equality and hashing go by content (shape, pattern and values), so an
-    equal matrix built elsewhere hits a cache keyed on it.
+    `digest()` is the matrix's one identity: equality and hashing read it,
+    so an equal matrix built elsewhere hits a cache keyed on it.
     """
 
     def __init__(self, csr: sparse.csr_matrix):
@@ -52,7 +53,7 @@ class SparseMatrix:
         csr.sort_indices()
         self._csr = csr
         self._csc: sparse.csc_matrix | None = None
-        self._hash: int | None = None
+        self._digest: bytes | None = None
 
     @classmethod
     def from_entries(cls, n_rows: int, n_cols: int,
@@ -130,22 +131,26 @@ class SparseMatrix:
     def __repr__(self) -> str:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
+    def digest(self) -> bytes:
+        """SHA-256 of the shape and the canonical CSR indptr, indices (both
+        `<i8`) and data (`<f8`): equal matrices give equal digests in any
+        process, whatever their index dtypes. Kept after the first call."""
+        if self._digest is None:
+            csr = self._csr
+            h = hashlib.sha256(np.asarray(csr.shape, dtype="<i8").tobytes())
+            for arr, dtype in ((csr.indptr, "<i8"), (csr.indices, "<i8"),
+                               (csr.data, "<f8")):
+                h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+            self._digest = h.digest()
+        return self._digest
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        a, b = self._csr, other._csr
-        return self is other or (
-            a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
+        return self is other or self.digest() == other.digest()
 
     def __hash__(self) -> int:
-        # the canonical form stores equal matrices with equal values in the
-        # same order, so equal matrices hash alike whatever their dtypes
-        if self._hash is None:
-            self._hash = hash((self.shape, np.asarray(
-                self._csr.data, dtype=float).tobytes()))
-        return self._hash
+        return hash(self.digest())
 
 
 @dataclass

@@ -409,9 +409,9 @@ def core_basis(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     every row is covered. A[:, basic] is block upper triangular, so it is
     nonsingular exactly when rank == rest.size. Returns read-only (covered,
     rest, basic, rank), `basic` being covered's columns, then the core's.
-    The last A is cached on its content (SparseMatrix is immutable and
-    compares by value), so rank repair and the basis share one QR, and so
-    do LPs whose standard forms differ only outside A, such as in b.
+    The last A is cached on `A.digest()`, which SparseMatrix's equality and
+    hash read, so rank repair and the basis share one QR, and so do LPs
+    whose standard forms differ only outside A, such as in b.
     """
     covered, basic = private_singletons(A)
     rest = np.setdiff1d(np.arange(A.n_rows), covered, assume_unique=True)

@@ -17,7 +17,8 @@ from qipm_bounds.classical import (solve_external, solve_internal_ipm,
                                    standard_to_general)
 from qipm_bounds.corpus import corpus_dir
 from qipm_bounds.harness import AnalysisConfig, analyze_instance
-from qipm_bounds.lp_model import emit_mps, parse_mps
+from qipm_bounds.lp_model import (SparseMatrix, StandardLP, emit_mps,
+                                  parse_mps)
 from qipm_bounds.newton import factor_nes
 from qipm_bounds.standardize import standardize
 
@@ -54,6 +55,21 @@ ENDATA
         out = solve_internal_ipm(std)
         assert out.status == "optimal"
         assert out.objective == pytest.approx(-1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("c,status,objective", [
+        ([], "optimal", 0.0),
+        ([1.0, 0.0], "optimal", 0.0),
+        ([1.0, -1.0], "unbounded", float("nan")),
+    ], ids=["no-rows-no-columns", "no-rows", "no-rows-negative-cost"])
+    def test_form_without_rows(self, c, status, objective):
+        n = len(c)
+        std = StandardLP(A=SparseMatrix.from_entries(0, n, []),
+                         b=np.zeros(0), c=np.array(c, dtype=float),
+                         column_provenance=["original"] * n,
+                         column_names=[f"x{j}" for j in range(n)])
+        out = solve_internal_ipm(std)
+        assert (out.status, out.iterations) == (status, 0)
+        assert out.objective == pytest.approx(objective, nan_ok=True)
 
     def test_matches_reference_solver_on_random_instances(self):
         agree = 0
@@ -192,6 +208,23 @@ class TestSolveExternal:
         out = solve_external(std, cmd, workdir=tmp_path / "w")
         assert out.status == "error"
         assert "objective" in out.message
+
+    @pytest.mark.parametrize("body,timeout,status,objective,message", [
+        ('print("Objective: 1.0")', 600.0, "optimal", 1.0, ""),
+        ("import time\ntime.sleep(30)", 0.5, "error", float("nan"),
+         "solver timed out after 0.5 s"),
+        (None, 600.0, "error", float("nan"), "failed to launch solver: "),
+    ], ids=["objective-without-status", "timeout", "cannot-launch"])
+    def test_outcome_table(self, tmp_path, tiny_min_text, body, timeout,
+                           status, objective, message):
+        std = standardize(parse_mps(tiny_min_text))
+        cmd = _write_stub(tmp_path, body) if body is not None else \
+            f"{shlex.quote(str(tmp_path / 'no_such_solver'))} {{mps}}"
+        out = solve_external(std, cmd, workdir=tmp_path / "w",
+                             timeout=timeout)
+        assert (out.status, out.message[:len(message)]) == (status, message)
+        assert out.objective == pytest.approx(objective, nan_ok=True)
+        assert 0.0 <= out.wall_time < 20.0
 
     def test_missing_placeholder_rejected(self, tiny_min_text):
         std = standardize(parse_mps(tiny_min_text))

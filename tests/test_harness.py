@@ -752,6 +752,22 @@ class TestCli:
                             (json.dumps({"workers": 2}),
                              "unknown config keys"),
                             (json.dumps({"ipm": {"bogus": 1}}), "ipm"),
+                            # counts and seeds must be ints, bool excluded:
+                            # a seed of 7.0 would give another spectral
+                            # seed than 7
+                            (json.dumps({"sigma_min_timeout": 0,
+                                         "sigma_min_samples": 2.5}),
+                             "sigma_min_samples must be an int"),
+                            (json.dumps({"seed": 7.0}),
+                             "seed must be an int, not 7.0"),
+                            (json.dumps({"seed": True}),
+                             "seed must be an int, not True"),
+                            (json.dumps({"sigma_min_samples": False}),
+                             "sigma_min_samples must be an int"),
+                            (json.dumps({"duration_points": 41.0}),
+                             "duration_points must be an int"),
+                            (json.dumps({"seed": "7"}),
+                             "seed must be an int"),
                             (json.dumps({"bogus": 1}), "bogus"),
                             (json.dumps([1, 2]), "JSON object"),
                             ("{not json", "invalid config"),

@@ -1,15 +1,19 @@
 """MPS parser/writer and sparse matrix behavior."""
 
+import dataclasses
+import hashlib
 import inspect
 import re
+import struct
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import load_gen_corpus
 from qipm_bounds.corpus import corpus_files
-from qipm_bounds.lp_model import (INF, MpsParseError, SparseMatrix, emit_mps,
-                                  parse_mps)
+from qipm_bounds.lp_model import (INF, ColumnDef, MpsParseError, RowDef,
+                                  SparseMatrix, emit_mps, parse_mps)
 
 MINIMAL = """NAME          MINI
 ROWS
@@ -66,10 +70,28 @@ class TestSparseMatrix:
         a = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
         same = SparseMatrix.from_dense([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
         assert a == same and hash(a) == hash(same)
+        # the digest is SHA-256 of the shape, indptr and indices as <i8 and
+        # data as <f8, the recipe of the spectral seed
+        csr = a.tocsr()
+        assert a.digest() == hashlib.sha256(
+            struct.pack("<2q", *csr.shape)
+            + csr.indptr.astype("<i8").tobytes()
+            + csr.indices.astype("<i8").tobytes()
+            + csr.data.astype("<f8").tobytes()).digest()
+        assert a.digest() is a.digest()
+        # the index dtype of the CSR arrays it was built from does not count
+        built = [SparseMatrix(sparse.csr_matrix(
+            (np.array([2.0, 3.0]), np.array([1, 2], dtype=dtype),
+             np.array([0, 1, 2], dtype=dtype)), shape=(2, 3)))
+            for dtype in (np.int32, np.int64)]
+        for b in built:
+            assert (b.digest(), b, hash(b)) == (a.digest(), a, hash(a))
         for other in ([[0.0, 2.0, 0.0], [0.0, 0.0, 4.0]],  # one value
                       [[0.0, 2.0, 0.0], [0.0, 3.0, 0.0]],  # pattern
                       [[0.0, 2.0, 0.0, 0.0], [0.0, 0.0, 3.0, 0.0]]):  # shape
-            assert a != SparseMatrix.from_dense(other)
+            b = SparseMatrix.from_dense(other)
+            assert a != b and a.digest() != b.digest()
+            assert hash(b) == hash(b.digest())
         assert a != a.to_dense().tolist()
 
     def test_row_col_iteration(self):
@@ -156,6 +178,11 @@ COLUMNS
     d  obj  1  r  1
     e  obj  1  r  1
     f  obj  1  r  1
+    g  obj  1  r  1
+    h  obj  1  r  1
+    i  obj  1  r  1
+    j  obj  1  r  1
+    k  obj  1  r  1
 RHS
     RHS  r  1
 BOUNDS
@@ -165,6 +192,12 @@ BOUNDS
  FR BND  d
  MI BND  e
  BV BND  f
+ UP BND  g  5
+ PL BND  g
+ UI BND  h  7
+ LI BND  i  2
+ UP j  4
+ FR k
 ENDATA
 """
         lp = parse_mps(text)
@@ -175,6 +208,11 @@ ENDATA
         assert bounds["d"] == (-INF, INF)
         assert bounds["e"] == (-INF, INF)
         assert bounds["f"] == (0.0, 1.0)
+        assert bounds["g"] == (0.0, INF)  # PL drops the upper bound
+        assert bounds["h"] == (0.0, 7.0)
+        assert bounds["i"] == (2.0, INF)
+        assert bounds["j"] == (0.0, 4.0)  # value bound, set name omitted
+        assert bounds["k"] == (-INF, INF)  # flag bound, set name omitted
         assert any("integrality" in w for w in lp.warnings)
 
     def test_negative_upper_frees_lower(self):
@@ -424,6 +462,33 @@ def test_parse_error_contract(text, line_no, message):
     assert str(exc.value) == prefix + message
 
 
+_TWO_BY_TWO = """NAME TWO
+ROWS
+ N  obj
+ L  c1
+ L  c2
+COLUMNS
+    x  obj  1  c1  1
+    y  obj  1  c2  1
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda lp: {"rows": lp.rows[:1]}, "shape does not match"),
+    (lambda lp: {"objective": lp.objective[:1]}, "objective length"),
+    (lambda lp: {"rows": [lp.rows[0], RowDef("c1", "<=")]},
+     "duplicate row names"),
+    (lambda lp: {"columns": [lp.columns[0], ColumnDef("x")]},
+     "duplicate column names"),
+], ids=["shape", "objective", "rows", "columns"])
+def test_validate_rejects_inconsistent_lp(change, message):
+    lp = parse_mps(_TWO_BY_TWO)
+    lp.validate()
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(lp, **change(lp)).validate()
+
+
 def _lp_signature(lp):
     coo = lp.coefficients.tocsr().tocoo()
     return (
@@ -454,6 +519,18 @@ ENDATA
         assert lp.n_rows == 0
         again = parse_mps(emit_mps(lp))
         assert _lp_signature(again) == _lp_signature(lp)
+
+    @pytest.mark.parametrize("old,new,line", [
+        ("ENDATA", "BOUNDS\n MI BND  x\n UP BND  x  3\nENDATA",
+         " MI BND       x"),
+        ("RHS\n", "    y  obj  0\nRHS\n",
+         "    y           obj                    0"),
+    ], ids=["mi-bound", "column-without-entries"])
+    def test_round_trip_emits_line(self, old, new, line):
+        lp = parse_mps(MINIMAL.replace(old, new))
+        out = emit_mps(lp)
+        assert line in out.splitlines()
+        assert _lp_signature(parse_mps(out)) == _lp_signature(lp)
 
     def test_free_variable_gets_fr_entry(self):
         text = MINIMAL.replace("ENDATA", "BOUNDS\n FR BND  x\nENDATA")

@@ -240,6 +240,17 @@ class TestPresolve:
             std = to_standard_form(out)
             assert (std.b[0], std.b[-1]) == (hi, hi - lo)
 
+    @pytest.mark.parametrize("col, match", [
+        (("y", 2.0, 1.0), "variable y has empty bound interval"),
+        (("y", INF, INF), "variable y is fixed at a non-finite value"),
+        (("y", -INF, -INF), "variable y is fixed at a non-finite value")],
+        ids=["empty-interval", "fixed-at-inf", "fixed-at-minus-inf"])
+    def test_bad_column_bounds_infeasible(self, col, match):
+        lp = make_lp([("r0", "<=", 1.0)], [("x", 0.0, INF), col],
+                     [(0, 0, 1.0), (0, 1, 1.0)], [1.0, 1.0])
+        with pytest.raises(InfeasibleProblem, match=match):
+            presolve(lp)
+
     def test_empty_column_unbounded(self):
         lp = make_lp([("r0", "<=", 1.0)], [("x", 0.0, INF), ("z", 0.0, INF)],
                      [(0, 0, 1.0)], [1.0, -1.0])
