@@ -19,8 +19,7 @@ from .newton import (BasisSelection, Iterate, NewtonOperator, NewtonStep,
                      recover_updates_mnes, recover_updates_nes,
                      recover_updates_oss, select_basis)
 from .qcost import (duration_grid, hermitian_dilation_params,
-                    qlsa_query_count, runtime_lower_bound,
-                    total_quantum_cycles)
+                    qlsa_query_count, total_quantum_cycles)
 from .report import emit_report, report_from_json
 from .spectral import (KappaBound, NumericalError, kappa_lower_mnes,
                        kappa_lower_oss, sigma_max_lower, sigma_min_upper,
@@ -44,7 +43,7 @@ __all__ = [
     "kappa_lower_mnes", "kappa_lower_oss", "null_space_matrix", "parse_mps",
     "presolve", "qlsa_query_count", "recover_updates_mnes",
     "recover_updates_nes", "recover_updates_oss", "run_suite",
-    "runtime_lower_bound", "select_basis", "sigma_max_lower",
+    "select_basis", "sigma_max_lower",
     "sigma_min_upper", "solve_external", "solve_internal_ipm", "sparsity_mnes",
     "sparsity_oss", "standardize", "to_standard_form", "total_quantum_cycles",
 ]

@@ -14,8 +14,9 @@ keyed on that digest, and its other instances share those results exactly.
 `analyze_instance` holds the one per-instance guard: a failure in any
 stage sets the record's status to "error" and keeps what the earlier stages
 filled in, so `analyze` and `suite` record the same fault the same way.
-Inside it, each formulation has its own guard, so one formulation's failure
-leaves the other's result.
+Inside it, `_analyze_basis` gives each formulation its own guard, so one
+formulation's failure leaves the other's result; MNES hands its
+sigma_max(F) to OSS, which bounds the same F, unless MNES failed.
 """
 
 from __future__ import annotations
@@ -67,10 +68,15 @@ class AnalysisConfig:
     status_patterns: dict[str, str] | None = None
 
     def __post_init__(self):
-        for name in ("seed", "sigma_min_samples", "duration_points"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not {value!r}")
+        # types are strings (postponed annotations); a bool is no count
+        # and no float, though isinstance(True, int) holds
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("int", "float") and isinstance(value, bool) or \
+                    f.type == "int" and not isinstance(value, int):
+                article = "an" if f.type == "int" else "a"
+                raise ValueError(
+                    f"{f.name} must be {article} {f.type}, not {value!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
         if math.isnan(self.sigma_min_timeout):
@@ -194,40 +200,49 @@ class SuiteReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def _analyze_formulation(formulation: str, std, basis, it, beta_mu,
-                         cfg: AnalysisConfig, seed: int) -> FormulationResult:
-    result = FormulationResult(formulation=formulation)
-    try:
-        if formulation == "mnes":
-            fbar = build_fbar(basis, std.A, it)
-            kb = kappa_lower_mnes(fbar, std.m, std.n,
-                                  timeout=cfg.sigma_min_timeout, seed=seed,
-                                  n_samples=cfg.sigma_min_samples)
-            s, d = sparsity_mnes(std.m), std.m
-        else:
-            oss = build_oss(std, it, basis, beta_mu)
-            kb = kappa_lower_oss(oss, timeout=cfg.sigma_min_timeout, seed=seed,
-                                 n_samples=cfg.sigma_min_samples)
-            s, d = sparsity_oss(std.A, std.m, std.n, basis), std.n
-        dilated, _, _ = qcost.hermitian_dilation_params(
-            d, s, kb.kappa_lower, is_hermitian=(formulation == "mnes"))
-        result.d = d
-        result.dilated_dim = dilated
-        result.sparsity = s
-        result.kappa_lower = kb.kappa_lower
-        result.gamma = s * kb.kappa_lower
-        result.sigma_max_lb = kb.sigma_max_lb
-        result.sigma_min_ub = kb.sigma_min_ub
-        result.sigma_min_method = kb.sigma_min_method
-        result.degenerate = d < 2
-        gamma = s * qcost.to_fraction(kb.kappa_lower)
-        result.query_count = qcost.qlsa_query_count(
-            s, kb.kappa_lower, cfg.epsilon)
-        result.total_cycles = qcost.total_quantum_cycles(
-            d, gamma, cfg.epsilon)
-    except Exception as exc:  # recorded, never aborts the suite
-        result.failure = f"{type(exc).__name__}: {exc}"
-    return result
+def _analyze_basis(std, basis, cfg: AnalysisConfig, seed: int,
+                   stages: dict[str, float]) -> dict[str, FormulationResult]:
+    """Both formulations on one basis at the all-ones iterate, each under
+    its own guard and stage key. OSS takes MNES's sigma_max(F), the same
+    Lanczos on the same F at the same seed, or runs it when MNES failed."""
+    it = canonical_iterate(std.m, std.n)
+    opts = dict(timeout=cfg.sigma_min_timeout, seed=seed,
+                n_samples=cfg.sigma_min_samples)
+    results: dict[str, FormulationResult] = {}
+    for formulation in FORMULATIONS:
+        t = time.perf_counter()
+        result = results[formulation] = FormulationResult(formulation)
+        try:
+            if formulation == "mnes":
+                fbar = build_fbar(basis, std.A, it)
+                kb = kappa_lower_mnes(fbar, std.m, std.n, **opts)
+                s, d = sparsity_mnes(std.m), std.m
+            else:
+                oss = build_oss(std, it, basis, it.default_beta_mu(cfg.beta))
+                mnes = results["mnes"]
+                kb = kappa_lower_oss(oss, **opts, fbar_sigma_max=(
+                    mnes.sigma_max_lb if mnes.ok else None))
+                s, d = sparsity_oss(std.A, std.m, std.n, basis), std.n
+            dilated, _, _ = qcost.hermitian_dilation_params(
+                d, s, kb.kappa_lower, is_hermitian=(formulation == "mnes"))
+            result.d = d
+            result.dilated_dim = dilated
+            result.sparsity = s
+            result.kappa_lower = kb.kappa_lower
+            result.gamma = s * kb.kappa_lower
+            result.sigma_max_lb = kb.sigma_max_lb
+            result.sigma_min_ub = kb.sigma_min_ub
+            result.sigma_min_method = kb.sigma_min_method
+            result.degenerate = d < 2
+            gamma = s * qcost.to_fraction(kb.kappa_lower)
+            result.query_count = qcost.qlsa_query_count(
+                s, kb.kappa_lower, cfg.epsilon)
+            result.total_cycles = qcost.total_quantum_cycles(
+                d, gamma, cfg.epsilon)
+        except Exception as exc:  # recorded, never aborts the suite
+            result.failure = f"{type(exc).__name__}: {exc}"
+        stages[formulation] = time.perf_counter() - t
+    return results
 
 
 def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
@@ -236,7 +251,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
     """Run the full pipeline on one MPS file; failures become record fields.
 
     `_memo` is run_suite's per-call map from `std.A.digest()` to the
-    formulation results of the first instance with that matrix; a hit
+    `_analyze_basis` results of the first instance with that matrix; a hit
     copies them and skips the basis."""
     cfg = config or AnalysisConfig()
     path = Path(path)
@@ -273,16 +288,14 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         basis = select_basis(std.A) if shared is None else None
         stages["basis"] = time.perf_counter() - t
 
-        it = canonical_iterate(std.m, std.n)
-        beta_mu = it.default_beta_mu(cfg.beta)
-        for formulation in FORMULATIONS:
-            t = time.perf_counter()
-            record.formulations[formulation] = _analyze_formulation(
-                formulation, std, basis, it, beta_mu, cfg, record.seed) \
-                if shared is None else dataclasses.replace(shared[formulation])
-            stages[formulation] = time.perf_counter() - t
-        if _memo is not None and shared is None:
-            _memo[digest] = dict(record.formulations)
+        if shared is None:
+            shared = _analyze_basis(std, basis, cfg, record.seed, stages)
+            if _memo is not None:
+                _memo[digest] = shared
+        else:  # a memo hit spends no time in either formulation
+            stages.update(dict.fromkeys(FORMULATIONS, 0.0))
+        record.formulations = {f: dataclasses.replace(result)
+                               for f, result in shared.items()}
 
         t = time.perf_counter()
         if cfg.classical_cmd:

@@ -194,14 +194,6 @@ def hermitian_dilation_params(d: int, s: int, kappa: float,
     return 2 * d, s, kappa
 
 
-def runtime_lower_bound(cycles: int, cycle_duration: Rational) -> float:
-    """cycles * cycle_duration in seconds, exact product before rounding."""
-    dur = to_fraction(cycle_duration)
-    if dur <= 0:
-        raise ValueError(f"cycle duration must be positive, got {cycle_duration}")
-    return float(Fraction(cycles) * dur)
-
-
 DEFAULT_DURATION_MIN = 1e-15
 DEFAULT_DURATION_MAX = 1e-3
 DEFAULT_DURATION_POINTS = 121

@@ -110,25 +110,12 @@ def sparsity_oss(A: SparseMatrix, m: int, n: int,
 # extreme singular value estimation
 
 def _gram_side(op: NewtonOperator):
-    """Gram operator of the smaller side; its eigenvalues are sigma_i^2."""
+    """(dim, gram, image) of the smaller side: gram = image' image, whose
+    eigenvalues are sigma_i^2."""
     rows, cols = op.shape
-
     if cols <= rows:
-        def image(v):
-            return op.apply(v)
-
-        def gram(v):
-            return op.apply_transpose(op.apply(v))
-
-        return cols, gram, image
-
-    def image(v):
-        return op.apply_transpose(v)
-
-    def gram(v):
-        return op.apply(op.apply_transpose(v))
-
-    return rows, gram, image
+        return cols, lambda v: op.apply_transpose(op.apply(v)), op.apply
+    return rows, lambda v: op.apply(op.apply_transpose(v)), op.apply_transpose
 
 
 def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
@@ -334,8 +321,8 @@ def kappa_lower_mnes(fbar: NewtonOperator, m: int, n: int,
 
 
 def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
-                    seed: int = 0, n_samples: int = DEFAULT_SAMPLES
-                    ) -> KappaBound:
+                    seed: int = 0, n_samples: int = DEFAULT_SAMPLES, *,
+                    fbar_sigma_max: float | None = None) -> KappaBound:
     """kappa(O) = sigma_max / sigma_min estimated from below.
 
     An operator without parts (a dense test operator, or O at an iterate
@@ -356,10 +343,13 @@ def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
       its label. Every value kept bounds sigma_min(O) from above.
     `timeout` bounds the whole sigma_min stage with one deadline: once a
     best value exists, a part starts only before the deadline, with the
-    time left.
+    time left. A given `fbar_sigma_max` stands for sigma_max_lower(oss.fbar,
+    seed=seed), which then does not run: the harness hands over MNES's
+    value, the same iteration on the same F at the same seed.
     """
     if oss.fbar is not None:
-        smax, smin, method = _composed_extremes(oss, timeout, seed, n_samples)
+        smax, smin, method = _composed_extremes(oss, timeout, seed, n_samples,
+                                                fbar_sigma_max)
     else:
         smax = sigma_max_lower(oss, seed=seed)
         smin, method = sigma_min_upper(oss, timeout=timeout,
@@ -373,14 +363,16 @@ def kappa_lower_oss(oss: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
 
 
 def _composed_extremes(oss: NewtonOperator, timeout: float, seed: int,
-                       n_samples: int) -> tuple[float, float, str]:
+                       n_samples: int, fbar_sigma_max: float | None
+                       ) -> tuple[float, float, str]:
     """(sigma_max_lb, sigma_min_ub, method) of O from its A-block and F,
-    by kappa_lower_oss's rules."""
+    by kappa_lower_oss's rules, with a given `fbar_sigma_max` as F's."""
     a, f, s = oss.a_block, oss.fbar, oss.s
     m, k = f.shape  # k = n - m
     smax = fmax = 0.0
     if k:
-        fmax = sigma_max_lower(f, seed=seed)
+        fmax = fbar_sigma_max if fbar_sigma_max is not None else \
+            sigma_max_lower(f, seed=seed)
         smax = s * math.sqrt(1.0 + fmax * fmax)
     if a is not None and a.ceiling > smax:
         smax = max(smax, sigma_max_lower(a, seed=seed))

@@ -73,7 +73,17 @@ class TestAnalyzeInstance:
                                 "sigma_min_samples": 0}, "sigma_min_samples"),
                               ({"sigma_min_timeout": -1.0,
                                 "sigma_min_samples": -5},
-                               "sigma_min_samples")]:
+                               "sigma_min_samples"),
+                              # a bool is no float: true would be a 1 s
+                              # solver timeout or a grid ending at 1 s
+                              ({"classical_timeout": True},
+                               "classical_timeout must be a float, not True"),
+                              ({"duration_min": True, "duration_max": 2.0},
+                               "duration_min must be a float, not True"),
+                              ({"sigma_min_timeout": True},
+                               "sigma_min_timeout must be a float, not True"),
+                              ({"epsilon": False},
+                               "epsilon must be a float, not False")]:
             with pytest.raises(ValueError, match=match):
                 AnalysisConfig(**kwargs)
 
@@ -529,6 +539,24 @@ class TestRunSuite:
                 "RuntimeError: patched between suites"
             assert rec.formulations["mnes"] == before[0].formulations["mnes"]
 
+    def test_oss_stands_without_the_mnes_hand_off(self, tmp_path,
+                                                  monkeypatch):
+        # a failed MNES hands OSS no sigma_max(F); OSS then runs that
+        # iteration itself and gets the same result
+        import qipm_bounds.harness as harness
+        self._flow_copies(tmp_path)
+        before = run_suite(tmp_path, FAST).records
+
+        def fault(*args, **kwargs):
+            raise RuntimeError("MNES fails")
+
+        monkeypatch.setattr(harness, "kappa_lower_mnes", fault)
+        after = run_suite(tmp_path, FAST).records
+        for rec, ref in zip(after, before, strict=True):
+            assert rec.formulations["mnes"].failure == "RuntimeError: MNES fails"
+            assert rec.formulations["oss"] == ref.formulations["oss"]
+            assert rec.formulations["oss"].ok
+
     def test_quantum_side_exception_is_not_memoized(self, tmp_path,
                                                     monkeypatch):
         import qipm_bounds.harness as harness
@@ -566,6 +594,26 @@ class TestRunSuite:
         other = analyze_instance(tmp_path / "one.mps",
                                  dataclasses.replace(FAST, seed=1), "fam_a")
         assert other.seed not in (0, a.seed)
+
+    @pytest.mark.parametrize("text", [generators.flow_grid(8, 8, 1),
+                                      generators.slack_ladder(60, 80, 1)],
+                             ids=["flow_8x8", "slack_60x80"])
+    def test_sigma_max_of_f_runs_once(self, text, tmp_path, monkeypatch):
+        # MNES and OSS bound the same F at the same seed; MNES's value is
+        # handed to OSS instead of a second, bit-identical iteration
+        from qipm_bounds import spectral
+        real, kinds = spectral.sigma_max_lower, []
+
+        def counted(op, *args, **kwargs):
+            kinds.append(op.kind)
+            return real(op, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "sigma_max_lower", counted)
+        (tmp_path / "lp.mps").write_text(text)
+        rec = analyze_instance(tmp_path / "lp.mps", FAST)
+        assert rec.status == "ok"
+        assert all(f.ok for f in rec.formulations.values())
+        assert kinds.count("fbar") == 1
 
     def test_seed_is_zero_without_a_standard_form(self, tmp_path):
         (tmp_path / "bad.mps").write_text("THIS IS NOT MPS\n")
@@ -768,6 +816,8 @@ class TestCli:
                              "duration_points must be an int"),
                             (json.dumps({"seed": "7"}),
                              "seed must be an int"),
+                            (json.dumps({"classical_timeout": True}),
+                             "classical_timeout must be a float, not True"),
                             (json.dumps({"bogus": 1}), "bogus"),
                             (json.dumps([1, 2]), "JSON object"),
                             ("{not json", "invalid config"),
@@ -779,6 +829,20 @@ class TestCli:
             with pytest.raises(SystemExit, match=match) as exc:
                 cli.main(["analyze", str(path), "--config", str(cfg_path)])
             assert str(exc.value).startswith(f"invalid config {cfg_path}: ")
+
+    def test_bool_in_a_float_field_exits_one(self, tmp_path):
+        # true in a JSON config is no float: without the check it would
+        # run the external solver with a 1 s timeout
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"classical_timeout": True}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qipm_bounds.cli", "analyze",
+             str(corpus_dir() / "tiny" / "tiny_min.mps"),
+             "--config", str(cfg_path)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 1
+        assert proc.stderr == (f"invalid config {cfg_path}: classical_timeout"
+                               " must be a float, not True\n")
 
     def test_invalid_flag_values_exit_cleanly(self):
         from qipm_bounds import cli

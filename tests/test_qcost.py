@@ -9,8 +9,7 @@ import pytest
 
 from qipm_bounds.qcost import (ceil_log_term, chebyshev_bracket, duration_grid,
                                exact_grid, hermitian_dilation_params,
-                               qlsa_query_count,
-                               runtime_lower_bound, to_fraction,
+                               qlsa_query_count, to_fraction,
                                total_quantum_cycles)
 
 
@@ -169,15 +168,6 @@ class TestDilation:
 
 
 class TestRuntime:
-    def test_reference_duration(self):
-        assert runtime_lower_bound(4800, 8e-10) == pytest.approx(3.84e-6)
-
-    def test_large_cycle_count(self):
-        assert runtime_lower_bound(10 ** 12, 8e-10) == pytest.approx(800.0)
-
-    def test_zero_cycles(self):
-        assert runtime_lower_bound(0, 8e-10) == 0.0
-
     def test_duration_grid_contains_reference(self):
         grid = duration_grid()
         assert 8e-10 in grid

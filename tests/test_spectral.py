@@ -486,8 +486,10 @@ class TestComposedOss:
     def test_composes_from_f_without_the_null_space(self, monkeypatch):
         # sigma(sV) is lifted from F, the operator MNES bounds, so no
         # matvec reaches the null-space operator, and at the same seed
-        # sigma_max(O) is at least the lift of MNES's sigma_max(F)
-        applied = []
+        # sigma_max(O) is at least the lift of MNES's sigma_max(F). That
+        # value is bit for bit the one OSS computes, so handing it over
+        # (as the harness does) changes no field of the OSS bound
+        applied, shapes = [], set()
         for name in ("apply", "apply_transpose"):
             def counted(op, v, real=getattr(NewtonOperator, name)):
                 if op.kind == "nullspace":
@@ -506,7 +508,16 @@ class TestComposedOss:
                     1.0 + mnes.sigma_max_lb ** 2) * (1.0 - 1e-15)
             top = np.linalg.svd(dense, compute_uv=False)[0]
             assert kb.sigma_max_lb <= top * (1.0 + KAPPA_RTOL)
+            fmax = sigma_max_lower(oss.fbar, seed=seed)
+            assert repr(mnes.sigma_max_lb) == repr(fmax)
+            handed = kappa_lower_oss(oss, seed=seed, fbar_sigma_max=fmax)
+            assert list(map(repr, dataclasses.astuple(handed))) == \
+                list(map(repr, dataclasses.astuple(kb)))
+            k = std.n - std.m
+            shapes.add("n - m > m" if k > std.m else "n = m" if k == 0
+                       else "0 < n - m <= m")
         assert applied == []
+        assert shapes == {"n - m > m", "0 < n - m <= m", "n = m"}
 
     @pytest.mark.parametrize("a, expected", [
         # n = m: O = -xA', F is m x 0 and adds nothing
