@@ -15,7 +15,7 @@ keyed on that digest, and its other instances share those results exactly.
 stage sets the record's status to "error" and keeps what the earlier stages
 filled in, so `analyze` and `suite` record the same fault the same way.
 Inside it, `_analyze_basis` gives each formulation its own guard, so one
-formulation's failure leaves the other's result; MNES hands its
+formulation's failure leaves the other's result; MNES hands its F and
 sigma_max(F) to OSS, which bounds the same F, unless MNES failed.
 """
 
@@ -203,12 +203,15 @@ class SuiteReport:
 def _analyze_basis(std, basis, cfg: AnalysisConfig, seed: int,
                    stages: dict[str, float]) -> dict[str, FormulationResult]:
     """Both formulations on one basis at the all-ones iterate, each under
-    its own guard and stage key. OSS takes MNES's sigma_max(F), the same
-    Lanczos on the same F at the same seed, or runs it when MNES failed."""
+    its own guard and stage key. OSS takes MNES's F, with its lazy
+    factorization, and MNES's sigma_max(F), the same Lanczos on the same F
+    at the same seed; it builds F, or runs that Lanczos, itself when MNES
+    failed first."""
     it = canonical_iterate(std.m, std.n)
     opts = dict(timeout=cfg.sigma_min_timeout, seed=seed,
                 n_samples=cfg.sigma_min_samples)
     results: dict[str, FormulationResult] = {}
+    fbar = None
     for formulation in FORMULATIONS:
         t = time.perf_counter()
         result = results[formulation] = FormulationResult(formulation)
@@ -218,7 +221,8 @@ def _analyze_basis(std, basis, cfg: AnalysisConfig, seed: int,
                 kb = kappa_lower_mnes(fbar, std.m, std.n, **opts)
                 s, d = sparsity_mnes(std.m), std.m
             else:
-                oss = build_oss(std, it, basis, it.default_beta_mu(cfg.beta))
+                oss = build_oss(std, it, basis, it.default_beta_mu(cfg.beta),
+                                fbar=fbar)
                 mnes = results["mnes"]
                 kb = kappa_lower_oss(oss, **opts, fbar_sigma_max=(
                     mnes.sigma_max_lb if mnes.ok else None))

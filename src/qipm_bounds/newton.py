@@ -310,7 +310,8 @@ def null_space_matrix(basis: BasisSelection, A: SparseMatrix) -> NewtonOperator:
 
 
 def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
-              beta_mu: float) -> NewtonOperator:
+              beta_mu: float, fbar: NewtonOperator | None = None
+              ) -> NewtonOperator:
     """Orthogonal subspace system: O = [-X A'  S V], rhs tau; dim n.
 
     The input vector stacks the dy block (m) over the null-space coefficient
@@ -323,6 +324,8 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
     - fbar, the coupling F = A_B^-1 A_N (build_fbar at this iterate), and
       s: V'V = I + F'F, so sigma(sV) is s sqrt(1 + sigma_i(F)^2), plus s
       itself when n - m > m, because F'F then has rank at most m < n - m.
+    A given `fbar`, build_fbar(basis, std.A, it) built by the caller, is
+    attached as it is, so F and its lazy factorization exist once.
     """
     _check_iterate(std, it)
     A, a_t = std.A.tocsr(), std.A.tocsc().T
@@ -341,7 +344,8 @@ def build_oss(std: StandardLP, it: Iterate, basis: BasisSelection,
     tau = beta_mu - it.x * it.s
     oss = NewtonOperator((n, n), "oss", matvec, rmatvec, rhs=tau)
     if n and np.all(it.x == it.x[0]) and np.all(it.s == it.s[0]):
-        oss.fbar, oss.s = build_fbar(basis, std.A, it), float(it.s[0])
+        oss.fbar = fbar if fbar is not None else build_fbar(basis, std.A, it)
+        oss.s = float(it.s[0])
         if m:
             oss.a_block = _a_block(A, a_t, basis, it)
     return oss

@@ -148,7 +148,8 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
     cap = min(max_iters, dim)
-    Q = np.zeros((cap, dim))
+    # the kept vectors; rows are added by doubling as steps are taken
+    Q = np.zeros((min(cap, 16), dim))
     alphas: list[float] = []
     betas: list[float] = []
     prev = None
@@ -156,6 +157,8 @@ def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
     alpha_max = 0.0  # breakdown is relative, so scaling op cannot move it
     k = 0
     while True:
+        if k == len(Q):
+            Q = np.concatenate([Q, np.zeros((min(k, cap - k), dim))])
         Q[k] = q
         u = _check_finite(gram(q), "gram matvec")
         alpha = float(q @ u)

@@ -5,12 +5,14 @@ Presolve removes empty rows/columns, substitutes fixed variables and merges
 positively scaled duplicate rows; standardization introduces slack/surplus
 columns, shifts or splits bounded/free variables; rank repair keeps a maximal
 independent set of rows and drops the rest after checking right-hand-side
-consistency. core_basis makes the one rank-revealing decision, a slack crash
-plus a core QR, that rank repair and newton.select_basis both read.
+consistency. core_basis makes the one rank-revealing decision, a slack crash,
+then a guarded triangular crash or a core QR, that rank repair and
+newton.select_basis both read.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -26,6 +28,9 @@ from .lp_model import (INF, ColumnDef, GeneralLP, RowDef, SparseMatrix,
 RANK_TOL = 1e-10
 # consistency tolerance for the rhs of a dependent row
 RHS_CONSISTENCY_TOL = 1e-9
+# largest 1-norm condition estimate of a triangular crash block that
+# core_basis accepts without the core QR
+CRASH_COND_MAX = RANK_TOL ** -0.5
 
 
 class InfeasibleProblem(Exception):
@@ -364,14 +369,19 @@ def private_singletons(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _unit_row_block(A: SparseMatrix, rows: np.ndarray, order: str = "C"):
     """Dense block of A's `rows` over the columns they touch, each nonzero
     row scaled to unit 2-norm (the scale RANK_TOL applies to). Returns
-    (block, columns, norms, scale), with scale 0 on zero rows."""
+    (block, columns, norms, scale), with scale 0 on zero rows.
+
+    The rows are scaled while sparse, so the block is the only dense array.
+    A norm sums the squares in column order, as a reduction over the
+    columns of the Fortran-ordered dense block does.
+    """
     sub = A.tocsr()[rows]
     cols = np.unique(sub.indices)
-    block = sub[:, cols].toarray(order=order)
-    norms = np.linalg.norm(block, axis=1)
+    sub = sub[:, cols]
+    norms = np.sqrt(sub.power(2) @ np.ones(len(cols)))
     scale = np.divide(1.0, norms, out=np.zeros(len(rows)), where=norms > 0.0)
-    block *= scale[:, None]
-    return block, cols, norms, scale
+    sub.data *= np.repeat(scale, np.diff(sub.indptr))
+    return sub.toarray(order=order), cols, norms, scale
 
 
 def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -396,31 +406,93 @@ def _pivoted_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qr, jpvt - 1
 
 
+def _triangular_crash(A: SparseMatrix, rest: np.ndarray) -> np.ndarray | None:
+    """Columns of a triangular block on the `rest` rows, or None.
+
+    First in, first out, starting from the columns in ascending order: a
+    column with exactly one nonzero among the uncovered rows of `rest`
+    covers that row, when its entry has the largest magnitude in both its
+    row and its column of A (ties allowed). Pivot order makes the block
+    A[pivot rows][:, pivot columns] upper triangular. Returns its columns in
+    pivot order only when it covers every row of `rest` and its 1-norm
+    condition estimate, ||T||_1 times onenormest of T^-1 through one LU,
+    is at most CRASH_COND_MAX.
+    """
+    csr, csc = A.tocsr(), A.tocsc()
+    magnitude = abs(csr)
+    row_max = magnitude.max(axis=1).toarray().ravel().tolist()
+    col_max = magnitude.max(axis=0).toarray().ravel().tolist()
+    uncovered = np.zeros(A.n_rows, dtype=bool)
+    uncovered[rest] = True
+    count = np.bincount(csr[rest].indices, minlength=A.n_cols)
+    queue = collections.deque(np.flatnonzero(count == 1).tolist())
+    count, uncovered = count.tolist(), uncovered.tolist()
+    r_ptr, r_idx = csr.indptr.tolist(), csr.indices.tolist()
+    c_ptr, c_idx, c_val = (csc.indptr.tolist(), csc.indices.tolist(),
+                           csc.data.tolist())
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    while queue:
+        j = queue.popleft()
+        if count[j] != 1:
+            continue  # its last uncovered row went to another column
+        k = next(k for k in range(c_ptr[j], c_ptr[j + 1])
+                 if uncovered[c_idx[k]])
+        i, value = c_idx[k], abs(c_val[k])
+        if value < row_max[i] or value < col_max[j]:
+            continue  # count[j] can only fall to 0, so j is done
+        uncovered[i] = False
+        pivot_rows.append(i)
+        pivot_cols.append(j)
+        for jj in r_idx[r_ptr[i]:r_ptr[i + 1]]:
+            count[jj] -= 1
+            if count[jj] == 1:
+                queue.append(jj)
+    if len(pivot_rows) < rest.size:
+        return None
+    block = csr[pivot_rows][:, pivot_cols].tocsc()
+    lu = sparse_linalg.splu(block)
+    inverse = sparse_linalg.LinearOperator(
+        block.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, "T"),
+        dtype=float)
+    # t=1 takes no random columns, so the estimate is deterministic
+    norm_inverse = sparse_linalg.onenormest(inverse, t=1)
+    if sparse_linalg.norm(block, 1) * norm_inverse > CRASH_COND_MAX:
+        return None
+    return np.asarray(pivot_cols, dtype=np.intp)
+
+
 @functools.lru_cache(maxsize=1)
 def core_basis(A: SparseMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                          int]:
     """Which rows of A are independent, and the columns that show it.
 
-    The crash: each row `private_singletons` reports (`covered`) takes its
-    private column. The other rows (`rest`) can only depend on each other:
-    one column-pivoted Householder QR of their row-normalized dense block,
-    over only the columns they touch, picks their columns in pivot order,
-    and `rank` counts the pivots with |R_kk| > RANK_TOL. No QR runs when
-    every row is covered. A[:, basic] is block upper triangular, so it is
-    nonsingular exactly when rank == rest.size. Returns read-only (covered,
-    rest, basic, rank), `basic` being covered's columns, then the core's.
-    The last A is cached on `A.digest()`, which SparseMatrix's equality and
-    hash read, so rank repair and the basis share one QR, and so do LPs
-    whose standard forms differ only outside A, such as in b.
+    The slack crash: each row `private_singletons` reports (`covered`)
+    takes its private column. The other rows (`rest`) can only depend on
+    each other. `_triangular_crash` covers them with dominant pivots when
+    it can, and its block is well conditioned; then they are independent.
+    Otherwise one column-pivoted Householder QR of their row-normalized
+    dense block, over only the columns they touch, picks their columns in
+    pivot order, and `rank` counts the pivots with |R_kk| > RANK_TOL. No
+    QR runs when every row is covered or the crash is taken. A[:, basic] is
+    block upper triangular, so it is nonsingular exactly when rank ==
+    rest.size. Returns read-only (covered, rest, basic, rank), `basic`
+    being covered's columns, then the core's. The last A is cached on
+    `A.digest()`, which SparseMatrix's equality and hash read, so rank
+    repair and the basis share one decision, and so do LPs whose standard
+    forms differ only outside A, such as in b.
     """
     covered, basic = private_singletons(A)
     rest = np.setdiff1d(np.arange(A.n_rows), covered, assume_unique=True)
-    rank = 0
+    rank = rest.size
     if rest.size:
-        dense, cols, _, _ = _unit_row_block(A, rest, order="F")
-        r, piv = _pivoted_qr(dense)
-        rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
-        basic = np.concatenate([basic, cols[piv[:rank]]])
+        core = _triangular_crash(A, rest)
+        if core is None:
+            dense, cols, _, _ = _unit_row_block(A, rest, order="F")
+            r, piv = _pivoted_qr(dense)
+            rank = int(np.count_nonzero(np.abs(np.diagonal(r)) > RANK_TOL))
+            core = cols[piv[:rank]]
+        basic = np.concatenate([basic, core])
     for arr in (covered, rest, basic):
         arr.flags.writeable = False
     return covered, rest, basic, rank

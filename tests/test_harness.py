@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -430,33 +429,25 @@ class TestRunSuite:
         assert report.records == []
         assert any("no MPS instances" in w for w in report.warnings)
 
-    def test_shared_matrix_runs_one_core_qr(self, tmp_path, monkeypatch):
+    def test_shared_matrix_runs_one_core_decision(self, tmp_path):
         # flow replicas differ only in capacities, which land in b: the
-        # suite factors their common core once, and each record matches
-        # the one analyzed alone on an empty cache
+        # suite makes one core decision (a core_basis cache miss) for their
+        # common matrix, and each record matches the one analyzed alone on
+        # an empty cache
         from qipm_bounds.standardize import core_basis
-        standardize_module = importlib.import_module("qipm_bounds.standardize")
-        qr = standardize_module._pivoted_qr
-        calls = []
-
-        def counting_qr(a):
-            calls.append(a.shape)
-            return qr(a)
-
-        monkeypatch.setattr(standardize_module, "_pivoted_qr", counting_qr)
         for replica in (0, 1):
             (tmp_path / f"flow_{replica}.mps").write_text(
                 generators.flow_grid(8, 8, 1, replica))
         core_basis.cache_clear()
         shared = run_suite(tmp_path, FAST).records
-        assert calls == [(64, 128)]
+        assert core_basis.cache_info().misses == 1
+        assert core_basis.cache_info().hits > 0
         for rec in shared:
             core_basis.cache_clear()
             alone = analyze_instance(rec.path, FAST)
+            assert core_basis.cache_info().misses == 1
             assert alone.status == rec.status == "ok"
             assert alone.formulations == rec.formulations
-        assert len(calls) == 3
-
 
     @staticmethod
     def _untimed_csv(report) -> list[dict[str, str]]:
@@ -614,6 +605,47 @@ class TestRunSuite:
         assert rec.status == "ok"
         assert all(f.ok for f in rec.formulations.values())
         assert kinds.count("fbar") == 1
+
+    def test_f_is_built_and_factored_once(self, tmp_path, monkeypatch):
+        # tiny_min has n - m = m = 1, so F carries the inverse Gram through
+        # a factorization of A_N A_N' (a (1, 1) argument; O's A-block
+        # factors A A', a (1, 2) one): OSS bounds MNES's F and reuses it
+        import qipm_bounds.harness as harness
+        from qipm_bounds import newton
+        real, shapes, built = newton.factor_nes, [], []
+
+        def counted(a, d2):
+            shapes.append(a.shape)
+            return real(a, d2)
+
+        def build_oss(*args, **kwargs):
+            built.append(kwargs["fbar"])
+            return newton.build_oss(*args, **kwargs)
+
+        monkeypatch.setattr(newton, "factor_nes", counted)
+        monkeypatch.setattr(harness, "build_oss", build_oss)
+        (tmp_path / "tiny_min.mps").write_text(
+            (corpus_dir() / "tiny" / "tiny_min.mps").read_text())
+        rec = analyze_instance(tmp_path / "tiny_min.mps", FAST)
+        assert (rec.m, rec.n) == (1, 2)
+        assert all(f.ok for f in rec.formulations.values())
+        assert shapes.count((1, 1)) == 1
+        assert built[0] is not None and built[0].kind == "fbar"
+
+    def test_oss_builds_f_when_mnes_could_not(self, tmp_path, monkeypatch):
+        import qipm_bounds.harness as harness
+        self._flow_copies(tmp_path)
+        before = run_suite(tmp_path, FAST).records
+
+        def fault(*args, **kwargs):
+            raise RuntimeError("F fails under MNES")
+
+        monkeypatch.setattr(harness, "build_fbar", fault)
+        after = run_suite(tmp_path, FAST).records
+        for rec, ref in zip(after, before, strict=True):
+            assert rec.formulations["mnes"].failure == \
+                "RuntimeError: F fails under MNES"
+            assert rec.formulations["oss"] == ref.formulations["oss"]
 
     def test_seed_is_zero_without_a_standard_form(self, tmp_path):
         (tmp_path / "bad.mps").write_text("THIS IS NOT MPS\n")

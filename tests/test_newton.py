@@ -1,6 +1,7 @@
 """Matrix-free Newton operators against dense assembly oracles."""
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -124,8 +125,11 @@ class TestSelectBasis:
         assert np.array_equal(basis.a_n.to_dense(), a[:, basis.nonbasic])
 
     def test_one_factorization_per_instance(self, monkeypatch):
-        # rank repair and the basis share core_basis's QR; a dependent row
-        # adds rank repair's row pick and one QR of the repaired matrix
+        # rank repair and the basis share one core decision (a core_basis
+        # cache miss); a dependent row adds the repaired matrix's decision.
+        # rankdef_dup's rank-deficient core takes the QR and rank repair
+        # its row pick; the repaired core and flow's incidence rows are
+        # covered by the triangular crash, with no QR
         calls = []
         qr = standardize_module._pivoted_qr
 
@@ -136,37 +140,42 @@ class TestSelectBasis:
         monkeypatch.setattr(standardize_module, "_pivoted_qr", counting_qr)
         core_basis.cache_clear()  # an earlier test may have left a hit
         rankdef = (corpus_dir() / "raw" / "rankdef_dup.mps").read_text()
-        for text, shapes in [(generators.slack_ladder(60, 80, 1), []),
-                             (rankdef, [(3, 4), (4, 3), (1, 2)]),
-                             (generators.flow_grid(8, 8, 1), [(64, 128)])]:
+        for text, decisions, shapes in [
+                (generators.slack_ladder(60, 80, 1), 1, []),
+                (rankdef, 2, [(3, 4), (4, 3)]),
+                (generators.flow_grid(8, 8, 1), 1, [])]:
             calls.clear()
+            misses = core_basis.cache_info().misses
             std = standardize(parse_mps(text))
             select_basis(std.A)
+            assert core_basis.cache_info().misses - misses == decisions
             assert calls == shapes
         # the flow form: the cached pick is read-only, and an equal matrix
-        # built apart gives the same pick without a QR of its own
+        # built apart gives the same pick without a decision of its own
         covered, rest, basic, rank = core_basis(std.A)
         assert rank == rest.size > 0
         for arr in (covered, rest, basic):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
-        calls.clear()
+        info = core_basis.cache_info()
         copy = SparseMatrix(std.A.tocsr().copy())
         assert copy is not std.A and copy == std.A
         assert hash(copy) == hash(std.A)
         again = core_basis(copy)
-        assert calls == []
+        assert core_basis.cache_info().hits == info.hits + 1
+        assert core_basis.cache_info().misses == info.misses
         assert again[3] == rank
         for a, b in zip(again[:3], (covered, rest, basic)):
             assert np.array_equal(a, b)
         # same shape and pattern, one value changed in a core row: no stale
-        # hit, the matrix runs its own QR
+        # hit, the matrix gets its own decision
         csr = std.A.tocsr().copy()
         csr.data[csr.indptr[rest[0]]] *= 2.0
         changed = SparseMatrix(csr)
         assert changed != std.A
         core_basis(changed)
-        assert calls == [(64, 128)]
+        assert core_basis.cache_info().misses == info.misses + 1
+        assert calls == []
 
     @pytest.mark.parametrize("seed", range(40))
     def test_basis_is_nonsingular_with_and_without_slacks(self, seed):
@@ -220,6 +229,103 @@ class TestSelectBasis:
                 if bound.kappa_lower > truth[f_name] * (1.0 + 1e-10):
                     violations.append((seed, f_name, bound.kappa_lower,
                                        truth[f_name]))
+        assert violations == []
+
+
+class TestTriangularCrash:
+    @staticmethod
+    def _no_qr(monkeypatch):
+        def no_qr(a):
+            raise AssertionError("the core QR ran")
+        monkeypatch.setattr(standardize_module, "_pivoted_qr", no_qr)
+        core_basis.cache_clear()
+
+    @pytest.mark.parametrize("k", [8, 12, 20])
+    def test_flow_core_is_covered_without_a_qr(self, k, monkeypatch):
+        # the node-arc incidence rows are all of the core; the crash covers
+        # each with one arc column, and no dense block is built
+        std = standardize(parse_mps(generators.flow_grid(k, k, 1)))
+        self._no_qr(monkeypatch)
+        covered, rest, basic, rank = core_basis(std.A)
+        assert rest.size == k * k and rank == rest.size
+        core = standardize_module._triangular_crash(std.A, rest)
+        assert core.size == rest.size
+        assert np.array_equal(basic, np.concatenate([basic[:covered.size],
+                                                     core]))
+        basis = select_basis(std.A)
+        assert np.array_equal(basis.basic, basic)
+        assert np.linalg.cond(std.A.to_dense()[:, basis.basic]) < 1e6
+
+    @staticmethod
+    def _growth_core(k: int) -> np.ndarray:
+        # unit diagonal and -1 below it: every pivot dominates its row and
+        # column (ties), and the inverse grows like 2^k. The last column
+        # is private to the last row, so the core is the first k - 1 rows
+        return np.eye(k) - np.tril(np.ones((k, k)), -1)
+
+    def test_ill_conditioned_crash_falls_back_to_the_qr(self):
+        from scipy import linalg
+        calls = []
+        qr = standardize_module._pivoted_qr
+
+        def counting_qr(a):
+            calls.append(a.shape)
+            return qr(a)
+
+        # the (k - 1)-row core's 1-norm condition is (k - 1) 2^(k - 2):
+        # 5.3e4 at k = 14 and 1.1e5 at k = 15, past CRASH_COND_MAX; the
+        # crash covers both, and with the guard lifted it is taken at 15
+        for k, cond_max, crash in [(14, None, True), (15, None, False),
+                                   (15, math.inf, True), (24, None, False)]:
+            a = self._growth_core(k)
+            A = SparseMatrix.from_dense(a)
+            core_basis.cache_clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(standardize_module, "_pivoted_qr", counting_qr)
+                if cond_max is not None:
+                    mp.setattr(standardize_module, "CRASH_COND_MAX", cond_max)
+                calls.clear()
+                covered, rest, basic, rank = core_basis(A)
+            assert covered.tolist() == [k - 1]
+            assert rank == rest.size == k - 1
+            assert calls == ([] if crash else [(k - 1, k - 1)])
+            if crash:  # the block is covered from the last core row up
+                assert basic.tolist() == [k - 1] + list(range(k - 2, -1, -1))
+            else:  # the pick is the QR's, as without the crash
+                block = a[rest][:, :k - 1]  # the columns the core touches
+                _, piv = linalg.qr(
+                    block / np.linalg.norm(block, axis=1)[:, None],
+                    mode="r", pivoting=True)
+                assert basic.tolist() == [k - 1] + piv.tolist()
+
+    def test_kappa_bounds_hold_under_crash_bases(self, monkeypatch):
+        # kappa_lower <= the dense kappa for both formulations on the
+        # crash bases of flow grids and of the survey's narrow 2 x k grids
+        texts = [generators.flow_grid(k, k, 1) for k in range(8, 13)] + \
+            [generators.flow_grid(2, k, 1) for k in range(2, 13)]
+        self._no_qr(monkeypatch)
+        violations = []
+        for text in texts:
+            std = standardize(parse_mps(text))
+            m, n = std.m, std.n
+            basis = select_basis(std.A)
+            it = canonical_iterate(m, n)
+            a = std.A.to_dense()
+            sf = np.linalg.svd(dense_fbar(a, basis.basic, basis.nonbasic, it),
+                               compute_uv=False)
+            smin_f = sf[m - 1] if n - m >= m else 0.0
+            o = np.linalg.svd(dense_oss(a, basis.basic, basis.nonbasic, it),
+                              compute_uv=False)
+            truth = {"mnes": (1.0 + sf[0] ** 2) / (1.0 + smin_f ** 2),
+                     "oss": o[0] / o[-1]}
+            fbar = build_fbar(basis, std.A, it)
+            kb = {"mnes": kappa_lower_mnes(fbar, m, n, seed=1),
+                  "oss": kappa_lower_oss(build_oss(std, it, basis, 0.5,
+                                                   fbar=fbar), seed=1)}
+            for name, bound in kb.items():
+                if bound.kappa_lower > truth[name] * (1.0 + 1e-10):
+                    violations.append((m, n, name, bound.kappa_lower,
+                                       truth[name]))
         assert violations == []
 
 

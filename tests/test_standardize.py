@@ -425,6 +425,32 @@ class TestEnsureFullRowRank:
             ensure_full_row_rank(self._std([[0.0, 0.0], [1.0, 1.0]],
                                            [1.0, 2.0]))
 
+    def test_unit_row_block_matches_the_dense_formula(self):
+        # the rows are scaled while sparse; block, norms and scale are
+        # bit-identical to norming and scaling the Fortran-ordered dense
+        # block, as the core QR did
+        rng = rng_for(11)
+        a = rng.normal(size=(30, 60)) * 10.0 ** rng.uniform(-4, 4, (30, 1))
+        a[rng.random(a.shape) < 0.8] = 0.0
+        a[3] = 0.0  # a zero row keeps scale 0
+        A = SparseMatrix.from_dense(a)
+        for rows in ([0, 3, 5, 7, 11, 29], list(range(30))):
+            rows = np.asarray(rows)
+            cols = np.flatnonzero(np.abs(a[rows]).sum(axis=0))
+            ref = np.asfortranarray(a[rows][:, cols])
+            ref_norms = np.linalg.norm(ref, axis=1)
+            ref_scale = np.divide(1.0, ref_norms, out=np.zeros(len(rows)),
+                                  where=ref_norms > 0.0)
+            ref *= ref_scale[:, None]
+            for order in ("C", "F"):
+                block, got_cols, norms, scale = \
+                    standardize_module._unit_row_block(A, rows, order)
+                assert block.flags[f"{order}_CONTIGUOUS"]
+                assert np.array_equal(got_cols, cols)
+                assert np.array_equal(norms, ref_norms)
+                assert np.array_equal(scale, ref_scale)
+                assert np.array_equal(block, ref)
+
     def test_pivoted_qr_matches_scipy(self, monkeypatch):
         from scipy import linalg
         rng = rng_for(9)
