@@ -20,7 +20,7 @@ from .newton import (BasisSelection, Iterate, NewtonOperator, NewtonStep,
                      recover_updates_oss, select_basis)
 from .qcost import (duration_grid, hermitian_dilation_params,
                     qlsa_query_count, total_quantum_cycles)
-from .report import emit_report, report_from_json
+from .report import emit_report
 from .spectral import (KappaBound, NumericalError, kappa_lower_mnes,
                        kappa_lower_oss, sigma_max_lower, sigma_min_upper,
                        sparsity_mnes, sparsity_oss)
@@ -38,7 +38,7 @@ __all__ = [
     "SparseMatrix", "StandardLP",
     "SuiteReport", "UnboundedProblem", "analyze_instance", "build_fbar",
     "build_mnes", "build_nes", "build_oss", "canonical_iterate",
-    "duration_grid", "emit_mps", "emit_report", "ensure_full_row_rank", "report_from_json",
+    "duration_grid", "emit_mps", "emit_report", "ensure_full_row_rank",
     "exclusion_curve", "hermitian_dilation_params",
     "kappa_lower_mnes", "kappa_lower_oss", "null_space_matrix", "parse_mps",
     "presolve", "qlsa_query_count", "recover_updates_mnes",

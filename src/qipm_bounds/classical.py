@@ -166,7 +166,6 @@ def command_argv(command_template: str) -> list[str]:
 
 
 def solve_external(std: StandardLP, command_template: str,
-                   workdir: str | Path | None = None,
                    timeout: float = 600.0,
                    objective_pattern: str | None = None,
                    status_patterns: dict[str, str] | None = None
@@ -184,7 +183,8 @@ def solve_external(std: StandardLP, command_template: str,
     status_patterns = status_patterns or DEFAULT_STATUS_PATTERNS
     solver_name = f"external({argv[0]})"
 
-    def run(dirpath: Path) -> SolveOutcome:
+    with tempfile.TemporaryDirectory(prefix="qipm_bounds_") as tmp:
+        dirpath = Path(tmp)
         t_ser = time.perf_counter()
         mps_path = dirpath / "instance.mps"
         mps_path.write_text(emit_mps(standard_to_general(std)))
@@ -232,10 +232,3 @@ def solve_external(std: StandardLP, command_template: str,
             status=status, objective=objective, wall_time=wall,
             solver=solver_name, serialize_time=serialize_time,
             captured_output=output)
-
-    if workdir is not None:
-        path = Path(workdir)
-        path.mkdir(parents=True, exist_ok=True)
-        return run(path)
-    with tempfile.TemporaryDirectory(prefix="qipm_bounds_") as tmp:
-        return run(Path(tmp))

@@ -1,12 +1,12 @@
 """Command-line entry points: `analyze <file.mps>` and `suite <dir>`.
 
-A JSON config file (via --config or the QIPM_BOUNDS_CONFIG environment
-variable) can preset any analysis option, including the objective/status
-regex patterns of the external-solver adapter; command-line flags override
-it. Exit code is 0 on full success, 1 when the command line, the config
-file, a flag value, the suite directory or the report formats are invalid
-(one line: `invalid config <path>: <reason>` or `invalid option: <reason>`,
-before any analysis runs), and 2 when any instance errored.
+A JSON config file given with --config can preset any analysis option,
+including the objective/status regex patterns of the external-solver
+adapter; command-line flags override it. Exit code is 0 on full success, 1
+when the command line, the config file, a flag value, the suite directory,
+the output path or the report formats are invalid (one line:
+`invalid config <path>: <reason>` or `invalid option: <reason>`, before
+any analysis runs), and 2 when any instance errored.
 """
 
 from __future__ import annotations
@@ -14,18 +14,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from .harness import AnalysisConfig, analyze_instance, run_suite
 from .report import FORMATS, emit_report
 
-CONFIG_ENV_VAR = "QIPM_BOUNDS_CONFIG"
-
 
 def _load_config(path: str | None) -> AnalysisConfig:
-    path = path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return AnalysisConfig()
     try:
@@ -58,10 +54,14 @@ def _apply_flags(cfg: AnalysisConfig,
 
 
 def _suite_formats(args: argparse.Namespace) -> set[str]:
-    """Check the suite directory and --formats before any analysis runs."""
+    """Check the suite directory, --out and --formats before any analysis
+    runs."""
     if not Path(args.directory).is_dir():
         raise SystemExit(
             f"invalid option: {args.directory} is not a directory")
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise SystemExit(f"invalid option: --out {args.out} exists and is "
+                         "not a directory")
     formats = {f.strip() for f in args.formats.split(",") if f.strip()}
     if not formats or not formats <= set(FORMATS):
         raise SystemExit(f"invalid option: --formats {args.formats!r} is "
@@ -78,8 +78,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (default: "
-                   f"${CONFIG_ENV_VAR})")
+    p.add_argument("--config", help="JSON config file presetting any "
+                   "option; flags override it")
     p.add_argument("--seed", type=int, help="suite seed (default 0)")
     p.add_argument("--epsilon", type=float,
                    help="QLSA target precision (default 0.1)")

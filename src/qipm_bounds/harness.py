@@ -403,11 +403,10 @@ def exclusion_curve(records: list[InstanceRecord],
     for fam in sorted({r.family for r in records}):
         fam_records = [r for r in records if r.family == fam]
         curves[fam], counts[fam] = {}, {}
-        dropped = set()
+        dropped: set[int] = set()  # record indices; names can repeat
         for formulation in FORMULATIONS:
             taus = [r.exclusion_threshold(formulation) for r in fam_records]
-            dropped.update(r.name for r, tau in zip(fam_records, taus)
-                           if tau is None)
+            dropped.update(i for i, tau in enumerate(taus) if tau is None)
             # the taus above t_ are those after bisect_right in sorted order
             taus = sorted(tau for tau in taus if tau is not None)
             pair_counts = [[len(taus) - bisect.bisect_right(taus, t_),

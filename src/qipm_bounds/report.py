@@ -113,36 +113,6 @@ def report_json(report: SuiteReport) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
 
-def report_from_json(text: str) -> SuiteReport:
-    """Rebuild a SuiteReport from its JSON form (e.g. to re-emit figures)."""
-    from .classical import SolveOutcome
-    from .harness import FormulationResult
-
-    payload = json.loads(text)
-    records = []
-    for raw in payload["records"]:
-        formulations = {
-            name: FormulationResult(**f)
-            for name, f in raw.pop("formulations", {}).items()}
-        classical = raw.pop("classical", None)
-        record = InstanceRecord(**raw)
-        record.formulations = formulations
-        if classical is not None:
-            record.classical = SolveOutcome(**classical)
-        records.append(record)
-    return SuiteReport(
-        records=records,
-        duration_grid=payload["duration_grid"],
-        reference_marker=payload["reference_marker"],
-        curves=payload["curves"],
-        curve_counts=payload["curve_counts"],
-        excluded=payload["excluded"],
-        config=payload["config"],
-        metadata=payload["metadata"],
-        warnings=payload.get("warnings", []),
-    )
-
-
 # ---------------------------------------------------------------------------
 # SVG emission
 

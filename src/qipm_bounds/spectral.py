@@ -134,20 +134,19 @@ def _rayleigh_sigma(image, v: np.ndarray) -> float:
     return float(np.sqrt(num / den))
 
 
-def _lanczos_extreme(gram, image, dim: int, which: str, max_iters: int,
+def _lanczos_extreme(gram, image, dim: int, which: str,
                      rng: np.random.Generator, deadline: float | None):
     """Krylov iteration on the Gram operator with full reorthogonalization.
 
-    Stops at convergence of the extreme Ritz value, at the iteration cap, on
-    breakdown or, after at least one step, past the deadline. Returns
-    (sigma_value, sigma_max_ritz) where sigma_value is the certified
-    Rayleigh-quotient bound at the extreme Ritz vector of the steps taken.
+    Stops at convergence of the extreme Ritz value, at the iteration cap
+    DEFAULT_MAX_ITERS, on breakdown or, after at least one step, past the
+    deadline. Returns (sigma_value, sigma_max_ritz) where sigma_value is the
+    certified Rayleigh-quotient bound at the extreme Ritz vector of the
+    steps taken.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
-    cap = min(max_iters, dim)
+    cap = min(DEFAULT_MAX_ITERS, dim)
     # the kept vectors; rows are added by doubling as steps are taken
     Q = np.zeros((min(cap, 16), dim))
     alphas: list[float] = []
@@ -210,36 +209,34 @@ def _extreme_index(vals: np.ndarray, which: str) -> int:
     return int(np.argmax(np.abs(vals))) if which == "max" else 0
 
 
-def sigma_max_lower(op: NewtonOperator, max_iters: int = DEFAULT_MAX_ITERS,
-                    seed: int = 0) -> float:
+def sigma_max_lower(op: NewtonOperator, seed: int = 0) -> float:
     """Certified lower bound on the largest singular value of op.
 
     The value returned is the Rayleigh quotient ||op v|| / ||v|| at the top
-    Ritz vector of a seeded Krylov iteration, which never exceeds sigma_max.
+    Ritz vector of a seeded Krylov iteration, capped at DEFAULT_MAX_ITERS
+    steps, which never exceeds sigma_max.
     """
     dim, gram, image = _gram_side(op)
     if dim == 0 or op.shape[0] == 0:
         return 0.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    value, _ = _lanczos_extreme(gram, image, dim, "max", max_iters, rng,
-                                deadline=None)
+    value, _ = _lanczos_extreme(gram, image, dim, "max", rng, deadline=None)
     return value
 
 
 def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
                     n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                    max_iters: int = DEFAULT_MAX_ITERS,
                     sigma_max_hint: float | None = None) -> tuple[float, str]:
     """Certified upper bound on the smallest singular value of op.
 
     With timeout > 0, runs a Krylov iteration and returns the forward
     Rayleigh quotient of op on its smaller side at the vector v the
-    iteration picks, wherever it stops: convergence, max_iters, breakdown
-    or the timeout, which ends the iteration early (after at least one
-    step) without discarding it. When op.inverse_gram is set (on F when
-    n - m >= m, and on O's A-block), v is the top Ritz vector of that
-    inverse (op op')^-1, whose lazy factorization runs
-    under the same timeout, and the quotient is ||op' v|| / ||v||; if the
+    iteration picks, wherever it stops: convergence, the DEFAULT_MAX_ITERS
+    cap, breakdown or the timeout, which ends the iteration early (after at
+    least one step) without discarding it. When op.inverse_gram is set (on
+    F when n - m >= m, and on O's A-block), v is the top Ritz vector of
+    that inverse (op op')^-1, whose lazy factorization runs under the same
+    timeout, and the quotient is ||op' v|| / ||v||; if the
     factorization or an inverse solve fails, v is instead the smallest Ritz
     vector of the forward Gram operator. Every Rayleigh quotient bounds
     sigma_min from above by the min-max principle, however v was chosen.
@@ -260,17 +257,16 @@ def sigma_min_upper(op: NewtonOperator, timeout: float = DEFAULT_TIMEOUT,
             try:
                 # its Ritz value is about 1 / sigma_min, no pad scale
                 value, _ = _lanczos_extreme(
-                    op.inverse_gram, op.apply_transpose, dim, "max",
-                    max_iters, rng, deadline)
+                    op.inverse_gram, op.apply_transpose, dim, "max", rng,
+                    deadline)
             except (RuntimeError, np.linalg.LinAlgError):
                 pass  # fall back to the forward Gram below
             else:
-                scale_ref = scale_ref or sigma_max_lower(
-                    op, max_iters=max_iters, seed=seed)
+                scale_ref = scale_ref or sigma_max_lower(op, seed=seed)
                 return value + _FP_PAD * (dim + 10) * scale_ref, "iterative"
         rng = np.random.Generator(np.random.Philox(key=seed))
         value, smax_ritz = _lanczos_extreme(
-            gram, image, dim, "min", max_iters, rng, deadline)
+            gram, image, dim, "min", rng, deadline)
         pad = _FP_PAD * (dim + 10) * max(scale_ref, smax_ritz)
         return value + pad, "iterative"
 

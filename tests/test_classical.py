@@ -158,7 +158,7 @@ class TestSolveExternal:
             print("Optimal")
             print("Objective value: 1.0")
         """)
-        out = solve_external(std, cmd, workdir=tmp_path / "w")
+        out = solve_external(std, cmd)
         assert out.status == "optimal"
         assert out.objective == 1.0
         assert out.serialize_time is not None
@@ -170,8 +170,8 @@ class TestSolveExternal:
             print("Optimal")
             print("Objective value: 1.0")
         """)
-        out = solve_external(std, cmd, workdir=tmp_path / "w",
-                             objective_pattern=None, status_patterns=None)
+        out = solve_external(std, cmd, objective_pattern=None,
+                             status_patterns=None)
         assert out.status == "optimal"
         assert out.objective == 1.0
 
@@ -195,7 +195,7 @@ class TestSolveExternal:
             print("boom", file=sys.stderr)
             sys.exit(1)
         """)
-        out = solve_external(std, cmd, workdir=tmp_path / "w")
+        out = solve_external(std, cmd)
         assert out.status == "error"
         assert "boom" in out.captured_output
         assert "code 1" in out.message
@@ -205,7 +205,7 @@ class TestSolveExternal:
         cmd = _write_stub(tmp_path, """
             print("Optimal solution found, no numbers here")
         """)
-        out = solve_external(std, cmd, workdir=tmp_path / "w")
+        out = solve_external(std, cmd)
         assert out.status == "error"
         assert "objective" in out.message
 
@@ -220,8 +220,7 @@ class TestSolveExternal:
         std = standardize(parse_mps(tiny_min_text))
         cmd = _write_stub(tmp_path, body) if body is not None else \
             f"{shlex.quote(str(tmp_path / 'no_such_solver'))} {{mps}}"
-        out = solve_external(std, cmd, workdir=tmp_path / "w",
-                             timeout=timeout)
+        out = solve_external(std, cmd, timeout=timeout)
         assert (out.status, out.message[:len(message)]) == (status, message)
         assert out.objective == pytest.approx(objective, nan_ok=True)
         assert 0.0 <= out.wall_time < 20.0
@@ -287,7 +286,7 @@ class TestSolveExternal:
                 print("solver failed")
                 sys.exit(3)
         """)
-        out = solve_external(std, cmd, workdir=tmp_path / "w")
+        out = solve_external(std, cmd)
         assert out.status == "optimal"
         assert out.objective == pytest.approx(1.0, abs=1e-6)
 

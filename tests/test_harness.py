@@ -23,8 +23,7 @@ from qipm_bounds.harness import (AnalysisConfig, FormulationResult,
 from qipm_bounds.lp_model import parse_mps
 from qipm_bounds.qcost import to_fraction
 from qipm_bounds.report import (TIMING_COLUMNS, difficulty_svg, emit_report,
-                                exclusion_svg, records_csv, report_from_json,
-                                report_json)
+                                exclusion_svg, records_csv)
 from qipm_bounds.standardize import standardize
 
 FAST = AnalysisConfig(sigma_min_timeout=10.0, sigma_min_samples=500)
@@ -418,11 +417,15 @@ class TestRunSuite:
     def test_errored_instance_excluded(self, tmp_path):
         (tmp_path / "good.mps").write_text(
             (corpus_dir() / "tiny" / "tiny_min.mps").read_text())
+        # two errored records of family misc that share the name "bad"
         (tmp_path / "bad.mps").write_text("THIS IS NOT MPS\n")
+        (tmp_path / "misc").mkdir()
+        (tmp_path / "misc" / "bad.mps").write_text("THIS IS NOT MPS\n")
         report = run_suite(tmp_path, FAST)
-        assert report.metadata["errored"] == 1
+        assert report.metadata["errored"] == 2
         assert any("excluded" in w for w in report.warnings)
         assert report.curve_counts["misc"]["oss"][0][1] == 1
+        assert report.excluded == {"misc": 2}
 
     def test_empty_directory_warns(self, tmp_path):
         report = run_suite(tmp_path, FAST)
@@ -762,11 +765,6 @@ class TestReports:
         assert exclusion_svg(suite).startswith("<svg")
         assert "8e-10" in exclusion_svg(suite)
 
-    def test_svg_from_reloaded_json_byte_identical(self, suite):
-        reloaded = report_from_json(report_json(suite))
-        assert difficulty_svg(reloaded) == difficulty_svg(suite)
-        assert exclusion_svg(reloaded) == exclusion_svg(suite)
-
     def test_unknown_format_rejected(self, suite, tmp_path):
         with pytest.raises(ValueError):
             emit_report(suite, tmp_path, {"pdf"})
@@ -808,16 +806,16 @@ class TestCli:
                      "--formats", "csv"])
         assert code == 2
 
-    def test_config_file_and_env(self, tmp_path, monkeypatch, capsys):
+    def test_flags_override_config_file(self, tmp_path, capsys):
         from qipm_bounds import cli
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(
-            {"sigma_min_timeout": 5.0, "sigma_min_samples": 100}))
-        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(cfg_path))
-        cfg = cli._load_config(None)
-        assert (cfg.sigma_min_timeout, cfg.sigma_min_samples) == (5.0, 100)
+        cfg_path.write_text(json.dumps({"seed": 5, "sigma_min_timeout": 5.0}))
         path = corpus_dir() / "tiny" / "tiny_min.mps"
-        assert cli.main(["analyze", str(path)]) == 0
+        assert cli.main(["analyze", str(path), "--config", str(cfg_path),
+                         "--seed", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config_hash"] == AnalysisConfig(
+            seed=3, sigma_min_timeout=5.0).config_hash()
 
     def test_config_file_rejects_zero_sigma_max_iters(self, tmp_path):
         from qipm_bounds import cli
@@ -943,13 +941,19 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_suite", no_analysis)
         out = tmp_path / "out"
-        for directory, formats, match in [
-                (tmp_path / "missing", "csv", "missing is not a directory"),
-                (data / "t.mps", "csv", "t.mps is not a directory"),
-                (data, "csv,pdf", "'csv,pdf' is not a subset"),
-                (data, ",", "',' is not a subset")]:
+        # an --out that is a file would otherwise fail only in emit_report
+        out_file = tmp_path / "out.txt"
+        out_file.write_text("kept\n")
+        for directory, out_path, formats, match in [
+                (tmp_path / "missing", out, "csv",
+                 "missing is not a directory"),
+                (data / "t.mps", out, "csv", "t.mps is not a directory"),
+                (data, out_file, "csv", "exists and is not a directory"),
+                (data, out, "csv,pdf", "'csv,pdf' is not a subset"),
+                (data, out, ",", "',' is not a subset")]:
             with pytest.raises(SystemExit, match=match) as exc:
-                cli.main(["suite", str(directory), "--out", str(out),
+                cli.main(["suite", str(directory), "--out", str(out_path),
                           "--formats", formats])
             assert str(exc.value).startswith("invalid option: ")
         assert not out.exists()
+        assert out_file.read_text() == "kept\n"
