@@ -24,6 +24,6 @@ d2, s2, k2 = hermitian_dilation_params(d=50, s=7, kappa=3.5, is_hermitian=False)
 print(f"OSS-style system (d=50): Hermitian dilation solves a {d2}-dimensional "
       f"system with unchanged s = {s2}, kappa = {k2}")
 
-grid = duration_grid(points=13)
+grid = duration_grid()
 print(f"duration grid: {len(grid)} points from {grid[0]:.0e}s to "
       f"{grid[-1]:.0e}s, reference 8e-10s included: {8e-10 in grid}")

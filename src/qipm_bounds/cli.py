@@ -2,11 +2,12 @@
 
 A JSON config file given with --config can preset any analysis option,
 including the objective/status regex patterns of the external-solver
-adapter; command-line flags override it. Exit code is 0 on full success, 1
-when the command line, the config file, a flag value, the suite directory,
-the output path or the report formats are invalid (one line:
-`invalid config <path>: <reason>` or `invalid option: <reason>`, before
-any analysis runs), and 2 when any instance errored.
+adapter; command-line flags override it. The QLSA precision and the
+cycle-duration grid are `qcost` constants, not options. Exit code is 0 on
+full success, 1 when the command line, the config file, a flag value, the
+suite directory, the output path or the report formats are invalid (one
+line: `invalid config <path>: <reason>` or `invalid option: <reason>`,
+before any analysis runs), and 2 when any instance errored.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ def _load_config(path: str | None) -> AnalysisConfig:
 
 
 # flags named after the AnalysisConfig field they override
-FLAG_FIELDS = ("epsilon", "seed", "sigma_min_timeout", "sigma_min_samples",
-               "classical_cmd", "classical_timeout", "duration_min",
-               "duration_max", "duration_points")
+FLAG_FIELDS = ("seed", "sigma_min_timeout", "sigma_min_samples",
+               "classical_cmd", "classical_timeout")
 
 
 def _apply_flags(cfg: AnalysisConfig,
@@ -81,8 +81,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file presetting any "
                    "option; flags override it")
     p.add_argument("--seed", type=int, help="suite seed (default 0)")
-    p.add_argument("--epsilon", type=float,
-                   help="QLSA target precision (default 0.1)")
     p.add_argument("--sigma-min-timeout", dest="sigma_min_timeout",
                    type=float, help="seconds after which the sigma_min "
                    "Lanczos iteration, including the sparse factorization "
@@ -98,12 +96,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="external solver command template with {mps}")
     p.add_argument("--classical-timeout", dest="classical_timeout",
                    type=float, help="external solver timeout (default 600 s)")
-    p.add_argument("--duration-min", dest="duration_min", type=float,
-                   help="cycle duration grid minimum (default 1e-15 s)")
-    p.add_argument("--duration-max", dest="duration_max", type=float,
-                   help="cycle duration grid maximum (default 1e-3 s)")
-    p.add_argument("--duration-points", dest="duration_points", type=int,
-                   help="cycle duration grid points (default 121)")
 
 
 def main(argv: list[str] | None = None) -> int:

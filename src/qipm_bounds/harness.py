@@ -53,15 +53,11 @@ class AnalysisConfig:
     # beta_mu = beta * (x's / n) at the build iterate; a constant, not a
     # field, because it reaches only the OSS rhs, which no record reads
     beta: ClassVar[float] = 0.5
-    epsilon: float = 0.1
     seed: int = 0
     # bounds the sigma_min iteration, including the lazy NES factorization
     # of its inverse operator; sigma_max_lower runs outside it
     sigma_min_timeout: float = DEFAULT_TIMEOUT
     sigma_min_samples: int = DEFAULT_SAMPLES
-    duration_min: float = qcost.DEFAULT_DURATION_MIN
-    duration_max: float = qcost.DEFAULT_DURATION_MAX
-    duration_points: int = qcost.DEFAULT_DURATION_POINTS
     classical_cmd: str | None = None
     classical_timeout: float = 600.0
     objective_pattern: str | None = None
@@ -77,8 +73,6 @@ class AnalysisConfig:
                 article = "an" if f.type == "int" else "a"
                 raise ValueError(
                     f"{f.name} must be {article} {f.type}, not {value!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
         if math.isnan(self.sigma_min_timeout):
             raise ValueError("sigma_min_timeout must not be NaN")
         if self.sigma_min_timeout <= 0 and self.sigma_min_samples < 1:
@@ -86,8 +80,8 @@ class AnalysisConfig:
                              "sigma_min_timeout <= 0 selects sampling")
         if not 0.0 < self.classical_timeout < math.inf:
             raise ValueError("classical_timeout must lie in (0, inf)")
-        self.durations()  # a bad grid fails here, not after the analysis
-        if self.classical_cmd:  # so does a bad solver command or pattern
+        # a bad solver command or pattern fails here, not after the analysis
+        if self.classical_cmd:
             command_argv(self.classical_cmd)
         for pattern in (self.objective_pattern,
                         *dict(self.status_patterns or {}).values()):
@@ -99,11 +93,6 @@ class AnalysisConfig:
                 re.compile(self.objective_pattern).groups < 1:
             raise ValueError(f"bad pattern {self.objective_pattern!r}: the "
                              "objective needs a capture group")
-
-    def durations(self) -> list[float]:
-        """The cycle-duration grid, with the 800 ps reference point."""
-        return qcost.duration_grid(self.duration_min, self.duration_max,
-                                   self.duration_points)
 
     def config_hash(self) -> str:
         payload = dataclasses.asdict(self)
@@ -216,6 +205,9 @@ def _analyze_basis(std, basis, cfg: AnalysisConfig, seed: int,
         t = time.perf_counter()
         result = results[formulation] = FormulationResult(formulation)
         try:
+            if not std.m:
+                raise ValueError("empty standard form: presolve removed "
+                                 "every row, so there is no system to bound")
             if formulation == "mnes":
                 fbar = build_fbar(basis, std.A, it)
                 kb = kappa_lower_mnes(fbar, std.m, std.n, **opts)
@@ -240,9 +232,9 @@ def _analyze_basis(std, basis, cfg: AnalysisConfig, seed: int,
             result.degenerate = d < 2
             gamma = s * qcost.to_fraction(kb.kappa_lower)
             result.query_count = qcost.qlsa_query_count(
-                s, kb.kappa_lower, cfg.epsilon)
+                s, kb.kappa_lower, qcost.EPSILON)
             result.total_cycles = qcost.total_quantum_cycles(
-                d, gamma, cfg.epsilon)
+                d, gamma, qcost.EPSILON)
         except Exception as exc:  # recorded, never aborts the suite
             result.failure = f"{type(exc).__name__}: {exc}"
         stages[formulation] = time.perf_counter() - t
@@ -289,7 +281,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         record.seed = int.from_bytes(hashlib.sha256(
             f"{cfg.seed}:".encode() + digest).digest()[:8], "big")
         shared = None if _memo is None else _memo.get(digest)
-        basis = select_basis(std.A) if shared is None else None
+        basis = select_basis(std.A) if shared is None and std.m else None
         stages["basis"] = time.perf_counter() - t
 
         if shared is None:
@@ -319,7 +311,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         stages["classical"] = time.perf_counter() - t
 
         # the grid ascends, so the flags t < tau are k Trues, then Falses
-        grid = qcost.exact_grid(tuple(cfg.durations()))
+        grid = qcost.exact_grid(tuple(qcost.duration_grid()))
         for formulation in FORMULATIONS:
             tau = record.exclusion_threshold(formulation)
             if tau is not None:
@@ -363,7 +355,7 @@ def run_suite(directory: str | Path,
     records = [analyze_instance(str(p), cfg, fam, _memo=memo)
                for p, fam in instances]
 
-    durations = cfg.durations()
+    durations = qcost.duration_grid()
     curves, counts, excluded = exclusion_curve(records, durations)
     errored = sum(1 for r in records if r.status == "error")
     if errored:

@@ -194,20 +194,19 @@ def hermitian_dilation_params(d: int, s: int, kappa: float,
     return 2 * d, s, kappa
 
 
-DEFAULT_DURATION_MIN = 1e-15
-DEFAULT_DURATION_MAX = 1e-3
-DEFAULT_DURATION_POINTS = 121
+EPSILON = 0.1  # QLSA target precision of every analysis
+DURATION_MIN = 1e-15
+DURATION_MAX = 1e-3
+DURATION_POINTS = 121
 REFERENCE_CYCLE_DURATION = 8e-10  # current two-qubit gate speed record
 
 
-def duration_grid(d_min: float = DEFAULT_DURATION_MIN,
-                  d_max: float = DEFAULT_DURATION_MAX,
-                  points: int = DEFAULT_DURATION_POINTS) -> list[float]:
-    """Logarithmic cycle-duration grid plus REFERENCE_CYCLE_DURATION."""
-    if points < 2 or not 0 < d_min < d_max < math.inf:  # NaN fails too
-        raise ValueError("need points >= 2 and 0 < d_min < d_max < inf")
-    lo, hi = math.log10(d_min), math.log10(d_max)
-    grid = [10.0 ** (lo + (hi - lo) * k / (points - 1)) for k in range(points)]
+def duration_grid() -> list[float]:
+    """Logarithmic cycle-duration grid from DURATION_MIN to DURATION_MAX
+    plus REFERENCE_CYCLE_DURATION."""
+    lo, hi = math.log10(DURATION_MIN), math.log10(DURATION_MAX)
+    grid = [10.0 ** (lo + (hi - lo) * k / (DURATION_POINTS - 1))
+            for k in range(DURATION_POINTS)]
     if REFERENCE_CYCLE_DURATION not in grid:
         grid.append(REFERENCE_CYCLE_DURATION)
     return sorted(grid)

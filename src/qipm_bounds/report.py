@@ -116,6 +116,9 @@ def report_json(report: SuiteReport) -> str:
 # ---------------------------------------------------------------------------
 # SVG emission
 
+# family labels are directory names, so they are escaped for SVG <text>
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#e377c2", "#17becf"]
 
@@ -180,7 +183,8 @@ def difficulty_svg(report: SuiteReport) -> str:
                              f'fill="{color}" fill-opacity="0.8"/>')
             label_y = y0 + ph + 16
             parts.append(f'<text x="{_f(xc)}" y="{label_y}" font-size="10" '
-                         f'text-anchor="middle" fill="{color}">{family}</text>')
+                         f'text-anchor="middle" fill="{color}">'
+                         f'{family.translate(_XML_TEXT)}</text>')
         parts.append(f'<text x="{x0 - 40}" y="{y0 + ph / 2:.0f}" '
                      f'font-size="11" text-anchor="middle" '
                      f'transform="rotate(-90 {x0 - 40} {y0 + ph / 2:.0f})">'
@@ -256,7 +260,7 @@ def exclusion_svg(report: SuiteReport) -> str:
                      f'x2="{x0 + pw + 34}" y2="{legend_y + 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{x0 + pw + 40}" y="{legend_y + 8}" '
-                     f'font-size="10">{family}</text>')
+                     f'font-size="10">{family.translate(_XML_TEXT)}</text>')
         legend_y += 16
     legend_y += 8
     parts.append(f'<line x1="{x0 + pw + 12}" y1="{legend_y}" '
@@ -276,11 +280,11 @@ def exclusion_svg(report: SuiteReport) -> str:
 
 def emit_report(report: SuiteReport, out_dir: str | Path,
                 formats: set[str] | None = None) -> list[Path]:
-    """Write the selected report files; returns the paths written."""
-    formats = formats or set(FORMATS)
-    unknown = formats - set(FORMATS)
-    if unknown:
-        raise ValueError(f"unknown report formats: {sorted(unknown)}")
+    """Write the files of `formats` (None: all); returns the paths written."""
+    formats = set(FORMATS) if formats is None else formats
+    if not formats or not formats <= set(FORMATS):
+        raise ValueError(f"report formats {sorted(formats)} are not a "
+                         f"non-empty subset of {FORMATS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

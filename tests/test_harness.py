@@ -21,7 +21,7 @@ from qipm_bounds.harness import (AnalysisConfig, FormulationResult,
                                  InstanceRecord, analyze_instance,
                                  exclusion_curve, run_suite)
 from qipm_bounds.lp_model import parse_mps
-from qipm_bounds.qcost import to_fraction
+from qipm_bounds.qcost import duration_grid, to_fraction
 from qipm_bounds.report import (TIMING_COLUMNS, difficulty_svg, emit_report,
                                 exclusion_svg, records_csv)
 from qipm_bounds.standardize import standardize
@@ -64,24 +64,17 @@ class TestAnalyzeInstance:
         assert checked >= 4
 
     def test_config_rejects_bad_values(self):
-        for kwargs, match in [({"epsilon": 0.0}, "epsilon"),
-                              ({"epsilon": 2.0}, "epsilon"),
-                              ({"duration_points": 1}, "points"),
-                              ({"sigma_min_timeout": 0.0,
+        for kwargs, match in [({"sigma_min_timeout": 0.0,
                                 "sigma_min_samples": 0}, "sigma_min_samples"),
                               ({"sigma_min_timeout": -1.0,
                                 "sigma_min_samples": -5},
                                "sigma_min_samples"),
                               # a bool is no float: true would be a 1 s
-                              # solver timeout or a grid ending at 1 s
+                              # solver timeout
                               ({"classical_timeout": True},
                                "classical_timeout must be a float, not True"),
-                              ({"duration_min": True, "duration_max": 2.0},
-                               "duration_min must be a float, not True"),
                               ({"sigma_min_timeout": True},
-                               "sigma_min_timeout must be a float, not True"),
-                              ({"epsilon": False},
-                               "epsilon must be a float, not False")]:
+                               "sigma_min_timeout must be a float, not True")]:
             with pytest.raises(ValueError, match=match):
                 AnalysisConfig(**kwargs)
 
@@ -101,10 +94,9 @@ class TestAnalyzeInstance:
     def test_option_surface(self):
         # a new option shows up here as a reviewed diff
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
-            "epsilon", "seed", "sigma_min_timeout",
-            "sigma_min_samples", "duration_min",
-            "duration_max", "duration_points", "classical_cmd",
-            "classical_timeout", "objective_pattern", "status_patterns"]
+            "seed", "sigma_min_timeout", "sigma_min_samples",
+            "classical_cmd", "classical_timeout", "objective_pattern",
+            "status_patterns"]
 
     def test_basis_accepts_what_rank_repair_keeps(self, tmp_path):
         # both LPs are feasible (HiGHS: 1.0) and rank repair keeps both rows,
@@ -350,7 +342,7 @@ class TestExclusionCurve:
         import qipm_bounds.qcost as qcost
 
         rng = random.Random(7)
-        grid = FAST.durations()
+        grid = qcost.duration_grid()
         assert (grid[0], grid[-1]) == (1e-15, 1e-3)
         # the last three put tau exactly on 1e-15, 8e-10 and 1e-3
         cases = [(0, 0.0), (0, 1.5), (4800, 0.0), (10 ** 15, 1.0),
@@ -426,6 +418,40 @@ class TestRunSuite:
         assert any("excluded" in w for w in report.warnings)
         assert report.curve_counts["misc"]["oss"][0][1] == 1
         assert report.excluded == {"misc": 2}
+
+    def test_empty_standard_form_fails_each_formulation_once(
+            self, tmp_path, monkeypatch):
+        import qipm_bounds.harness as harness
+        from qipm_bounds.qcost import total_quantum_cycles
+        from qipm_bounds.spectral import sparsity_mnes
+
+        def no_basis(A):
+            raise AssertionError("select_basis ran on an empty form")
+
+        monkeypatch.setattr(harness, "select_basis", no_basis)
+        # both variables are fixed, so presolve leaves a 0 x 0 form
+        path = tmp_path / "fixed.mps"
+        path.write_text(
+            "NAME          FIXED\nROWS\n N  COST\n L  R1\nCOLUMNS\n"
+            "    X         COST      1.0          R1        1.0\n"
+            "    Y         COST      2.0          R1        1.0\n"
+            "RHS\n    RHS       R1        10.0\nBOUNDS\n"
+            " FX BND       X         1.0\n FX BND       Y         2.0\n"
+            "ENDATA\n")
+        rec = analyze_instance(path, FAST)
+        assert rec.status == "ok" and (rec.m, rec.n) == (0, 0)
+        assert rec.classical.status == "optimal"
+        assert rec.classical.objective == 5.0
+        assert {f: r.failure for f, r in rec.formulations.items()} == \
+            dict.fromkeys(("mnes", "oss"), "ValueError: empty standard "
+                          "form: presolve removed every row, so there is "
+                          "no system to bound")
+        assert rec.exclusion == {}
+        # the formulas keep rejecting a zero dimension
+        with pytest.raises(ValueError):
+            sparsity_mnes(0)
+        with pytest.raises(ValueError):
+            total_quantum_cycles(0, 2, 0.1)
 
     def test_empty_directory_warns(self, tmp_path):
         report = run_suite(tmp_path, FAST)
@@ -756,7 +782,8 @@ class TestReports:
         assert names == {"records.csv", "curves.csv", "report.json",
                          "difficulty.svg", "exclusion_curves.svg"}
         payload = json.loads((tmp_path / "report.json").read_text())
-        assert payload["config"]["epsilon"] == FAST.epsilon
+        assert payload["config"] == dataclasses.asdict(FAST)
+        assert payload["duration_grid"] == duration_grid()
         assert payload["reference_marker"] == 8e-10
 
     def test_svg_deterministic(self, suite):
@@ -766,8 +793,32 @@ class TestReports:
         assert "8e-10" in exclusion_svg(suite)
 
     def test_unknown_format_rejected(self, suite, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(suite, tmp_path, {"pdf"})
+        # an empty set is no format, as for --formats; None selects all
+        for formats in ({"pdf"}, set()):
+            with pytest.raises(ValueError, match="non-empty subset"):
+                emit_report(suite, tmp_path / "none", formats)
+        assert not (tmp_path / "none").exists()
+        assert len(emit_report(suite, tmp_path / "all")) == 5
+
+    def test_fixed_duration_grid(self, suite):
+        grid = duration_grid()
+        assert len(grid) == 122 and grid == sorted(set(grid))
+        assert (grid[0], grid[-1]) == (1e-15, 1e-3) and 8e-10 in grid
+        assert suite.duration_grid == grid
+        flags = [f for r in suite.records for f in r.exclusion.values()]
+        assert flags and all(len(f) == len(grid) for f in flags)
+
+    def test_svg_escapes_family_names(self, tmp_path):
+        import xml.etree.ElementTree as ET
+        family = tmp_path / "R&D <x>"
+        family.mkdir()
+        (family / "t.mps").write_text(
+            (corpus_dir() / "tiny" / "tiny_min.mps").read_text())
+        report = run_suite(tmp_path, FAST)
+        for svg in (difficulty_svg(report), exclusion_svg(report)):
+            texts = [e.text for e in ET.fromstring(svg).iter(
+                "{http://www.w3.org/2000/svg}text")]
+            assert "R&D <x>" in texts
 
 
 class TestCli:
@@ -829,6 +880,11 @@ class TestCli:
                              "unknown config keys"),
                             (json.dumps({"workers": 2}),
                              "unknown config keys"),
+                            # qcost constants, no longer options
+                            *((json.dumps({key: 0.1}),
+                               rf"unknown config keys: \['{key}'\]")
+                              for key in ("epsilon", "duration_min",
+                                          "duration_max", "duration_points")),
                             (json.dumps({"ipm": {"bogus": 1}}), "ipm"),
                             # counts and seeds must be ints, bool excluded:
                             # a seed of 7.0 would give another spectral
@@ -842,8 +898,6 @@ class TestCli:
                              "seed must be an int, not True"),
                             (json.dumps({"sigma_min_samples": False}),
                              "sigma_min_samples must be an int"),
-                            (json.dumps({"duration_points": 41.0}),
-                             "duration_points must be an int"),
                             (json.dumps({"seed": "7"}),
                              "seed must be an int"),
                             (json.dumps({"classical_timeout": True}),
@@ -879,17 +933,17 @@ class TestCli:
         path = corpus_dir() / "tiny" / "tiny_min.mps"
         analyze = ["analyze", str(path)]
         for command, flags, match in [
-                (analyze, ["--epsilon", "2"], "epsilon"),
-                (analyze, ["--duration-points", "1"], "points"),
-                (analyze, ["--duration-min", "nan"], "d_min"),
-                (analyze, ["--duration-max", "inf"], "d_max"),
                 (analyze, ["--sigma-min-timeout", "nan"], "NaN"),
                 (analyze, ["--classical-timeout", "0"], "classical_timeout"),
                 (["analyze", str(corpus_dir() / "raw" / "rankdef_dup.mps")],
                  ["--sigma-min-timeout", "0", "--sigma-min-samples", "0"],
                  "sigma_min_samples"),
-                (analyze, ["--epsilon", "abc"], "invalid float value: 'abc'"),
+                (analyze, ["--sigma-min-timeout", "abc"],
+                 "invalid float value: 'abc'"),
                 (analyze, ["--bogus", "1"], "unrecognized arguments"),
+                *((analyze, [flag, "0.1"], f"unrecognized arguments: {flag}")
+                  for flag in ("--epsilon", "--duration-min",
+                               "--duration-max", "--duration-points")),
                 (["suite", str(path.parent)], ["--workers", "-3"],
                  "unrecognized arguments")]:
             with pytest.raises(SystemExit, match=match) as exc:
@@ -919,7 +973,8 @@ class TestCli:
             assert str(exc.value).startswith(f"invalid config {cfg_path}: ")
         # the interpreter turns that message into one stderr line and exit
         # 1, for a usage error too (exit 2 means an instance errored)
-        for flags in (["--classical-cmd", "foo"], ["--epsilon", "abc"]):
+        for flags in (["--classical-cmd", "foo"],
+                      ["--classical-timeout", "abc"], ["--epsilon", "0.1"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "qipm_bounds.cli", "analyze",
                  str(path), *flags], capture_output=True, text=True,

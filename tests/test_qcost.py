@@ -183,13 +183,6 @@ class TestRuntime:
         assert exact_grid((0.1, 8e-10)) == (Fraction(1, 10),
                                             Fraction(8, 10 ** 10))
 
-    @pytest.mark.parametrize("d_min, d_max", [
-        (float("nan"), 1e-3), (1e-15, float("nan")), (1e-15, float("inf")),
-        (0.0, 1e-3), (1e-3, 1e-3)])
-    def test_duration_grid_rejects_bad_bounds(self, d_min, d_max):
-        with pytest.raises(ValueError, match="0 < d_min < d_max < inf"):
-            duration_grid(d_min, d_max)
-
 
 class TestMonotonicity:
     def test_cycles_dominate_queries_for_d_at_least_two(self):
