@@ -7,7 +7,7 @@ formulas, and compare against measured classical solve times to decide
 whether practical quantum advantage is excluded per instance.
 """
 
-from .classical import SolveOutcome, solve_external, solve_internal_ipm
+from .classical import SolveOutcome, solve_internal_ipm
 from .harness import (AnalysisConfig, FormulationResult, InstanceRecord,
                       SuiteReport, analyze_instance, exclusion_curve,
                       run_suite)
@@ -44,6 +44,6 @@ __all__ = [
     "presolve", "qlsa_query_count", "recover_updates_mnes",
     "recover_updates_nes", "recover_updates_oss", "run_suite",
     "select_basis", "sigma_max_lower",
-    "sigma_min_upper", "solve_external", "solve_internal_ipm", "sparsity_mnes",
+    "sigma_min_upper", "solve_internal_ipm", "sparsity_mnes",
     "sparsity_oss", "standardize", "to_standard_form", "total_quantum_cycles",
 ]

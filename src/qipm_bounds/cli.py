@@ -1,13 +1,14 @@
 """Command-line entry points: `analyze <file.mps>` and `suite <dir>`.
 
-A JSON config file given with --config can preset any analysis option,
-including the objective/status regex patterns of the external-solver
-adapter; command-line flags override it. The QLSA precision and the
-cycle-duration grid are `qcost` constants, not options. Exit code is 0 on
-full success, 1 when the command line, the config file, a flag value, the
-suite directory, the output path or the report formats are invalid (one
-line: `invalid config <path>: <reason>` or `invalid option: <reason>`,
-before any analysis runs), and 2 when any instance errored.
+A JSON config file given with --config can preset any analysis option
+(`seed`, `sigma_min_timeout`, `sigma_min_samples`); command-line flags
+override it. The QLSA precision and the cycle-duration grid are `qcost`
+constants, not options, and the classical baseline is always the internal
+IPM. Exit code is 0 on full success, 1 when the command line, the config
+file, a flag value, the suite directory, the output path or the report
+formats are invalid (one line: `invalid config <path>: <reason>` or
+`invalid option: <reason>`, before any analysis runs), and 2 when any
+instance errored.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ def _load_config(path: str | None) -> AnalysisConfig:
 
 
 # flags named after the AnalysisConfig field they override
-FLAG_FIELDS = ("seed", "sigma_min_timeout", "sigma_min_samples",
-               "classical_cmd", "classical_timeout")
+FLAG_FIELDS = ("seed", "sigma_min_timeout", "sigma_min_samples")
 
 
 def _apply_flags(cfg: AnalysisConfig,
@@ -92,10 +92,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-min-samples", dest="sigma_min_samples", type=int,
                    help="random unit vectors drawn for sigma_min, used only "
                    "when --sigma-min-timeout <= 0 (default 10000)")
-    p.add_argument("--classical-cmd", dest="classical_cmd",
-                   help="external solver command template with {mps}")
-    p.add_argument("--classical-timeout", dest="classical_timeout",
-                   type=float, help="external solver timeout (default 600 s)")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -27,7 +27,6 @@ import hashlib
 import json
 import math
 import platform
-import re
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -36,8 +35,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from . import qcost
-from .classical import (SolveOutcome, command_argv, solve_external,
-                        solve_internal_ipm)
+from .classical import SolveOutcome, solve_internal_ipm
 from .lp_model import parse_mps
 from .newton import build_fbar, build_oss, canonical_iterate, select_basis
 from .spectral import (DEFAULT_SAMPLES, DEFAULT_TIMEOUT, kappa_lower_mnes,
@@ -58,18 +56,15 @@ class AnalysisConfig:
     # of its inverse operator; sigma_max_lower runs outside it
     sigma_min_timeout: float = DEFAULT_TIMEOUT
     sigma_min_samples: int = DEFAULT_SAMPLES
-    classical_cmd: str | None = None
-    classical_timeout: float = 600.0
-    objective_pattern: str | None = None
-    status_patterns: dict[str, str] | None = None
 
     def __post_init__(self):
         # types are strings (postponed annotations); a bool is no count
-        # and no float, though isinstance(True, int) holds
+        # and no float, though isinstance(True, int) holds, and an int is
+        # a float too
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type in ("int", "float") and isinstance(value, bool) or \
-                    f.type == "int" and not isinstance(value, int):
+            allowed = (int, float) if f.type == "float" else int
+            if isinstance(value, bool) or not isinstance(value, allowed):
                 article = "an" if f.type == "int" else "a"
                 raise ValueError(
                     f"{f.name} must be {article} {f.type}, not {value!r}")
@@ -78,21 +73,6 @@ class AnalysisConfig:
         if self.sigma_min_timeout <= 0 and self.sigma_min_samples < 1:
             raise ValueError("sigma_min_samples must be at least 1 when "
                              "sigma_min_timeout <= 0 selects sampling")
-        if not 0.0 < self.classical_timeout < math.inf:
-            raise ValueError("classical_timeout must lie in (0, inf)")
-        # a bad solver command or pattern fails here, not after the analysis
-        if self.classical_cmd:
-            command_argv(self.classical_cmd)
-        for pattern in (self.objective_pattern,
-                        *dict(self.status_patterns or {}).values()):
-            try:
-                re.compile(pattern or "")
-            except re.error as exc:
-                raise ValueError(f"bad pattern {pattern!r}: {exc}") from None
-        if self.objective_pattern and \
-                re.compile(self.objective_pattern).groups < 1:
-            raise ValueError(f"bad pattern {self.objective_pattern!r}: the "
-                             "objective needs a capture group")
 
     def config_hash(self) -> str:
         payload = dataclasses.asdict(self)
@@ -294,16 +274,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
                                for f, result in shared.items()}
 
         t = time.perf_counter()
-        if cfg.classical_cmd:
-            record.classical = solve_external(
-                std, cfg.classical_cmd, timeout=cfg.classical_timeout,
-                objective_pattern=cfg.objective_pattern,
-                status_patterns=cfg.status_patterns)
-        else:
-            record.classical = solve_internal_ipm(std)
-            record.warnings.append(
-                "classical baseline is the internal IPM (no external solver "
-                "configured); its slower time only weakens exclusion verdicts")
+        record.classical = solve_internal_ipm(std)
         if record.classical.status in ("optimal", "iteration_limit"):
             # report in the original LP's scale (sense and objective constant)
             record.classical.objective = std.original_objective(

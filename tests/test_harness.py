@@ -51,6 +51,8 @@ class TestAnalyzeInstance:
         assert oss.gamma >= 2.0
         assert oss.total_cycles > 0
         assert rec.classical is not None and rec.classical.status == "optimal"
+        # the classical_solver column names the baseline; no warning repeats it
+        assert rec.warnings == []
         assert set(rec.exclusion) == {"mnes", "oss"}
         assert "parse" in rec.stage_seconds
 
@@ -69,34 +71,18 @@ class TestAnalyzeInstance:
                               ({"sigma_min_timeout": -1.0,
                                 "sigma_min_samples": -5},
                                "sigma_min_samples"),
+                              ({"sigma_min_timeout": float("nan")}, "NaN"),
                               # a bool is no float: true would be a 1 s
-                              # solver timeout
-                              ({"classical_timeout": True},
-                               "classical_timeout must be a float, not True"),
+                              # sigma_min timeout
                               ({"sigma_min_timeout": True},
                                "sigma_min_timeout must be a float, not True")]:
-            with pytest.raises(ValueError, match=match):
-                AnalysisConfig(**kwargs)
-
-    def test_config_rejects_bad_solver_settings(self):
-        for kwargs, match in [
-                ({"classical_cmd": "solver instance.mps"}, "placeholder"),
-                ({"classical_cmd": 'solver "{mps}'}, "No closing quotation"),
-                ({"objective_pattern": "("}, "bad pattern"),
-                ({"objective_pattern": "Objective"}, "capture group"),
-                ({"status_patterns": {"optimal": "[a"}}, "bad pattern"),
-                ({"sigma_min_timeout": float("nan")}, "NaN"),
-                ({"classical_timeout": 0.0}, "classical_timeout"),
-                ({"classical_timeout": float("inf")}, "classical_timeout")]:
             with pytest.raises(ValueError, match=match):
                 AnalysisConfig(**kwargs)
 
     def test_option_surface(self):
         # a new option shows up here as a reviewed diff
         assert [f.name for f in dataclasses.fields(AnalysisConfig)] == [
-            "seed", "sigma_min_timeout", "sigma_min_samples",
-            "classical_cmd", "classical_timeout", "objective_pattern",
-            "status_patterns"]
+            "seed", "sigma_min_timeout", "sigma_min_samples"]
 
     def test_basis_accepts_what_rank_repair_keeps(self, tmp_path):
         # both LPs are feasible (HiGHS: 1.0) and rank repair keeps both rows,
@@ -783,6 +769,11 @@ class TestReports:
                          "difficulty.svg", "exclusion_curves.svg"}
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["config"] == dataclasses.asdict(FAST)
+        classical = [r["classical"] for r in payload["records"]
+                     if r["classical"] is not None]
+        assert classical and all(
+            set(c) == {"status", "objective", "iterations", "wall_time",
+                       "solver", "message"} for c in classical)
         assert payload["duration_grid"] == duration_grid()
         assert payload["reference_marker"] == 8e-10
 
@@ -885,6 +876,14 @@ class TestCli:
                                rf"unknown config keys: \['{key}'\]")
                               for key in ("epsilon", "duration_min",
                                           "duration_max", "duration_points")),
+                            # settings of the deleted external-solver adapter
+                            *((json.dumps({key: value}),
+                               rf"unknown config keys: \['{key}'\]")
+                              for key, value in (
+                                  ("classical_cmd", "solver {mps}"),
+                                  ("classical_timeout", 600.0),
+                                  ("objective_pattern", "Objective (\\S+)"),
+                                  ("status_patterns", {"optimal": "ok"}))),
                             (json.dumps({"ipm": {"bogus": 1}}), "ipm"),
                             # counts and seeds must be ints, bool excluded:
                             # a seed of 7.0 would give another spectral
@@ -900,8 +899,14 @@ class TestCli:
                              "sigma_min_samples must be an int"),
                             (json.dumps({"seed": "7"}),
                              "seed must be an int"),
-                            (json.dumps({"classical_timeout": True}),
-                             "classical_timeout must be a float, not True"),
+                            (json.dumps({"sigma_min_timeout": True}),
+                             "sigma_min_timeout must be a float, not True"),
+                            # a float field names itself, not Python's
+                            # "must be real number"
+                            (json.dumps({"sigma_min_timeout": "5"}),
+                             "sigma_min_timeout must be a float, not '5'"),
+                            (json.dumps({"sigma_min_timeout": None}),
+                             "sigma_min_timeout must be a float, not None"),
                             (json.dumps({"bogus": 1}), "bogus"),
                             (json.dumps([1, 2]), "JSON object"),
                             ("{not json", "invalid config"),
@@ -916,16 +921,16 @@ class TestCli:
 
     def test_bool_in_a_float_field_exits_one(self, tmp_path):
         # true in a JSON config is no float: without the check it would
-        # run the external solver with a 1 s timeout
+        # stop the sigma_min iteration after 1 s
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"classical_timeout": True}))
+        cfg_path.write_text(json.dumps({"sigma_min_timeout": True}))
         proc = subprocess.run(
             [sys.executable, "-m", "qipm_bounds.cli", "analyze",
              str(corpus_dir() / "tiny" / "tiny_min.mps"),
              "--config", str(cfg_path)], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 1
-        assert proc.stderr == (f"invalid config {cfg_path}: classical_timeout"
+        assert proc.stderr == (f"invalid config {cfg_path}: sigma_min_timeout"
                                " must be a float, not True\n")
 
     def test_invalid_flag_values_exit_cleanly(self):
@@ -934,7 +939,6 @@ class TestCli:
         analyze = ["analyze", str(path)]
         for command, flags, match in [
                 (analyze, ["--sigma-min-timeout", "nan"], "NaN"),
-                (analyze, ["--classical-timeout", "0"], "classical_timeout"),
                 (["analyze", str(corpus_dir() / "raw" / "rankdef_dup.mps")],
                  ["--sigma-min-timeout", "0", "--sigma-min-samples", "0"],
                  "sigma_min_samples"),
@@ -943,7 +947,8 @@ class TestCli:
                 (analyze, ["--bogus", "1"], "unrecognized arguments"),
                 *((analyze, [flag, "0.1"], f"unrecognized arguments: {flag}")
                   for flag in ("--epsilon", "--duration-min",
-                               "--duration-max", "--duration-points")),
+                               "--duration-max", "--duration-points",
+                               "--classical-cmd", "--classical-timeout")),
                 (["suite", str(path.parent)], ["--workers", "-3"],
                  "unrecognized arguments")]:
             with pytest.raises(SystemExit, match=match) as exc:
@@ -955,33 +960,36 @@ class TestCli:
         from qipm_bounds import cli
 
         def no_analysis(*args, **kwargs):
-            raise AssertionError("the analysis ran with a bad solver config")
+            raise AssertionError("the analysis ran with a bad sigma_min "
+                                 "setting")
 
         monkeypatch.setattr(cli, "analyze_instance", no_analysis)
         monkeypatch.setattr(cli, "run_suite", no_analysis)
         path = corpus_dir() / "tiny" / "tiny_min.mps"
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"objective_pattern": "("}))
+        cfg_path.write_text(json.dumps({"sigma_min_timeout": 0,
+                                        "sigma_min_samples": 0}))
         for command in (["analyze", str(path)],
                         ["suite", str(path.parent), "--out",
                          str(tmp_path / "out")]):
-            with pytest.raises(SystemExit, match="placeholder") as exc:
-                cli.main([*command, "--classical-cmd", "foo"])
+            with pytest.raises(SystemExit, match="NaN") as exc:
+                cli.main([*command, "--sigma-min-timeout", "nan"])
             assert str(exc.value).startswith("invalid option: ")
-            with pytest.raises(SystemExit, match="bad pattern") as exc:
+            with pytest.raises(SystemExit, match="sigma_min_samples") as exc:
                 cli.main([*command, "--config", str(cfg_path)])
             assert str(exc.value).startswith(f"invalid config {cfg_path}: ")
         # the interpreter turns that message into one stderr line and exit
-        # 1, for a usage error too (exit 2 means an instance errored)
-        for flags in (["--classical-cmd", "foo"],
-                      ["--classical-timeout", "abc"], ["--epsilon", "0.1"]):
+        # 1, for a usage error too (exit 2 means an instance errored); the
+        # external-solver flags are gone, not ignored
+        for flags in (["--classical-cmd", "foo {mps}"],
+                      ["--classical-timeout", "5"], ["--epsilon", "0.1"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "qipm_bounds.cli", "analyze",
                  str(path), *flags], capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
             assert proc.returncode == 1
-            assert proc.stderr.startswith("invalid option: ")
-            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stderr == \
+                f"invalid option: unrecognized arguments: {' '.join(flags)}\n"
 
     def test_invalid_suite_inputs_exit_before_analysis(self, tmp_path,
                                                        monkeypatch):
