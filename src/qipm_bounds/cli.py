@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .harness import AnalysisConfig, analyze_instance, run_suite
-from .report import FORMATS, emit_report
+from .report import FORMATS, emit_report, record_dict
 
 
 def _load_config(path: str | None) -> AnalysisConfig:
@@ -121,8 +121,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "analyze":
         record = analyze_instance(args.file, cfg)
-        json.dump(dataclasses.asdict(record), sys.stdout, indent=2,
-                  default=str)
+        json.dump(record_dict(record), sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
         return 0 if record.status == "ok" else 2
 

@@ -9,7 +9,6 @@ keeps LP relaxations only.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -153,70 +152,45 @@ class SparseMatrix:
         return hash(self.digest())
 
 
-@dataclass
-class RowDef:
-    """One constraint row: sense is '<=', '>=' or '='; range follows the
-    MPS RANGES convention and widens the row to a two-sided interval.
-    `lower`, set only by from_interval, is the exact lower end of a
-    two-sided row, which rhs - range need not reproduce."""
-    name: str
-    sense: str
-    rhs: float = 0.0
-    range: float | None = None
-    lower: float | None = None
-
-    def interval(self) -> tuple[float, float]:
-        """Effective (lower, upper) interval of the row activity."""
-        r = self.range
-        if self.sense == "<=":
-            lo, hi = -INF, self.rhs
-            if r is not None:
-                lo = self.rhs - abs(r)
-        elif self.sense == ">=":
-            lo, hi = self.rhs, INF
-            if r is not None:
-                hi = self.rhs + abs(r)
-        else:
-            lo = hi = self.rhs
-            if r is not None:
-                if r >= 0:
-                    hi = self.rhs + r
-                else:
-                    lo = self.rhs + r
-        return (lo if self.lower is None else self.lower), hi
-
-    @classmethod
-    def from_interval(cls, name: str, lo: float, hi: float) -> "RowDef":
-        """Row whose activity interval is exactly [lo, hi]. A two-sided
-        interval becomes a ranged '<=' row that keeps lo as its `lower`,
-        because hi - (hi - lo) can differ from lo by the rounding of the
-        subtraction; emit_mps writes it with its range hi - lo."""
-        if lo == hi:
-            return cls(name, "=", lo)
-        if lo == -INF:
-            return cls(name, "<=", hi)
-        if hi == INF:
-            return cls(name, ">=", lo)
-        return cls(name, "<=", hi, range=hi - lo, lower=lo)
-
-
-@dataclass
-class ColumnDef:
-    """One structural variable with bounds; defaults to [0, +inf)."""
-    name: str
-    lower: float = 0.0
-    upper: float = INF
+def interval_rows(lo: np.ndarray, hi: np.ndarray) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sense, rhs, ranges, row_lower) of rows whose activity intervals are
+    exactly [lo, hi], the inverse of GeneralLP.intervals. A two-sided interval
+    becomes a ranged '<=' row that keeps lo as its `row_lower`, because
+    hi - (hi - lo) can differ from lo by the rounding of the subtraction;
+    emit_mps writes it with its range hi - lo."""
+    eq = lo == hi
+    le = ~eq & (lo == -INF)
+    ge = ~eq & ~le & (hi == INF)
+    two = ~(eq | le | ge)
+    ranges = np.full(len(lo), np.nan)
+    ranges[two] = hi[two] - lo[two]
+    return (np.where(eq, "=", np.where(ge, ">=", "<=")),
+            np.where(eq | ge, lo, hi), ranges, np.where(two, lo, np.nan))
 
 
 @dataclass
 class GeneralLP:
-    """An LP as read from MPS: named rows/columns, mixed senses, ranges,
-    two-sided bounds and an objective with optional constant."""
+    """An LP as read from MPS: named rows and columns, mixed senses, ranges,
+    two-sided bounds and an objective with optional constant.
+
+    Columnar: one name list and one array per field. Row i has sense
+    `sense[i]` ('<=', '>=' or '='), right-hand side `rhs[i]`, MPS range
+    `ranges[i]` (NaN: none) and `row_lower[i]` (NaN: none), the exact lower
+    end of a two-sided row, which rhs - range need not reproduce; see
+    intervals. Column j has bounds [lower[j], upper[j]].
+    """
     name: str
     objective_sense: str  # "min" | "max"
     objective_name: str
-    rows: list[RowDef]
-    columns: list[ColumnDef]
+    row_names: list[str]
+    sense: np.ndarray
+    rhs: np.ndarray
+    ranges: np.ndarray
+    row_lower: np.ndarray
+    col_names: list[str]
+    lower: np.ndarray
+    upper: np.ndarray
     coefficients: SparseMatrix  # constraint rows x columns
     objective: np.ndarray
     objective_constant: float = 0.0
@@ -225,20 +199,44 @@ class GeneralLP:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
 
     @property
     def n_cols(self) -> int:
-        return len(self.columns)
+        return len(self.col_names)
+
+    def intervals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Effective (lower, upper) activity interval of every row. A range
+        r follows the MPS RANGES convention: a '<=' row gets
+        [rhs - |r|, rhs], a '>=' row [rhs, rhs + |r|], and an '=' row
+        [rhs, rhs + r] for r >= 0 or [rhs + r, rhs] for r < 0. A row_lower
+        that is not NaN replaces the lower end."""
+        sense, rhs, ranges = self.sense, self.rhs, self.ranges
+        le, ge = sense == "<=", sense == ">="
+        ranged = ~np.isnan(ranges)
+        width = np.abs(ranges)
+        with np.errstate(invalid="ignore"):
+            lo = np.where(le, np.where(ranged, rhs - width, -INF), rhs)
+            hi = np.where(ge, np.where(ranged, rhs + width, INF), rhs)
+            eq = ranged & ~le & ~ge
+            hi = np.where(eq & (ranges >= 0), rhs + ranges, hi)
+            lo = np.where(eq & (ranges < 0), rhs + ranges, lo)
+        return np.where(np.isnan(self.row_lower), lo, self.row_lower), hi
 
     def validate(self) -> None:
-        if self.coefficients.shape != (len(self.rows), len(self.columns)):
+        m, n = self.n_rows, self.n_cols
+        if self.coefficients.shape != (m, n):
             raise ValueError("coefficient matrix shape does not match rows/columns")
-        if len(self.objective) != len(self.columns):
+        if any(len(a) != m for a in (self.sense, self.rhs, self.ranges,
+                                     self.row_lower)):
+            raise ValueError("row field length does not match rows")
+        if len(self.lower) != n or len(self.upper) != n:
+            raise ValueError("column bound length does not match columns")
+        if len(self.objective) != n:
             raise ValueError("objective length does not match columns")
-        if len({r.name for r in self.rows}) != len(self.rows):
+        if len(set(self.row_names)) != m:
             raise ValueError("duplicate row names")
-        if len({c.name for c in self.columns}) != len(self.columns):
+        if len(set(self.col_names)) != n:
             raise ValueError("duplicate column names")
 
 
@@ -294,19 +292,15 @@ def _fixed_tokens(line: str) -> list[str]:
     return toks
 
 
-def _detect_fixed_format(lines: list[str]) -> tuple[bool, list[list[str]]]:
+def _detect_fixed_format(lines: list[str]) -> bool:
     """Heuristic dialect detection from the ROWS section.
 
     Free-format ROWS data lines split into exactly two tokens; anything else
-    (names with embedded blanks) forces fixed-column slicing. Returns the
-    flag and the split of every line read, a prefix of `lines`, so that the
-    reader splits none of them again.
+    (names with embedded blanks) forces fixed-column slicing.
     """
     in_rows = False
-    split: list[list[str]] = []
     for raw in lines:
         toks = raw.split()
-        split.append(toks)
         if not toks or toks[0][0] == "*":
             continue
         if raw[0] not in " \t":
@@ -316,8 +310,8 @@ def _detect_fixed_format(lines: list[str]) -> tuple[bool, list[list[str]]]:
                 break
             continue
         if in_rows and len(toks) != 2:
-            return True, split
-    return False, split
+            return True
+    return False
 
 
 def _num(tok: str, line_no: int) -> float:
@@ -328,28 +322,38 @@ def _num(tok: str, line_no: int) -> float:
         raise MpsParseError(f"cannot parse number {tok!r}", line_no) from None
 
 
+def _scatter(size: int, fill: float, values: dict[int, float]) -> np.ndarray:
+    """Array of `size` entries equal to `fill`, except at the keys of
+    `values`."""
+    out = np.full(size, fill)
+    out[np.fromiter(values, dtype=np.intp, count=len(values))] = \
+        np.fromiter(values.values(), dtype=float, count=len(values))
+    return out
+
+
 def parse_mps(text: str) -> GeneralLP:
     """Parse fixed- or free-format MPS text into a GeneralLP.
 
     Default variable bounds are [0, +inf); unspecified RHS entries are 0.
     RANGES turn a row into a two-sided constraint per the MPS convention.
     Bound codes UP, LO, FX, FR, MI, PL, BV are handled (BV gives bounds
-    [0, 1]); integrality is dropped with a recorded warning. Extra N rows
-    are ignored with a warning, and so are their COLUMNS, RHS and RANGES
-    entries.
+    [0, 1]); integrality is dropped with a recorded warning. A column that
+    a negative UP bound line left with a negative upper bound, and whose
+    lower bound no line set, gets lower bound -inf, with a warning (a common
+    dialect). Extra N rows are ignored with a warning, and so are their
+    COLUMNS, RHS and RANGES entries.
     """
     lines = text.splitlines()
-    fixed, head_split = _detect_fixed_format(lines)
-    split = itertools.chain(head_split,
-                            map(str.split, lines[len(head_split):]))
+    fixed = _detect_fixed_format(lines)
 
     problem_name = ""
     objective_sense = "min"
     objective_name: str | None = None
-    rows: list[RowDef] = []
+    row_names: list[str] = []
+    senses: list[str] = []
     row_index: dict[str, int] = {}
     free_rows: set[str] = set()
-    columns: list[ColumnDef] = []
+    col_names: list[str] = []
     col_index: dict[str, int] = {}
     last_col: str | None = None
     j = -1  # index of last_col
@@ -358,16 +362,19 @@ def parse_mps(text: str) -> GeneralLP:
     coef_cols: list[int] = []
     coef_vals: list[float] = []
     obj_coeffs: dict[int, float] = {}
+    rhs_of: dict[int, float] = {}
+    range_of: dict[int, float] = {}
+    bounds: tuple[np.ndarray, ...] | None = None
     objective_constant = 0.0
     warnings: list[str] = []
-    rhs_seen: set[str] = set()
 
     section: str | None = None
     saw_endata = False
     pending_objsense = False
     row_of = row_index.get
 
-    for line_no, (line, toks) in enumerate(zip(lines, split), 1):
+    for line_no, line in enumerate(lines, 1):
+        toks = line.split()
         if not toks or toks[0][0] == "*":
             continue
 
@@ -394,6 +401,12 @@ def parse_mps(text: str) -> GeneralLP:
                     objective_sense = toks[1].lower()[:3]
                 else:
                     pending_objsense = True
+            elif head == "BOUNDS":
+                # lower, upper, and which columns a line gave a lower bound
+                # or a negative UP bound
+                n = len(col_names)
+                bounds = (np.zeros(n), np.full(n, INF),
+                          np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
             elif head == "ENDATA":
                 saw_endata = True
                 break
@@ -421,8 +434,8 @@ def parse_mps(text: str) -> GeneralLP:
             if cname != last_col:
                 if cname in col_index:
                     raise MpsParseError(f"duplicate column {cname!r}", line_no)
-                j = col_index[cname] = len(columns)
-                columns.append(ColumnDef(cname))
+                j = col_index[cname] = len(col_names)
+                col_names.append(cname)
                 last_col = cname
             n_toks = len(toks)
             if not n_toks & 1:
@@ -449,7 +462,7 @@ def parse_mps(text: str) -> GeneralLP:
                         line_no)
 
         elif section == "BOUNDS":
-            _apply_bound(toks, columns, col_index, warnings, line_no)
+            _apply_bound(toks, col_index, bounds, warnings, line_no)
 
         elif section == "RHS" or section == "RANGES":
             pairs = _strip_set_name(toks, row_index, objective_name,
@@ -479,16 +492,14 @@ def parse_mps(text: str) -> GeneralLP:
                     raise MpsParseError(
                         f"{section} references undeclared row {rname!r}",
                         line_no)
-                row = rows[i]
                 if section == "RHS":
-                    if rname in rhs_seen:
+                    if i in rhs_of:
                         warnings.append(f"duplicate RHS for row {rname!r}; "
                                         "last value kept")
-                    rhs_seen.add(rname)
-                    row.rhs = v
+                    rhs_of[i] = v
                 else:
-                    row.range = v
-                    if row.sense == "=" and v < 0:
+                    range_of[i] = v
+                    if senses[i] == "=" and v < 0:
                         warnings.append(
                             f"negative range on equality row {rname!r}: "
                             "interval [rhs+range, rhs] convention applied")
@@ -508,8 +519,9 @@ def parse_mps(text: str) -> GeneralLP:
                         f"extra free row {name!r} ignored (first N row "
                         f"{objective_name!r} is the objective)")
             elif sense_code in _ROW_SENSES:
-                row_index[name] = len(rows)
-                rows.append(RowDef(name, _ROW_SENSES[sense_code]))
+                row_index[name] = len(row_names)
+                row_names.append(name)
+                senses.append(_ROW_SENSES[sense_code])
             else:
                 raise MpsParseError(f"unknown row sense {sense_code!r}", line_no)
 
@@ -528,16 +540,26 @@ def parse_mps(text: str) -> GeneralLP:
     if objective_sense not in ("min", "max"):
         raise MpsParseError(f"unsupported OBJSENSE {objective_sense!r}")
 
-    coefficients = SparseMatrix.from_entries(
-        len(rows), len(columns),
-        np.column_stack((coef_rows, coef_cols, coef_vals)))
-    objective = np.zeros(len(columns))
-    if obj_coeffs:
-        objective[list(obj_coeffs)] = list(obj_coeffs.values())
+    m, n = len(row_names), len(col_names)
+    if bounds is None:
+        lower, upper = np.zeros(n), np.full(n, INF)
+    else:
+        lower, upper, lower_set, neg_up = bounds
+        # the dialect rule, once per column, whatever the line order
+        for k in np.flatnonzero(neg_up & (upper < 0) & ~lower_set).tolist():
+            lower[k] = -INF
+            warnings.append(
+                f"negative UP bound on {col_names[k]!r} with default lower "
+                "bound: lower bound set to -inf (dialect convention)")
     lp = GeneralLP(
         name=problem_name, objective_sense=objective_sense,
-        objective_name=objective_name, rows=rows, columns=columns,
-        coefficients=coefficients, objective=objective,
+        objective_name=objective_name, row_names=row_names,
+        sense=np.array(senses, dtype="<U2"), rhs=_scatter(m, 0.0, rhs_of),
+        ranges=_scatter(m, np.nan, range_of), row_lower=np.full(m, np.nan),
+        col_names=col_names, lower=lower, upper=upper,
+        coefficients=SparseMatrix.from_entries(
+            m, n, np.column_stack((coef_rows, coef_cols, coef_vals))),
+        objective=_scatter(n, 0.0, obj_coeffs),
         objective_constant=objective_constant, warnings=warnings)
     lp.validate()
     return lp
@@ -565,8 +587,8 @@ _VALUE_BOUNDS = {"UP", "LO", "FX", "UI", "LI"}
 _FLAG_BOUNDS = {"FR", "MI", "PL", "BV"}
 
 
-def _apply_bound(toks: list[str], columns: list[ColumnDef],
-                 col_index: dict[str, int], warnings: list[str],
+def _apply_bound(toks: list[str], col_index: dict[str, int],
+                 bounds: tuple[np.ndarray, ...], warnings: list[str],
                  line_no: int) -> None:
     code = toks[0].upper()
     if code in _VALUE_BOUNDS:
@@ -596,34 +618,29 @@ def _apply_bound(toks: list[str], columns: list[ColumnDef],
     if k is None:
         raise MpsParseError(f"bound references undeclared column {cname!r}",
                             line_no)
-    col = columns[k]
+    lower, upper, lower_set, neg_up = bounds
     if code == "UP":
-        col.upper = val
-        if val < 0 and col.lower == 0.0:
-            # common dialect: a negative upper bound on a default-lower
-            # column implies a free lower bound
-            col.lower = -INF
-            warnings.append(
-                f"negative UP bound on {cname!r} with default lower bound: "
-                "lower bound set to -inf (dialect convention)")
-    elif code == "LO":
-        col.lower = val
-    elif code == "FX":
-        col.lower = col.upper = val
-    elif code == "FR":
-        col.lower, col.upper = -INF, INF
-    elif code == "MI":
-        col.lower = -INF
+        upper[k] = val
+        if val < 0:
+            neg_up[k] = True
+        return
+    if code == "UI":
+        upper[k] = val
     elif code == "PL":
-        col.upper = INF
-    elif code == "BV":
-        col.lower, col.upper = 0.0, 1.0
-        _note_integrality(warnings)
-    elif code in ("UI", "LI"):
-        if code == "UI":
-            col.upper = val
-        else:
-            col.lower = val
+        upper[k] = INF
+    else:  # every other code gives the column a lower bound
+        lower_set[k] = True
+        if code == "LO" or code == "LI":
+            lower[k] = val
+        elif code == "FX":
+            lower[k] = upper[k] = val
+        elif code == "FR":
+            lower[k], upper[k] = -INF, INF
+        elif code == "MI":
+            lower[k] = -INF
+        else:  # BV
+            lower[k], upper[k] = 0.0, 1.0
+    if code in ("BV", "UI", "LI"):
         _note_integrality(warnings)
 
 
@@ -644,8 +661,7 @@ def emit_mps(lp: GeneralLP) -> str:
     coefficient values; numbers are written in shortest exact decimal form.
     """
     lp.validate()
-    names = [lp.objective_name] + [r.name for r in lp.rows] + \
-        [c.name for c in lp.columns]
+    names = [lp.objective_name, *lp.row_names, *lp.col_names]
     blank = [n for n in names if not n or any(ch.isspace() for ch in n)]
     if blank:
         # free format has no quoting; such names only arise from
@@ -658,54 +674,57 @@ def emit_mps(lp: GeneralLP) -> str:
         out.append("    MAX")
     out.append("ROWS")
     out.append(f" N  {lp.objective_name}")
-    for row in lp.rows:
-        out.append(f" {_SENSE_CODES[row.sense]}  {row.name}")
+    for name, sense in zip(lp.row_names, lp.sense.tolist()):
+        out.append(f" {_SENSE_CODES[sense]}  {name}")
 
     out.append("COLUMNS")
-    for j, col in enumerate(lp.columns):
+    for j, cname in enumerate(lp.col_names):
         pairs: list[tuple[str, float]] = []
         if lp.objective[j] != 0.0:
             pairs.append((lp.objective_name, float(lp.objective[j])))
         for i, v in lp.coefficients.col_entries(j):
-            pairs.append((lp.rows[i].name, v))
+            pairs.append((lp.row_names[i], v))
         if not pairs:
             # a column with no entries must still be declared
             pairs.append((lp.objective_name, 0.0))
         for k in range(0, len(pairs), 2):
             chunk = pairs[k:k + 2]
             fieldstr = "".join(f"  {r:<10}{_fmt(v):>14}" for r, v in chunk)
-            out.append(f"    {col.name:<10}{fieldstr}")
+            out.append(f"    {cname:<10}{fieldstr}")
 
     out.append("RHS")
-    rhs_pairs = [(r.name, r.rhs) for r in lp.rows if r.rhs != 0.0]
+    rhs_pairs = [(name, v) for name, v in zip(lp.row_names, lp.rhs.tolist())
+                 if v != 0.0]
     if lp.objective_constant != 0.0:
         rhs_pairs.append((lp.objective_name, -lp.objective_constant))
     for rname, v in rhs_pairs:
         out.append(f"    RHS         {rname:<10}{_fmt(v):>14}")
 
-    range_pairs = [(r.name, r.range) for r in lp.rows if r.range is not None]
+    range_pairs = [(name, v) for name, v in zip(lp.row_names,
+                                                 lp.ranges.tolist())
+                   if not math.isnan(v)]
     if range_pairs:
         out.append("RANGES")
         for rname, v in range_pairs:
             out.append(f"    RNG         {rname:<10}{_fmt(v):>14}")
 
     bound_lines: list[str] = []
-    for col in lp.columns:
-        lo, up = col.lower, col.upper
+    for cname, lo, up in zip(lp.col_names, lp.lower.tolist(),
+                             lp.upper.tolist()):
         if lo == 0.0 and up == INF:
             continue
         if lo == -INF and up == INF:
-            bound_lines.append(f" FR BND       {col.name}")
+            bound_lines.append(f" FR BND       {cname}")
             continue
         if lo == up:
-            bound_lines.append(f" FX BND       {col.name:<10}{_fmt(lo):>14}")
+            bound_lines.append(f" FX BND       {cname:<10}{_fmt(lo):>14}")
             continue
         if lo == -INF:
-            bound_lines.append(f" MI BND       {col.name}")
+            bound_lines.append(f" MI BND       {cname}")
         elif lo != 0.0:
-            bound_lines.append(f" LO BND       {col.name:<10}{_fmt(lo):>14}")
+            bound_lines.append(f" LO BND       {cname:<10}{_fmt(lo):>14}")
         if up != INF:
-            bound_lines.append(f" UP BND       {col.name:<10}{_fmt(up):>14}")
+            bound_lines.append(f" UP BND       {cname:<10}{_fmt(up):>14}")
     if bound_lines:
         out.append("BOUNDS")
         out.extend(bound_lines)

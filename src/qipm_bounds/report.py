@@ -98,9 +98,23 @@ def curves_csv(report: SuiteReport) -> str:
     return buf.getvalue()
 
 
+def record_dict(record: InstanceRecord) -> dict:
+    """The record as nested dicts in field order, as dataclasses.asdict
+    gives it, but built from the fields: lists and dicts of plain values
+    are shared, not copied element by element."""
+    def fields_of(obj) -> dict:
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    out = fields_of(record)
+    out["formulations"] = {name: fields_of(f)
+                           for name, f in record.formulations.items()}
+    if record.classical is not None:
+        out["classical"] = fields_of(record.classical)
+    return out
+
+
 def report_json(report: SuiteReport) -> str:
     payload = {
-        "records": [dataclasses.asdict(r) for r in report.records],
+        "records": [record_dict(r) for r in report.records],
         "duration_grid": report.duration_grid,
         "reference_marker": report.reference_marker,
         "curves": report.curves,

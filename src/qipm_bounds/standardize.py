@@ -20,8 +20,8 @@ import numpy as np
 from scipy import linalg, sparse
 from scipy.sparse import linalg as sparse_linalg
 
-from .lp_model import (INF, ColumnDef, GeneralLP, RowDef, SparseMatrix,
-                       StandardLP)
+from .lp_model import (INF, GeneralLP, SparseMatrix, StandardLP,
+                       interval_rows)
 
 # residual, relative to the row's norm, below which a row is dependent on
 # the rows already kept
@@ -50,24 +50,21 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     are substituted out, and rows identical up to positive scaling are merged.
     The returned LP carries a transform log of every action taken. The
     coefficients never change: only the live row and column masks, the row
-    intervals and the objective constant do.
+    intervals and the objective constant do. Its fields are masked copies
+    of the input's, or the input's own arrays and lists where nothing was
+    removed or changed.
     """
     lp.validate()
     sign = 1.0 if lp.objective_sense == "min" else -1.0
     log: list[str] = list(lp.transform_log)
-    lower, upper = _column_bounds(lp.columns)
-    empty_bounds = lower > upper
-    if empty_bounds.any():
-        c = lp.columns[int(np.argmax(empty_bounds))]
-        raise InfeasibleProblem(
-            f"variable {c.name} has empty bound interval "
-            f"[{c.lower}, {c.upper}]")
+    lower, upper = lp.lower, lp.upper
+    _check_bounds(lp, finite_fixed=False)
     csr = lp.coefficients.tocsr()
     # canonical CSR: sorted, no explicit zeros, so every entry is a nonzero
     indptr, indices = csr.indptr, csr.indices
     entry_row = np.repeat(np.arange(lp.n_rows), np.diff(indptr))
-    names = [r.name for r in lp.rows]
-    lo0, hi0 = _row_intervals(lp.rows)
+    names, col_names = lp.row_names, lp.col_names
+    lo0, hi0 = _row_intervals(lp)
     lo, hi = lo0.copy(), hi0.copy()
     live_r = np.ones(lp.n_rows, dtype=bool)
     live_c = np.ones(lp.n_cols, dtype=bool)
@@ -91,37 +88,38 @@ def presolve(lp: GeneralLP) -> GeneralLP:
         # fixing a column leaves the live rows, and so this test, unchanged
         empty = live_c & ~np.bincount(indices[live_r[entry_row]],
                                       minlength=lp.n_cols).astype(bool)
-        for j in np.flatnonzero(live_c & (fixed | empty)):
-            c, cost = lp.columns[j], float(lp.objective[j])
+        for j in np.flatnonzero(live_c & (fixed | empty)).tolist():
+            name, cost = col_names[j], float(lp.objective[j])
+            col_lo, col_up = float(lower[j]), float(upper[j])
             if fixed[j]:
-                if not math.isfinite(c.lower):
+                if not math.isfinite(col_lo):
                     raise InfeasibleProblem(
-                        f"variable {c.name} is fixed at a non-finite value")
+                        f"variable {name} is fixed at a non-finite value")
                 csc = lp.coefficients.tocsc()
                 seg = slice(csc.indptr[j], csc.indptr[j + 1])
                 rows = csc.indices[seg]
                 on = live_r[rows]
-                rows, shift = rows[on], csc.data[seg][on] * c.lower
+                rows, shift = rows[on], csc.data[seg][on] * col_lo
                 lo[rows] -= np.where(lo[rows] > -INF, shift, 0.0)
                 hi[rows] -= np.where(hi[rows] < INF, shift, 0.0)
-                log.append(f"substitute fixed variable {c.name} = {c.lower}")
-                constant += cost * c.lower
+                log.append(f"substitute fixed variable {name} = {col_lo}")
+                constant += cost * col_lo
             else:
                 # empty column: objective decides its optimal bound
                 eff_cost = sign * cost
                 if eff_cost > 0.0:
-                    best = c.lower
+                    best = col_lo
                 elif eff_cost < 0.0:
-                    best = c.upper
+                    best = col_up
                 else:
-                    best = c.lower if c.lower > -INF else \
-                        (c.upper if c.upper < INF else 0.0)
+                    best = col_lo if col_lo > -INF else \
+                        (col_up if col_up < INF else 0.0)
                 if not math.isfinite(best):
                     raise UnboundedProblem(
-                        f"empty column {c.name} improves the objective "
+                        f"empty column {name} improves the objective "
                         "without bound")
                 constant += cost * best
-                log.append(f"fix empty column {c.name} at {best}")
+                log.append(f"fix empty column {name} at {best}")
             live_c[j] = False
             changed = True
 
@@ -132,45 +130,61 @@ def presolve(lp: GeneralLP) -> GeneralLP:
                                  lo, hi, names, log):
             changed = True
 
-    # an untouched row is copied as it is, so its ends stay exact
-    kept = np.flatnonzero(live_r)
-    untouched = (lo[kept] == lo0[kept]) & (hi[kept] == hi0[kept])
-    out = GeneralLP(
+    # an untouched row keeps its fields, so its ends stay exact; a row
+    # whose interval changed is rebuilt from it
+    row_fields = (lp.sense, lp.rhs, lp.ranges, lp.row_lower)
+    touched = (lo != lo0) | (hi != hi0)
+    if touched.any():
+        row_fields = tuple(np.where(touched, new, old) for new, old in
+                           zip(interval_rows(lo, hi), row_fields))
+    all_rows, all_cols = bool(live_r.all()), bool(live_c.all())
+    if not all_rows:
+        row_fields = tuple(a[live_r] for a in row_fields)
+    sense, rhs, ranges, row_lower = row_fields
+    return GeneralLP(
         name=lp.name, objective_sense=lp.objective_sense,
         objective_name=lp.objective_name,
-        rows=[RowDef(r.name, r.sense, r.rhs, r.range, r.lower) if same
-              else RowDef.from_interval(r.name, l, h)
-              for r, same, l, h in zip([lp.rows[i] for i in kept.tolist()],
-                                       untouched.tolist(), lo[kept].tolist(),
-                                       hi[kept].tolist())],
-        columns=[ColumnDef(c.name, c.lower, c.upper)
-                 for c, on in zip(lp.columns, live_c.tolist()) if on],
-        coefficients=lp.coefficients if live_r.all() and live_c.all()
+        row_names=names if all_rows else
+        [names[i] for i in np.flatnonzero(live_r).tolist()],
+        sense=sense, rhs=rhs, ranges=ranges, row_lower=row_lower,
+        col_names=col_names if all_cols else
+        [col_names[j] for j in np.flatnonzero(live_c).tolist()],
+        lower=lower if all_cols else lower[live_c],
+        upper=upper if all_cols else upper[live_c],
+        coefficients=lp.coefficients if all_rows and all_cols
         else SparseMatrix(csr[live_r][:, live_c]),
-        objective=np.asarray(lp.objective, dtype=float)[live_c],
+        objective=lp.objective if all_cols
+        else np.asarray(lp.objective, dtype=float)[live_c],
         objective_constant=constant,
         warnings=list(lp.warnings), transform_log=log)
-    out.validate()
-    return out
 
 
-def _row_intervals(rows: list[RowDef]) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) arrays of the rows' interval() ends. A row whose lower
-    end is +inf or whose upper end is -inf raises InfeasibleProblem."""
-    lo, hi = np.array([r.interval() for r in rows],
-                      dtype=float).reshape(-1, 2).T
+def _row_intervals(lp: GeneralLP) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) arrays of the rows' activity intervals. A row whose
+    lower end is +inf or whose upper end is -inf raises InfeasibleProblem."""
+    lo, hi = lp.intervals()
     bad = (lo == INF) | (hi == -INF)
     if bad.any():
         i = int(np.argmax(bad))
         raise InfeasibleProblem(
-            f"row {rows[i].name} requires activity in [{lo[i]}, {hi[i]}]")
+            f"row {lp.row_names[i]} requires activity in [{lo[i]}, {hi[i]}]")
     return lo, hi
 
 
-def _column_bounds(columns: list[ColumnDef]) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) arrays of the columns' bounds."""
-    return (np.array([c.lower for c in columns], dtype=float),
-            np.array([c.upper for c in columns], dtype=float))
+def _check_bounds(lp: GeneralLP, finite_fixed: bool) -> None:
+    """Raise InfeasibleProblem on the first column with lower > upper and,
+    when `finite_fixed`, ValueError on the first column fixed at an
+    infinite value, whichever comes first."""
+    bad = lp.lower > lp.upper
+    if finite_fixed:
+        bad |= (lp.lower == lp.upper) & ~np.isfinite(lp.lower)
+    if bad.any():
+        j = int(np.argmax(bad))
+        name, lo, up = lp.col_names[j], float(lp.lower[j]), float(lp.upper[j])
+        if lo > up:
+            raise InfeasibleProblem(
+                f"variable {name} has empty bound interval [{lo}, {up}]")
+        raise ValueError(f"variable {name} is fixed at a non-finite value")
 
 
 def _merge_duplicate_rows(indptr, indices, data, live_r, lo, hi, names,
@@ -235,16 +249,8 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     value raises ValueError.
     """
     lp.validate()
-    lower, upper = _column_bounds(lp.columns)
-    bad = (lower > upper) | ((lower == upper) & ~np.isfinite(lower))
-    if bad.any():
-        col = lp.columns[int(np.argmax(bad))]
-        if col.lower > col.upper:
-            raise InfeasibleProblem(
-                f"variable {col.name} has empty bound interval "
-                f"[{col.lower}, {col.upper}]")
-        raise ValueError(
-            f"variable {col.name} is fixed at a non-finite value")
+    _check_bounds(lp, finite_fixed=True)
+    lower, upper = lp.lower, lp.upper
     sign = 1.0 if lp.objective_sense == "min" else -1.0
     log = list(lp.transform_log)
 
@@ -266,23 +272,24 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
 
     names: list[str] = []
     provenance: list[str] = []
-    for col, is_free, is_mirror, is_bounded in zip(
-            lp.columns, free.tolist(), mirror.tolist(), bounded.tolist()):
+    for name, is_free, is_mirror, is_bounded, lo in zip(
+            lp.col_names, free.tolist(), mirror.tolist(), bounded.tolist(),
+            lower.tolist()):
         if is_free:
-            names += [col.name + "+", col.name + "-"]
+            names += [name + "+", name + "-"]
             provenance += ["free_pos", "free_neg"]
-            log.append(f"split free variable {col.name}")
+            log.append(f"split free variable {name}")
         elif is_mirror:
-            names.append(col.name + "~")
+            names.append(name + "~")
             provenance.append("original")
-            log.append(f"mirror upper-bounded variable {col.name}")
+            log.append(f"mirror upper-bounded variable {name}")
         else:
-            names.append(col.name)
+            names.append(name)
             provenance.append("original")
             if is_bounded:
-                log.append(f"upper bound of {col.name} becomes a row")
-            if col.lower != 0.0:
-                log.append(f"shift {col.name} by {col.lower}")
+                log.append(f"upper bound of {name} becomes a row")
+            if lo != 0.0:
+                log.append(f"shift {name} by {lo}")
 
     a = lp.coefficients.tocsr()
     structural = a @ sparse.csr_matrix(
@@ -294,7 +301,7 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
 
     # rows: = keeps its rhs, <= gains a slack, >= a surplus, and a ranged
     # row a slack bounded by the range width
-    lo, hi = _row_intervals(lp.rows)
+    lo, hi = _row_intervals(lp)
     eq = lo == hi
     surplus = ~eq & (lo != -INF) & (hi == INF)
     ranged = ~eq & (lo != -INF) & (hi != INF)
@@ -303,11 +310,11 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     m0, n_slack = lp.n_rows, len(slack_rows)
     for i, is_surplus in zip(slack_rows.tolist(),
                              surplus[slack_rows].tolist()):
-        name = lp.rows[i].name
+        name = lp.row_names[i]
         names.append(f"_su_{name}" if is_surplus else f"_sl_{name}")
         provenance.append("surplus" if is_surplus else "slack")
     for i in np.flatnonzero(ranged).tolist():
-        log.append(f"ranged row {lp.rows[i].name}: bounded slack added")
+        log.append(f"ranged row {lp.row_names[i]}: bounded slack added")
 
     # one bound row per finite width, bounded columns first, then ranged
     # slacks: its column and its own bound slack, both with coefficient 1

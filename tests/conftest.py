@@ -7,13 +7,14 @@ dense NumPy/LAPACK products and inverses only.
 from __future__ import annotations
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from qipm_bounds.lp_model import SparseMatrix, StandardLP
+from qipm_bounds.lp_model import GeneralLP, SparseMatrix, StandardLP
 from qipm_bounds.newton import NewtonOperator
 
 
@@ -29,6 +30,41 @@ def load_gen_corpus():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+def general_lp(rows, cols, entries, objective, *, name="test", sense="min",
+               objective_name="obj", constant=0.0) -> GeneralLP:
+    """GeneralLP built by hand. rows: (name, sense, rhs[, range]) with range
+    None for none; cols: (name, lower, upper); entries: (row, col, value)."""
+    ranges = [r[3] if len(r) > 3 and r[3] is not None else math.nan
+              for r in rows]
+    return GeneralLP(
+        name=name, objective_sense=sense, objective_name=objective_name,
+        row_names=[r[0] for r in rows],
+        sense=np.array([r[1] for r in rows], dtype="<U2"),
+        rhs=np.array([r[2] for r in rows], dtype=float),
+        ranges=np.array(ranges, dtype=float),
+        row_lower=np.full(len(rows), math.nan),
+        col_names=[c[0] for c in cols],
+        lower=np.array([c[1] for c in cols], dtype=float),
+        upper=np.array([c[2] for c in cols], dtype=float),
+        coefficients=SparseMatrix.from_entries(len(rows), len(cols), entries),
+        objective=np.asarray(objective, dtype=float),
+        objective_constant=constant)
+
+
+def row_tuples(lp: GeneralLP) -> list[tuple]:
+    """(name, sense, rhs, range) per row, range None for none: the row as a
+    tuple of Python values."""
+    return [(name, sense, rhs, None if math.isnan(r) else r)
+            for name, sense, rhs, r in zip(lp.row_names, lp.sense.tolist(),
+                                           lp.rhs.tolist(),
+                                           lp.ranges.tolist())]
+
+
+def col_tuples(lp: GeneralLP) -> list[tuple]:
+    """(name, lower, upper) per column, as Python values."""
+    return list(zip(lp.col_names, lp.lower.tolist(), lp.upper.tolist()))
 
 
 def random_full_rank(rng, m: int, n: int, density: float = 0.4) -> np.ndarray:

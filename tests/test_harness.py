@@ -1,6 +1,7 @@
 """Pipeline orchestration, curves, reports and the CLI."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from qipm_bounds.harness import (AnalysisConfig, FormulationResult,
 from qipm_bounds.lp_model import parse_mps
 from qipm_bounds.qcost import duration_grid, to_fraction
 from qipm_bounds.report import (TIMING_COLUMNS, difficulty_svg, emit_report,
-                                exclusion_svg, records_csv)
+                                exclusion_svg, records_csv, report_json)
 from qipm_bounds.standardize import standardize
 
 FAST = AnalysisConfig(sigma_min_timeout=10.0, sigma_min_samples=500)
@@ -55,6 +56,42 @@ class TestAnalyzeInstance:
         assert rec.warnings == []
         assert set(rec.exclusion) == {"mnes", "oss"}
         assert "parse" in rec.stage_seconds
+
+    def test_classical_solve_runs_without_collections(self, monkeypatch):
+        # with a generation-0 threshold of 1 the collector runs on almost
+        # every allocation, unless it is off during the timed solve
+        from qipm_bounds import harness
+        inside, seen = [], []
+        solve = harness.solve_internal_ipm
+
+        def wrapped(std):
+            inside.append(gc.isenabled())
+            try:
+                return solve(std)
+            finally:
+                inside.pop()
+
+        def hook(phase, info):
+            if phase == "start" and inside:
+                seen.append(info["generation"])
+
+        monkeypatch.setattr(harness, "solve_internal_ipm", wrapped)
+        path = corpus_dir() / "tiny" / "bounds_mix.mps"
+        threshold = gc.get_threshold()
+        gc.set_threshold(1)
+        gc.callbacks.append(hook)
+        try:
+            rec = analyze_instance(path, FAST)
+            assert gc.isenabled()
+            gc.disable()  # a disabled collector stays disabled
+            analyze_instance(path, FAST)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+            gc.callbacks.remove(hook)
+            gc.set_threshold(*threshold)
+        assert rec.status == "ok" and rec.classical.status == "optimal"
+        assert seen == []
 
     def test_gamma_is_exact_product(self, suite):
         checked = 0
@@ -777,6 +814,12 @@ class TestReports:
         assert payload["duration_grid"] == duration_grid()
         assert payload["reference_marker"] == 8e-10
 
+    def test_report_json_matches_asdict(self, suite, monkeypatch):
+        from qipm_bounds import report as report_mod
+        text = report_json(suite)
+        monkeypatch.setattr(report_mod, "record_dict", dataclasses.asdict)
+        assert text == report_json(suite)
+
     def test_svg_deterministic(self, suite):
         assert difficulty_svg(suite) == difficulty_svg(suite)
         assert exclusion_svg(suite) == exclusion_svg(suite)
@@ -822,6 +865,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "tiny_min"
         assert payload["formulations"]["oss"]["total_cycles"] > 0
+
+    def test_analyze_json_matches_asdict(self, tiny_record, capsys,
+                                         monkeypatch):
+        from qipm_bounds import cli
+        monkeypatch.setattr(cli, "analyze_instance",
+                            lambda path, cfg: tiny_record)
+        assert cli.main(["analyze", tiny_record.path]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            dataclasses.asdict(tiny_record), indent=2, default=str) + "\n"
 
     def test_suite_writes_reports_and_exit_code(self, tmp_path, capsys):
         from qipm_bounds.cli import main

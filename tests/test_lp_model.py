@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import load_gen_corpus
+from conftest import col_tuples, general_lp, load_gen_corpus, row_tuples
 from qipm_bounds.corpus import corpus_files
-from qipm_bounds.lp_model import (INF, ColumnDef, MpsParseError, RowDef,
-                                  SparseMatrix, emit_mps, parse_mps)
+from qipm_bounds.lp_model import (INF, MpsParseError, SparseMatrix, emit_mps,
+                                  parse_mps)
 
 MINIMAL = """NAME          MINI
 ROWS
@@ -105,9 +105,9 @@ class TestParse:
     def test_minimal_file(self):
         lp = parse_mps(MINIMAL)
         assert lp.name == "MINI"
-        assert [r.sense for r in lp.rows] == ["<="]
-        assert lp.rows[0].rhs == 4.0
-        assert lp.columns[0].lower == 0.0 and lp.columns[0].upper == INF
+        assert lp.sense.tolist() == ["<="]
+        assert lp.rhs.tolist() == [4.0]
+        assert col_tuples(lp) == [("x", 0.0, INF)]
         assert lp.objective.tolist() == [1.0]
         assert lp.coefficients.to_dense().tolist() == [[1.0]]
 
@@ -115,7 +115,7 @@ class TestParse:
         text = MINIMAL.replace("ENDATA", "RANGES\n    rng       c1            2\nENDATA")
         lp = parse_mps(text)
         # MPS convention for an L row with range r: [rhs - |r|, rhs]
-        assert lp.rows[0].interval() == (2.0, 4.0)
+        assert [a.tolist() for a in lp.intervals()] == [[2.0], [4.0]]
 
     @pytest.mark.parametrize("sense,rhs,rng,expected", [
         ("L", 4.0, 2.0, (2.0, 4.0)),
@@ -138,7 +138,7 @@ RANGES
 ENDATA
 """
         lp = parse_mps(text)
-        assert lp.rows[0].interval() == expected
+        assert tuple(a.item() for a in lp.intervals()) == expected
 
     def test_missing_endata_names_section(self):
         with pytest.raises(MpsParseError, match="ENDATA.*RHS"):
@@ -201,7 +201,7 @@ BOUNDS
 ENDATA
 """
         lp = parse_mps(text)
-        bounds = {col.name: (col.lower, col.upper) for col in lp.columns}
+        bounds = {name: (lo, up) for name, lo, up in col_tuples(lp)}
         assert bounds["a"] == (0.0, 5.0)
         assert bounds["b"] == (-1.0, INF)
         assert bounds["c"] == (2.0, 2.0)
@@ -216,12 +216,25 @@ ENDATA
         assert any("integrality" in w for w in lp.warnings)
 
     def test_negative_upper_frees_lower(self):
+        warning = ("negative UP bound on 'x' with default lower bound: "
+                   "lower bound set to -inf (dialect convention)")
         text = MINIMAL.replace(
             "ENDATA", "BOUNDS\n UP BND  x  -3\nENDATA")
         lp = parse_mps(text)
-        assert lp.columns[0].lower == -INF
-        assert lp.columns[0].upper == -3.0
-        assert any("dialect" in w for w in lp.warnings)
+        assert col_tuples(lp) == [("x", -INF, -3.0)]
+        assert lp.warnings == [warning]
+        # a lower bound given by a line stays, before or after the UP line
+        for lines in ([" LO BND  x  0", " UP BND  x  -1"],
+                      [" UP BND  x  -1", " LO BND  x  0"]):
+            lp = parse_mps(MINIMAL.replace(
+                "ENDATA", "\n".join(["BOUNDS", *lines, "ENDATA"])))
+            assert col_tuples(lp) == [("x", 0.0, -1.0)]
+            assert lp.warnings == []
+        # the rule applies once, to the final upper bound
+        lp = parse_mps(MINIMAL.replace(
+            "ENDATA", "BOUNDS\n UP BND  x  -1\n UP BND  x  -2\nENDATA"))
+        assert col_tuples(lp) == [("x", -INF, -2.0)]
+        assert lp.warnings == [warning]
 
     def test_objsense_max(self):
         text = MINIMAL.replace("ROWS", "OBJSENSE\n    MAX\nROWS")
@@ -292,7 +305,7 @@ RHS
 ENDATA
 """
         lp = parse_mps(text)
-        assert [c.name for c in lp.columns] == ["x", "MARKERX"]
+        assert lp.col_names == ["x", "MARKERX"]
         assert lp.coefficients.to_dense().tolist() == [[1.0, 2.0]]
         assert sum("integrality" in w for w in lp.warnings) == 1
 
@@ -301,7 +314,7 @@ ENDATA
                              ("2E3", 2000.0), ("+.5", 0.5), ("7", 7.0)]:
             lp = parse_mps(MINIMAL.replace("c1            4",
                                            f"c1            {token}"))
-            assert lp.rows[0].rhs == value
+            assert lp.rhs.tolist() == [value]
         for token in ("1.2.3", "1.5Q2", "D2"):
             with pytest.raises(MpsParseError, match=r"line 8: cannot parse "
                                "number") as exc:
@@ -327,8 +340,8 @@ ENDATA
             "ENDATA",
         ]) + "\n"
         lp = parse_mps(text)
-        assert lp.rows[0].name == "ROW ONE"
-        assert lp.columns[0].name == "COL A"
+        assert lp.row_names == ["ROW ONE"]
+        assert lp.col_names == ["COL A"]
         assert lp.coefficients.to_dense()[0, 0] == 2.0
 
     def test_entries_on_ignored_free_rows_are_dropped(self):
@@ -356,8 +369,7 @@ ENDATA
                     "objective)"]
         for body in (text, text.replace("    RHS  AUX  3", "    AUX  3")):
             lp = parse_mps(body)
-            assert [(r.name, r.sense, r.rhs, r.range) for r in lp.rows] == \
-                [("R1", "<=", 4.0, None)]
+            assert row_tuples(lp) == [("R1", "<=", 4.0, None)]
             assert lp.coefficients.to_dense().tolist() == [[1.0]]
             assert lp.objective.tolist() == [1.0]
             assert lp.objective_constant == 0.0
@@ -365,7 +377,7 @@ ENDATA
 
     def test_windows_line_endings(self):
         lp = parse_mps(MINIMAL.replace("\n", "\r\n"))
-        assert lp.rows[0].rhs == 4.0
+        assert lp.rhs.tolist() == [4.0]
 
     def test_parser_determinism(self, tiny_min_text):
         a, b = parse_mps(tiny_min_text), parse_mps(tiny_min_text)
@@ -475,13 +487,14 @@ ENDATA
 
 
 @pytest.mark.parametrize("change,message", [
-    (lambda lp: {"rows": lp.rows[:1]}, "shape does not match"),
+    (lambda lp: {"row_names": lp.row_names[:1]}, "shape does not match"),
+    (lambda lp: {"rhs": lp.rhs[:1]}, "row field length"),
+    (lambda lp: {"upper": lp.upper[:1]}, "column bound length"),
     (lambda lp: {"objective": lp.objective[:1]}, "objective length"),
-    (lambda lp: {"rows": [lp.rows[0], RowDef("c1", "<=")]},
-     "duplicate row names"),
-    (lambda lp: {"columns": [lp.columns[0], ColumnDef("x")]},
-     "duplicate column names"),
-], ids=["shape", "objective", "rows", "columns"])
+    (lambda lp: {"row_names": ["c1", "c1"]}, "duplicate row names"),
+    (lambda lp: {"col_names": ["x", "x"]}, "duplicate column names"),
+], ids=["shape", "row-field", "column-bound", "objective", "rows",
+        "columns"])
 def test_validate_rejects_inconsistent_lp(change, message):
     lp = parse_mps(_TWO_BY_TWO)
     lp.validate()
@@ -493,11 +506,11 @@ def _lp_signature(lp):
     coo = lp.coefficients.tocsr().tocoo()
     return (
         lp.name, lp.objective_sense, lp.objective_constant,
-        tuple((r.name, r.sense, r.rhs, r.range) for r in lp.rows),
-        tuple((c.name, c.lower, c.upper) for c in lp.columns),
-        tuple(sorted((lp.rows[i].name, lp.columns[j].name, v)
+        tuple(row_tuples(lp)),
+        tuple(col_tuples(lp)),
+        tuple(sorted((lp.row_names[i], lp.col_names[j], v)
                      for i, j, v in zip(coo.row, coo.col, coo.data))),
-        tuple((lp.columns[j].name, v) for j, v in enumerate(lp.objective)
+        tuple((lp.col_names[j], v) for j, v in enumerate(lp.objective)
               if v != 0.0),
     )
 
@@ -557,7 +570,7 @@ ENDATA
 
     def test_names_with_blanks_rejected(self):
         lp = parse_mps(MINIMAL)
-        lp.rows[0].name = "ROW ONE"
+        lp.row_names[0] = "ROW ONE"
         with pytest.raises(ValueError, match="embedded blanks"):
             emit_mps(lp)
 
@@ -569,19 +582,16 @@ ENDATA
 
     def test_round_trip_awkward_floats(self):
         lp = parse_mps(MINIMAL)
-        lp.rows[0].rhs = 0.1 + 0.2  # not exactly representable in decimal
-        lp.columns[0].upper = 1e-13
+        lp.rhs[0] = 0.1 + 0.2  # not exactly representable in decimal
+        lp.upper[0] = 1e-13
         again = parse_mps(emit_mps(lp))
-        assert again.rows[0].rhs == lp.rows[0].rhs
-        assert again.columns[0].upper == lp.columns[0].upper
+        assert again.rhs.tolist() == [0.1 + 0.2]
+        assert again.upper.tolist() == [1e-13]
 
 
 def _random_general_lp_for_io(seed):
     """Random LP exercising the writer: mixed senses, ranges, bound types,
     max objectives, objective constants, awkward float values."""
-    import numpy as np
-    from qipm_bounds.lp_model import ColumnDef, GeneralLP, RowDef, SparseMatrix
-
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 6))
     n = int(rng.integers(1, 7))
@@ -589,26 +599,25 @@ def _random_general_lp_for_io(seed):
     for i in range(m):
         sense = ["<=", ">=", "="][int(rng.integers(3))]
         rng_val = float(rng.normal()) if rng.random() < 0.3 else None
-        rows.append(RowDef(f"r{i}", sense, float(rng.normal()), rng_val))
+        rows.append((f"r{i}", sense, float(rng.normal()), rng_val))
     cols = []
     for j in range(n):
         kind = rng.integers(5)
         if kind == 0:
-            cols.append(ColumnDef(f"x{j}"))
+            cols.append((f"x{j}", 0.0, INF))
         elif kind == 1:
-            cols.append(ColumnDef(f"x{j}", 0.0, float(rng.uniform(0.1, 9))))
+            cols.append((f"x{j}", 0.0, float(rng.uniform(0.1, 9))))
         elif kind == 2:
-            cols.append(ColumnDef(f"x{j}", -INF, INF))
+            cols.append((f"x{j}", -INF, INF))
         elif kind == 3:
             v = float(rng.normal())
-            cols.append(ColumnDef(f"x{j}", v, v))
+            cols.append((f"x{j}", v, v))
         else:
-            cols.append(ColumnDef(f"x{j}", float(-rng.uniform(0.1, 5)), INF))
+            cols.append((f"x{j}", float(-rng.uniform(0.1, 5)), INF))
     entries = [(i, j, float(rng.normal())) for i in range(m)
                for j in range(n) if rng.random() < 0.6]
-    return GeneralLP(
-        name=f"RAND{seed}", objective_sense="max" if rng.random() < 0.4
-        else "min", objective_name="OBJ", rows=rows, columns=cols,
-        coefficients=SparseMatrix.from_entries(m, n, entries),
-        objective=rng.normal(size=n),
-        objective_constant=float(rng.normal()) if rng.random() < 0.5 else 0.0)
+    sense = "max" if rng.random() < 0.4 else "min"
+    objective = rng.normal(size=n)
+    constant = float(rng.normal()) if rng.random() < 0.5 else 0.0
+    return general_lp(rows, cols, entries, objective, name=f"RAND{seed}",
+                      sense=sense, objective_name="OBJ", constant=constant)
