@@ -2,8 +2,11 @@
 
 A built-in infeasible-start primal-dual path-following IPM (exact NES solves
 by one sparse LU, `newton.factor_nes`, with a diagonal-shift retry on an
-exactly singular factor) is the one classical baseline. Wall time is
-measured around the solve only.
+exactly singular factor) is the one classical baseline. A D^2 A' is
+symmetric positive definite (A has full row rank after rank repair and
+D > 0 at every iterate), so the LU runs in SuperLU's symmetric mode without
+row interchanges: its fill stays that of the first iteration's ordering
+however D spreads. Wall time is measured around the solve only.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ class SolveOutcome:
 def solve_internal_ipm(std: StandardLP) -> SolveOutcome:
     """Primal-dual path-following IPM from the all-ones start.
 
-    Each iteration solves the normal equation system by one sparse LU of
-    A D^2 A' (retried once with a diagonal shift when the factor is exactly
-    singular, which happens near the optimum), recovers the full Newton
-    step, and advances by the fraction-to-boundary rule capped at a full
-    step. Terminates when the duality gap and both feasibility residuals
-    are below tolerance.
+    Each iteration solves the normal equation system by one sparse
+    symmetric-mode LU of A D^2 A' (retried once with a diagonal shift when
+    the factor is exactly singular, which happens near the optimum),
+    recovers the full Newton step, and advances by the fraction-to-boundary
+    rule capped at a full step. Terminates when the duality gap and both
+    feasibility residuals are below tolerance.
     """
     m, n = std.m, std.n
     if m == 0 or n == 0:

@@ -341,7 +341,9 @@ def parse_mps(text: str) -> GeneralLP:
     a negative UP bound line left with a negative upper bound, and whose
     lower bound no line set, gets lower bound -inf, with a warning (a common
     dialect). Extra N rows are ignored with a warning, and so are their
-    COLUMNS, RHS and RANGES entries.
+    COLUMNS, RHS and RANGES entries. A NaN is an MpsParseError anywhere, and
+    so is an infinite coefficient, range or objective-row RHS; a row's RHS
+    and a bound may be infinite.
     """
     lines = text.splitlines()
     fixed = _detect_fixed_format(lines)
@@ -551,18 +553,67 @@ def parse_mps(text: str) -> GeneralLP:
             warnings.append(
                 f"negative UP bound on {col_names[k]!r} with default lower "
                 "bound: lower bound set to -inf (dialect convention)")
+    # one check of the collected numbers; the line is looked up only when
+    # it fails, so the loop above does no per-token work for it
+    entries = np.column_stack((coef_rows, coef_cols, coef_vals))
+    finite = [*obj_coeffs.values(), *range_of.values(), objective_constant]
+    if not (np.isfinite(entries[:, 2]).all() and np.isfinite(finite).all()) \
+            or np.isnan(list(rhs_of.values())).any() \
+            or np.isnan(lower).any() or np.isnan(upper).any():
+        raise _bad_number_error(lines, fixed, row_index, objective_name,
+                                col_index)
     lp = GeneralLP(
         name=problem_name, objective_sense=objective_sense,
         objective_name=objective_name, row_names=row_names,
         sense=np.array(senses, dtype="<U2"), rhs=_scatter(m, 0.0, rhs_of),
         ranges=_scatter(m, np.nan, range_of), row_lower=np.full(m, np.nan),
         col_names=col_names, lower=lower, upper=upper,
-        coefficients=SparseMatrix.from_entries(
-            m, n, np.column_stack((coef_rows, coef_cols, coef_vals))),
+        coefficients=SparseMatrix.from_entries(m, n, entries),
         objective=_scatter(n, 0.0, obj_coeffs),
         objective_constant=objective_constant, warnings=warnings)
     lp.validate()
     return lp
+
+
+def _bad_number_error(lines: list[str], fixed: bool, rows: dict[str, int],
+                      objective_name: str, columns: dict[str, int]
+                      ) -> MpsParseError:
+    """The error for the first number parse_mps rejects: NaN anywhere, and
+    +-inf as a coefficient, a range or the objective row's RHS. An infinite
+    row RHS or bound is a legal open end. Only the error path scans this."""
+    names_of = dict.fromkeys(("COLUMNS", "RHS", "RANGES"),
+                             set(rows) | {objective_name})
+    names_of["BOUNDS"] = columns
+    names = None
+    for line_no, line in enumerate(lines, 1):
+        toks = line.split()
+        if not toks or toks[0][0] == "*":
+            continue
+        if line[0] not in " \t":
+            section = toks[0].upper()
+            names = names_of.get(section)
+            continue
+        if names is None:
+            continue
+        if fixed:
+            toks = _fixed_tokens(line)
+        for name, tok in zip(toks, toks[1:]):
+            if name not in names:
+                continue
+            try:
+                v = float(tok.replace("D", "E").replace("d", "e"))
+            except ValueError:
+                continue
+            if math.isnan(v):
+                return MpsParseError(f"{section} value {tok!r} is not a number",
+                                     line_no)
+            open_end = section == "BOUNDS" or \
+                section == "RHS" and name != objective_name
+            if math.isinf(v) and not open_end:
+                return MpsParseError(f"{section} value {tok!r} is infinite",
+                                     line_no)
+    # only a sum of finite objective entries can overflow without a bad token
+    return MpsParseError("objective coefficient overflows to infinity")
 
 
 def _strip_set_name(toks: list[str], row_index: dict[str, int],

@@ -25,6 +25,9 @@ from .standardize import core_basis
 
 # relative diagonal shift of the NES retry after an exactly singular factor
 NES_SHIFT = 1e-14
+# SuperLU settings of the NES factor: symmetric mode, no row interchanges
+_SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options=dict(SymmetricMode=True))
 
 
 class RankDeficiencyError(ValueError):
@@ -119,19 +122,29 @@ def select_basis(A: SparseMatrix) -> BasisSelection:
 
 
 def factor_nes(A, d2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor M = A D^2 A' by one sparse LU and return its solve.
+    """Factor M = A D^2 A' by one sparse symmetric-mode LU; return its solve.
 
-    A is a SciPy sparse matrix. SuperLU raises RuntimeError on an exactly
-    singular factor; the one retry shifts the diagonal by
-    NES_SHIFT * max(diag M), and a second failure propagates.
+    A is a SciPy sparse matrix. Rank repair leaves A with full row rank and
+    every iterate has D > 0, so M is symmetric positive definite. SuperLU
+    therefore runs in symmetric mode with no row interchanges
+    (diag_pivot_thresh=0): the MMD_AT_PLUS_A ordering of M + M' keeps its
+    fill however D spreads, and elimination without pivoting is backward
+    stable on an SPD matrix (Higham 2002, Accuracy and Stability of
+    Numerical Algorithms, ch. 10). Partial pivoting would swap rows as D
+    spreads and more than double the fill. F's inverse Gram passes A_N,
+    which may lack full row rank; there M is only semidefinite, and its
+    solve only picks the vector of a forward Rayleigh quotient. SuperLU
+    raises RuntimeError on an exactly singular factor; the one retry shifts
+    the diagonal by NES_SHIFT * max(diag M), and a second failure
+    propagates.
     """
     M = (A.multiply(d2) @ A.T).tocsc()
     try:
-        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
+        lu = splinalg.splu(M, **_SPD_LU)
     except RuntimeError:
         shift = NES_SHIFT * float(M.diagonal().max())
         M = M + shift * sparse.identity(M.shape[0], format="csc")
-        lu = splinalg.splu(M, permc_spec="MMD_AT_PLUS_A")
+        lu = splinalg.splu(M, **_SPD_LU)
     return lu.solve
 
 

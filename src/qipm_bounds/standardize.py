@@ -45,7 +45,8 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     """Remove vacuous structure from an LP, keeping it equivalent.
 
     Empty rows are dropped (or declared infeasible, as is any row whose lower
-    end is +inf or whose upper end is -inf), empty columns are fixed
+    end is +inf or whose upper end is -inf), so are rows with no finite end
+    (an infinite RHS on a row's open side), empty columns are fixed
     at their best bound (or declared unbounded), variables with equal bounds
     are substituted out, and rows identical up to positive scaling are merged.
     The returned LP carries a transform log of every action taken. The
@@ -66,7 +67,10 @@ def presolve(lp: GeneralLP) -> GeneralLP:
     names, col_names = lp.row_names, lp.col_names
     lo0, hi0 = _row_intervals(lp)
     lo, hi = lo0.copy(), hi0.copy()
-    live_r = np.ones(lp.n_rows, dtype=bool)
+    # a row with no finite end bounds nothing, and no step gives it one
+    live_r = (lo > -INF) | (hi < INF)
+    for i in np.flatnonzero(~live_r).tolist():
+        log.append(f"drop free row {names[i]}")
     live_c = np.ones(lp.n_cols, dtype=bool)
     fixed = lower == upper
     constant = lp.objective_constant

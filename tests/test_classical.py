@@ -141,8 +141,20 @@ ENDATA
         assert out.status == "error"
         assert "x > 0, s > 0" in out.message
 
-    def test_slack_ladder_rounding_out_of_the_orthant(self):
-        # one x_i of this feasible instance rounds to about -1e-168 near the
-        # optimum; the solve must return a status, not raise
+    def test_slack_ladder_seed_18_solves_to_optimum(self):
+        # with a pivoting LU of A D^2 A', one x_i of this instance rounded
+        # to about -1e-168 at iteration 175 and the solve broke down
         std = standardize(parse_mps(generators.slack_ladder(600, 800, 18)))
-        assert solve_internal_ipm(std).status in ("optimal", "error")
+        out = solve_internal_ipm(std)
+        assert out.status == "optimal", out.message
+        assert out.objective == pytest.approx(highs_oracle(std).fun, rel=1e-6)
+
+    def test_nes_fill_does_not_grow_as_d_spreads(self):
+        # A D^2 A' is SPD, so its factor needs no row interchanges and keeps
+        # the fill of its ordering for any D > 0
+        std = standardize(parse_mps(generators.slack_ladder(60, 80, 1)))
+        a = std.A.tocsr()
+        spread = np.logspace(-8.0, 8.0, std.n)
+        np.random.default_rng(0).shuffle(spread)
+        fill = [factor_nes(a, d2).__self__ for d2 in (np.ones(std.n), spread)]
+        assert fill[0].L.nnz + fill[0].U.nnz == fill[1].L.nnz + fill[1].U.nnz

@@ -215,6 +215,13 @@ ENDATA
         assert bounds["k"] == (-INF, INF)  # flag bound, set name omitted
         assert any("integrality" in w for w in lp.warnings)
 
+    def test_infinite_bounds_and_rhs_stay_legal(self):
+        lp = parse_mps(MINIMAL.replace(
+            "ENDATA", "BOUNDS\n LO BND  x  -inf\n UP BND  x  Infinity\nENDATA"))
+        assert col_tuples(lp) == [("x", -INF, INF)]
+        lp = parse_mps(MINIMAL.replace("c1            4", "c1         -1e999"))
+        assert lp.rhs.tolist() == [-INF]
+
     def test_negative_upper_frees_lower(self):
         warning = ("negative UP bound on 'x' with default lower bound: "
                    "lower bound set to -inf (dialect convention)")
@@ -459,6 +466,25 @@ _ERROR_CASES = [
     (_FIXED_HEAD + _FIXED_COL + "BOUNDS\n UP " + "BND".ljust(10)
      + "COL B".ljust(10) + "4.0\nENDATA\n", 8,
      "bound references undeclared column 'COL B'"),
+    # NaN anywhere, and +-inf but for a row's RHS or a bound
+    (_HEAD + "COLUMNS\n    x  obj  1  c1  inf\nRHS\n    RHS  c1  1\nBOUNDS\n"
+     " FX BND  x  0\nENDATA\n", 6, "COLUMNS value 'inf' is infinite"),
+    (_HEAD + "COLUMNS\n    x  obj  -Infinity\nENDATA\n", 6,
+     "COLUMNS value '-Infinity' is infinite"),
+    (_HEAD + _COLS + "RHS\n    RHS  c1  inf\n    RHS  c1  nan\nENDATA\n", 9,
+     "RHS value 'nan' is not a number"),
+    (_HEAD + _COLS + "RHS\n    RHS  obj  -inf\nENDATA\n", 8,
+     "RHS value '-inf' is infinite"),
+    (_HEAD + _COLS + "RANGES\n    RNG  c1  nan\nENDATA\n", 8,
+     "RANGES value 'nan' is not a number"),
+    (_HEAD + _COLS + "RANGES\n    RNG  c1  1D400\nENDATA\n", 8,
+     "RANGES value '1D400' is infinite"),
+    (_HEAD + _COLS + "BOUNDS\n UP BND  x  inf\n LO BND  x  NaN\nENDATA\n", 9,
+     "BOUNDS value 'NaN' is not a number"),
+    (_FIXED_HEAD + _FIXED_COL.replace("2.0", "nan") + "ENDATA\n", 6,
+     "COLUMNS value 'nan' is not a number"),
+    (_HEAD + "COLUMNS\n    x  obj  1e308  obj  1e308\nENDATA\n", None,
+     "objective coefficient overflows to infinity"),
 ]
 
 

@@ -176,6 +176,19 @@ class TestPresolve:
         with pytest.raises(InfeasibleProblem, match="row R1 requires"):
             standardize(parse_mps(text))
 
+    # a <= row at rhs +inf and a >= row at -inf bound nothing
+    @pytest.mark.parametrize("sense, rhs", [("<=", INF), (">=", -INF)])
+    def test_row_with_no_finite_end_is_dropped(self, sense, rhs):
+        cols = [("x", 0.0, INF), ("y", 0.0, INF)]
+        lp = make_lp([("R1", sense, rhs), ("R2", ">=", 1.0)], cols,
+                     [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)],
+                     [1.0, 1.0])
+        out = presolve(lp)
+        assert out.row_names == ["R2"]
+        assert "drop free row R1" in out.transform_log
+        std = standardize(parse_mps(emit_mps(lp)))
+        assert np.isfinite(std.b).all() and std.m == 1
+
     def test_fixed_variable_substituted(self):
         lp = make_lp([("r0", "<=", 5.0)],
                      [("x", 2.0, 2.0), ("y", 0.0, INF)],
