@@ -246,13 +246,17 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
         record.status = "error"
         record.error = f"unreadable file: {exc}"
         return record
+    # each bound-side input is released once its stage is done, so none
+    # is held through the classical solve, where peak memory rises last
     try:
         lp = parse_mps(text)
+        del text
         record.warnings.extend(lp.warnings)
         stages["parse"] = time.perf_counter() - t
 
         t = time.perf_counter()
         std = standardize(lp)
+        del lp
         record.m, record.n = std.m, std.n
         record.presolve_log_size = len(std.transform_log)
         stages["standardize"] = time.perf_counter() - t
@@ -271,6 +275,7 @@ def analyze_instance(path: str | Path, config: AnalysisConfig | None = None,
                 _memo[digest] = shared
         else:  # a memo hit spends no time in either formulation
             stages.update(dict.fromkeys(FORMULATIONS, 0.0))
+        del basis
         record.formulations = {f: dataclasses.replace(result)
                                for f, result in shared.items()}
 

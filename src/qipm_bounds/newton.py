@@ -74,25 +74,49 @@ def canonical_iterate(m: int, n: int) -> Iterate:
 
 @dataclass
 class BasisSelection:
-    """m linearly independent columns of A plus a reusable factorization.
+    """m linearly independent columns of A plus a way to solve with them.
 
     `basic` is standardize.core_basis's read-only column pick; `nonbasic`
     the complement in ascending order. `a_b` and `a_n` are A's column
     blocks A[:, basic] and A[:, nonbasic], sliced once for every operator
-    built on this basis. solve/solve_t apply A_B^-1 and A_B^-T through the
-    retained LU factorization of a_b (A_B is never inverted).
+    built on this basis. solve/solve_t apply A_B^-1 and A_B^-T (A_B is
+    never inverted), for a vector or stacked columns:
+    - when a_b has m entries (as when the slack crash covers every row),
+      the nonsingular A_B holds one entry per row and column, a scaled
+      permutation, and `lu` is None: the solves gather or scatter by the
+      entries' columns and divide by their values. That is the
+      arithmetic an LU solve performs on such a matrix (its L is the
+      identity, its U the entries), so the result is exact and equal bit
+      for bit to SuperLU's, in the same Fortran order;
+    - otherwise `lu` is a retained SuperLU factorization of a_b.
     """
     basic: np.ndarray
     nonbasic: np.ndarray
     a_b: SparseMatrix
     a_n: SparseMatrix
-    lu: splinalg.SuperLU
+    lu: splinalg.SuperLU | None
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return self.lu.solve(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        if self.lu is not None:
+            return self.lu.solve(v)
+        cols, vals = self._entries(v)
+        out = np.empty(v.shape, order="F")
+        out[cols] = v / vals
+        return out
 
     def solve_t(self, v: np.ndarray) -> np.ndarray:
-        return self.lu.solve(np.asarray(v, dtype=float), trans="T")
+        v = np.asarray(v, dtype=float)
+        if self.lu is not None:
+            return self.lu.solve(v, trans="T")
+        cols, vals = self._entries(v)
+        return np.divide(v[cols], vals, out=np.empty(v.shape, order="F"))
+
+    def _entries(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column and value of each row's one entry of a scaled-permutation
+        a_b, the values shaped to divide v's rows."""
+        csr = self.a_b.tocsr()
+        return csr.indices, csr.data if v.ndim == 1 else csr.data[:, None]
 
     @property
     def m(self) -> int:
@@ -102,8 +126,10 @@ class BasisSelection:
 def select_basis(A: SparseMatrix) -> BasisSelection:
     """Pick m independent columns of A: standardize.core_basis's pick.
 
-    RankDeficiencyError reports the core's missing pivots. Deterministic
-    for fixed input.
+    RankDeficiencyError reports the core's missing pivots. A_B is factored
+    by SuperLU unless it has m entries, which makes it a scaled permutation
+    that BasisSelection solves with exactly and without a factor.
+    Deterministic for fixed input.
     """
     m, n = A.n_rows, A.n_cols
     if m > n:
@@ -116,9 +142,9 @@ def select_basis(A: SparseMatrix) -> BasisSelection:
     nonbasic = np.flatnonzero(mask)
 
     a_b = A.columns(basic)
+    lu = None if a_b.nnz == m else splinalg.splu(a_b.tocsc())
     return BasisSelection(basic=basic, nonbasic=nonbasic, a_b=a_b,
-                          a_n=A.columns(nonbasic),
-                          lu=splinalg.splu(a_b.tocsc()))
+                          a_n=A.columns(nonbasic), lu=lu)
 
 
 def factor_nes(A, d2: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -371,7 +397,7 @@ def _a_block(A, a_t, basis: BasisSelection, it: Iterate) -> NewtonOperator:
       (x / s) A A', one solve of M's sparse factorization (factored on
       first use).
     - Floor: A A' >= A_B A_B', so sigma_min(xA') >= x sigma_min(A_B). When
-      A_B has m entries it is a scaled permutation, and that is
+      A_B is a scaled permutation (basis.lu is None) that is
       x min |a_b|; otherwise the floor is 0.
     - Ceiling: ||A||_2^2 <= ||A||_1 ||A||_inf (Hoelder), so
       sigma_max(xA') <= x sqrt(||A||_1 ||A||_inf).
@@ -379,7 +405,7 @@ def _a_block(A, a_t, basis: BasisSelection, it: Iterate) -> NewtonOperator:
     x, s = float(it.x[0]), float(it.s[0])
     solve = functools.cache(lambda: factor_nes(A, it.d2))
     floor = 0.0
-    if basis.a_b.nnz == basis.m:
+    if basis.lu is None:
         floor = x * float(np.abs(basis.a_b.tocsr().data).min())
     return NewtonOperator(
         A.shape, "oss_a", lambda v: x * (A @ v), lambda u: x * (a_t @ u),

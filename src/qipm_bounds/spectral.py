@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 from .lp_model import SparseMatrix
 from .newton import BasisSelection, NewtonOperator
@@ -194,12 +195,19 @@ def _lanczos_extreme(gram, image, dim: int, which: str,
 
 def _ritz_values(alphas, betas, vectors: bool):
     """Eigenvalues (ascending) of the Lanczos tridiagonal matrix and, with
-    `vectors`, (values, eigenvectors)."""
+    `vectors`, (values, eigenvectors). Values alone come straight from
+    LAPACK's dsterf, which eigh_tridiagonal's default routine (stevd) runs
+    for them too, without its per-call validation: every Lanczos step
+    takes them."""
     if len(alphas) == 1:
         vals = np.array(alphas, dtype=float)
         return (vals, np.ones((1, 1))) if vectors else vals
-    return eigh_tridiagonal(np.asarray(alphas), np.asarray(betas),
-                            eigvals_only=not vectors)
+    if vectors:
+        return eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
+    vals, info = dsterf(np.asarray(alphas), np.asarray(betas))
+    if info:
+        raise np.linalg.LinAlgError(f"dsterf failed with info {info}")
+    return vals
 
 
 def _extreme_index(vals: np.ndarray, which: str) -> int:

@@ -249,8 +249,9 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     becomes an extra equality row with its own bound slack. Free variables
     split into positive/negative parts; max objectives are negated. A column
     with lower > upper, like a row whose lower end is +inf or whose upper
-    end is -inf, raises InfeasibleProblem, and a column fixed at an infinite
-    value raises ValueError.
+    end is -inf, raises InfeasibleProblem; a column fixed at an infinite
+    value, like a row with no finite end (presolve drops those), raises
+    ValueError.
     """
     lp.validate()
     _check_bounds(lp, finite_fixed=True)
@@ -306,6 +307,10 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     # rows: = keeps its rhs, <= gains a slack, >= a surplus, and a ranged
     # row a slack bounded by the range width
     lo, hi = _row_intervals(lp)
+    free = (lo == -INF) & (hi == INF)
+    if free.any():
+        raise ValueError(f"row {lp.row_names[int(np.argmax(free))]} has no "
+                         "finite end, so it has no right-hand side")
     eq = lo == hi
     surplus = ~eq & (lo != -INF) & (hi == INF)
     ranged = ~eq & (lo != -INF) & (hi != INF)

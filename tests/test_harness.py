@@ -11,6 +11,7 @@ import random
 import struct
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +93,41 @@ class TestAnalyzeInstance:
             gc.set_threshold(*threshold)
         assert rec.status == "ok" and rec.classical.status == "optimal"
         assert seen == []
+
+    @pytest.mark.parametrize("text", [
+        generators.slack_ladder(60, 80, 1), generators.flow_grid(8, 8, 1)],
+        ids=["slack", "flow"])
+    def test_bound_side_inputs_released_before_classical_solve(
+            self, text, tmp_path, monkeypatch):
+        # the parsed LP and the basis (on slack without a factor, on flow
+        # with one) are freed by reference count, with the collector off
+        from qipm_bounds import harness
+        refs, alive = {}, []
+        parse, select, solve = (harness.parse_mps, harness.select_basis,
+                                harness.solve_internal_ipm)
+
+        def parse_mps(text):
+            lp = parse(text)
+            refs["lp"] = weakref.ref(lp)
+            return lp
+
+        def select_basis(A):
+            basis = select(A)
+            refs["basis"] = weakref.ref(basis)
+            return basis
+
+        def solve_internal_ipm(std):
+            alive.extend(k for k, ref in refs.items() if ref() is not None)
+            return solve(std)
+
+        monkeypatch.setattr(harness, "parse_mps", parse_mps)
+        monkeypatch.setattr(harness, "select_basis", select_basis)
+        monkeypatch.setattr(harness, "solve_internal_ipm", solve_internal_ipm)
+        path = tmp_path / "lp.mps"
+        path.write_text(text)
+        rec = analyze_instance(path, FAST)
+        assert rec.status == "ok" and rec.classical.status == "optimal"
+        assert set(refs) == {"lp", "basis"} and alive == []
 
     def test_gamma_is_exact_product(self, suite):
         checked = 0

@@ -12,6 +12,7 @@ from scipy import sparse
 from conftest import (dense_fbar, dense_mnes, dense_nes, dense_nullspace,
                       dense_oss, newton_residuals, random_full_rank,
                       random_iterate, random_standard_lp, rng_for)
+from qipm_bounds import newton
 from qipm_bounds.corpus import corpus_dir
 from qipm_bounds.lp_model import SparseMatrix, StandardLP, parse_mps
 from qipm_bounds.newton import (Iterate, RankDeficiencyError, build_fbar,
@@ -80,6 +81,42 @@ class TestSelectBasis:
         assert basis.basic.size == 0 and basis.nonbasic.tolist() == [0, 1, 2]
         assert basis.solve(np.zeros(0)).shape == (0,)
         assert basis.solve_t(np.zeros((0, 2))).shape == (0, 2)
+
+    def test_scaled_permutation_basis_builds_no_factor(self, monkeypatch):
+        # slack columns of both signs and magnitudes 1e-3..1e3, shuffled
+        # among dense structural columns: the crash picks them, A_B has m
+        # entries, and the solves equal SuperLU's bit for bit
+        rng = rng_for(34)
+        m, k = 40, 30
+        scaled = (rng.choice([-1.0, 1.0], m)
+                  * 10.0 ** rng.uniform(-3.0, 3.0, m))
+        a = np.hstack([rng.normal(size=(m, k)), np.diag(scaled)])
+        a = a[:, rng.permutation(m + k)]
+        splu = newton.splinalg.splu
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("select_basis built a SuperLU factor")
+
+        monkeypatch.setattr(newton.splinalg, "splu", no_splu)
+        basis = select_basis(SparseMatrix.from_dense(a))
+        monkeypatch.undo()
+        assert basis.lu is None and basis.a_b.nnz == m
+        # a scaled permutation that is not diagonal, solved the same way
+        perm = rng.permutation(m)
+        shuffled = newton.BasisSelection(
+            basic=basis.basic, nonbasic=basis.nonbasic,
+            a_b=SparseMatrix.from_entries(
+                m, m, np.column_stack([np.arange(m), perm, scaled])),
+            a_n=basis.a_n, lu=None)
+        for b in (basis, shuffled):
+            lu = splu(b.a_b.tocsc())
+            for v in (rng.normal(size=m), rng.normal(size=(m, 3)),
+                      np.asfortranarray(rng.normal(size=(m, 2)))):
+                for got, want in ((b.solve(v), lu.solve(v)),
+                                  (b.solve_t(v), lu.solve(v, "T"))):
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+                    assert got.flags.f_contiguous
 
     def test_rank_deficiency_reports_count(self):
         a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])

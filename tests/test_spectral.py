@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal
 
 from conftest import (dense_fbar, dense_oss, op_from_dense, random_iterate,
                       random_standard_lp, rng_for)
@@ -99,6 +100,21 @@ class TestSigmaMaxLower:
         bad._matvec = lambda v: v * np.nan
         with pytest.raises(NumericalError):
             sigma_max_lower(bad)
+
+
+class TestRitzValues:
+    def test_values_equal_eigh_tridiagonal_bit_for_bit(self):
+        # the per-step values come from dsterf; eigh_tridiagonal's default
+        # routine gives the reference, on 2,900 seeded Lanczos tridiagonals
+        rng = rng_for(3400)
+        for size in range(2, 60):
+            for scale in np.repeat([1e-3, 1.0, 1e3], [17, 16, 17]):
+                alphas = scale * rng.normal(size=size)
+                betas = scale * np.abs(rng.normal(size=size - 1))
+                got = spectral._ritz_values(list(alphas), list(betas),
+                                            vectors=False)
+                want = eigh_tridiagonal(alphas, betas, eigvals_only=True)
+                assert np.array_equal(got, want)
 
 
 class TestSigmaMinUpper:

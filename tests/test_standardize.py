@@ -352,6 +352,18 @@ class TestToStandardForm:
         with pytest.raises(InfeasibleProblem):
             to_standard_form(lp(("z", INF, 0.0)))
 
+    # a <= row at rhs +inf and a >= row at -inf have no right-hand side;
+    # without the check, the first case gave b = [inf, 4]
+    @pytest.mark.parametrize("sense, rhs", [("<=", INF), (">=", -INF)])
+    def test_row_with_no_finite_end_rejected(self, sense, rhs):
+        lp = make_lp([("R1", sense, rhs), ("R2", "<=", 4.0)],
+                     [("x", 0.0, INF), ("y", 0.0, INF)],
+                     [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 2.0)],
+                     [1.0, 1.0])
+        with pytest.raises(ValueError, match="row R1 has no finite end"):
+            to_standard_form(lp)
+        assert to_standard_form(presolve(lp)).b.tolist() == [4.0]
+
 
 class TestEnsureFullRowRank:
     def _std(self, a, b):
