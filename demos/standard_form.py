@@ -20,8 +20,8 @@ for event in reduced.transform_log:
     print("  presolve:", event)
 
 std = to_standard_form(reduced)
-print(f"standard form: m = {std.m}, n = {std.n}")
-print("  column provenance:", std.column_provenance)
+print(f"standard form: m = {std.m}, n = {std.n}, of which "
+      f"{std.n - reduced.n_cols} added (slacks, free splits, bound slacks)")
 
 full = ensure_full_row_rank(std)
 print(f"after rank repair: m = {full.m} "

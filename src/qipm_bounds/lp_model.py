@@ -116,13 +116,6 @@ class SparseMatrix:
     def col_nnz(self) -> np.ndarray:
         return np.diff(self.tocsc().indptr)
 
-    def col_entries(self, j: int) -> list[tuple[int, float]]:
-        """(row, value) pairs of column j, ascending row index."""
-        csc = self.tocsc()
-        lo, hi = csc.indptr[j], csc.indptr[j + 1]
-        return [(int(i), float(v)) for i, v in
-                zip(csc.indices[lo:hi], csc.data[lo:hi])]
-
     def columns(self, idx) -> "SparseMatrix":
         """Submatrix of the given columns, in the given order."""
         return SparseMatrix(self.tocsc()[:, np.asarray(idx, dtype=int)].tocsr())
@@ -245,14 +238,12 @@ class StandardLP:
     """min c'x  s.t.  Ax = b, x >= 0, with A of full row rank.
 
     The original optimum is objective_sign * (c'x*) + objective_constant;
-    column_provenance tags each column as original / slack / surplus /
-    bound_slack / free_pos / free_neg.
+    transform_log names every column that to_standard_form split, mirrored,
+    shifted or bounded, and every slack it added for a ranged row.
     """
     A: SparseMatrix
     b: np.ndarray
     c: np.ndarray
-    column_provenance: list[str]
-    column_names: list[str]
     name: str = ""
     objective_sign: float = 1.0
     objective_constant: float = 0.0
@@ -341,9 +332,10 @@ def parse_mps(text: str) -> GeneralLP:
     a negative UP bound line left with a negative upper bound, and whose
     lower bound no line set, gets lower bound -inf, with a warning (a common
     dialect). Extra N rows are ignored with a warning, and so are their
-    COLUMNS, RHS and RANGES entries. A NaN is an MpsParseError anywhere, and
+    COLUMNS, RHS and RANGES entries. A duplicate RHS or RANGES entry keeps
+    the last value, with a warning. A NaN is an MpsParseError anywhere, and
     so is an infinite coefficient, range or objective-row RHS; a row's RHS
-    and a bound may be infinite.
+    and a bound may be infinite. Errors come in file order.
     """
     lines = text.splitlines()
     fixed = _detect_fixed_format(lines)
@@ -396,8 +388,7 @@ def parse_mps(text: str) -> GeneralLP:
                     f"section {head} before {required_before[head]}", line_no)
             section = head
             if head == "NAME":
-                problem_name = line[4:].strip() if not fixed else \
-                    line[14:22].strip() or line[4:].strip()
+                problem_name = line[4:].strip()
             elif head == "OBJSENSE":
                 if len(toks) > 1:
                     objective_sense = toks[1].lower()[:3]
@@ -451,6 +442,8 @@ def parse_mps(text: str) -> GeneralLP:
                     v = float(tok)
                 except ValueError:
                     v = _num(tok, line_no)
+                if not -INF < v < INF and rname not in free_rows:
+                    raise _bad_number(section, tok, v, line_no)
                 i = row_of(rname)
                 if i is not None:
                     coef_rows.append(i)
@@ -475,6 +468,11 @@ def parse_mps(text: str) -> GeneralLP:
                     v = float(tok)
                 except ValueError:
                     v = _num(tok, line_no)
+                # only a row's RHS may be +-inf, an open end
+                if not -INF < v < INF and rname not in free_rows and (
+                        v != v or section == "RANGES"
+                        or rname == objective_name):
+                    raise _bad_number(section, tok, v, line_no)
                 if rname == objective_name:
                     if section == "RHS":
                         # MPS convention: RHS on the objective row is the
@@ -494,17 +492,15 @@ def parse_mps(text: str) -> GeneralLP:
                     raise MpsParseError(
                         f"{section} references undeclared row {rname!r}",
                         line_no)
-                if section == "RHS":
-                    if i in rhs_of:
-                        warnings.append(f"duplicate RHS for row {rname!r}; "
-                                        "last value kept")
-                    rhs_of[i] = v
-                else:
-                    range_of[i] = v
-                    if senses[i] == "=" and v < 0:
-                        warnings.append(
-                            f"negative range on equality row {rname!r}: "
-                            "interval [rhs+range, rhs] convention applied")
+                values = rhs_of if section == "RHS" else range_of
+                if i in values:
+                    warnings.append(f"duplicate {section} for row {rname!r}; "
+                                    "last value kept")
+                values[i] = v
+                if section == "RANGES" and senses[i] == "=" and v < 0:
+                    warnings.append(
+                        f"negative range on equality row {rname!r}: "
+                        "interval [rhs+range, rhs] convention applied")
 
         elif section == "ROWS":
             if len(toks) != 2:
@@ -553,67 +549,29 @@ def parse_mps(text: str) -> GeneralLP:
             warnings.append(
                 f"negative UP bound on {col_names[k]!r} with default lower "
                 "bound: lower bound set to -inf (dialect convention)")
-    # one check of the collected numbers; the line is looked up only when
-    # it fails, so the loop above does no per-token work for it
-    entries = np.column_stack((coef_rows, coef_cols, coef_vals))
-    finite = [*obj_coeffs.values(), *range_of.values(), objective_constant]
-    if not (np.isfinite(entries[:, 2]).all() and np.isfinite(finite).all()) \
-            or np.isnan(list(rhs_of.values())).any() \
-            or np.isnan(lower).any() or np.isnan(upper).any():
-        raise _bad_number_error(lines, fixed, row_index, objective_name,
-                                col_index)
+    objective = _scatter(n, 0.0, obj_coeffs)
+    if not np.isfinite(objective).all():
+        # every entry is finite, so a column's entries summed past the range
+        raise MpsParseError("objective coefficient overflows to infinity")
     lp = GeneralLP(
         name=problem_name, objective_sense=objective_sense,
         objective_name=objective_name, row_names=row_names,
         sense=np.array(senses, dtype="<U2"), rhs=_scatter(m, 0.0, rhs_of),
         ranges=_scatter(m, np.nan, range_of), row_lower=np.full(m, np.nan),
         col_names=col_names, lower=lower, upper=upper,
-        coefficients=SparseMatrix.from_entries(m, n, entries),
-        objective=_scatter(n, 0.0, obj_coeffs),
+        coefficients=SparseMatrix.from_entries(
+            m, n, np.column_stack((coef_rows, coef_cols, coef_vals))),
+        objective=objective,
         objective_constant=objective_constant, warnings=warnings)
     lp.validate()
     return lp
 
 
-def _bad_number_error(lines: list[str], fixed: bool, rows: dict[str, int],
-                      objective_name: str, columns: dict[str, int]
-                      ) -> MpsParseError:
-    """The error for the first number parse_mps rejects: NaN anywhere, and
-    +-inf as a coefficient, a range or the objective row's RHS. An infinite
-    row RHS or bound is a legal open end. Only the error path scans this."""
-    names_of = dict.fromkeys(("COLUMNS", "RHS", "RANGES"),
-                             set(rows) | {objective_name})
-    names_of["BOUNDS"] = columns
-    names = None
-    for line_no, line in enumerate(lines, 1):
-        toks = line.split()
-        if not toks or toks[0][0] == "*":
-            continue
-        if line[0] not in " \t":
-            section = toks[0].upper()
-            names = names_of.get(section)
-            continue
-        if names is None:
-            continue
-        if fixed:
-            toks = _fixed_tokens(line)
-        for name, tok in zip(toks, toks[1:]):
-            if name not in names:
-                continue
-            try:
-                v = float(tok.replace("D", "E").replace("d", "e"))
-            except ValueError:
-                continue
-            if math.isnan(v):
-                return MpsParseError(f"{section} value {tok!r} is not a number",
-                                     line_no)
-            open_end = section == "BOUNDS" or \
-                section == "RHS" and name != objective_name
-            if math.isinf(v) and not open_end:
-                return MpsParseError(f"{section} value {tok!r} is infinite",
-                                     line_no)
-    # only a sum of finite objective entries can overflow without a bad token
-    return MpsParseError("objective coefficient overflows to infinity")
+def _bad_number(section: str, tok: str, v: float,
+                line_no: int) -> MpsParseError:
+    """The error for a NaN, or an infinity where no open end is allowed."""
+    kind = "not a number" if math.isnan(v) else "infinite"
+    return MpsParseError(f"{section} value {tok!r} is {kind}", line_no)
 
 
 def _strip_set_name(toks: list[str], row_index: dict[str, int],
@@ -669,6 +627,8 @@ def _apply_bound(toks: list[str], col_index: dict[str, int],
     if k is None:
         raise MpsParseError(f"bound references undeclared column {cname!r}",
                             line_no)
+    if val != val:
+        raise _bad_number("BOUNDS", tok, val, line_no)
     lower, upper, lower_set, neg_up = bounds
     if code == "UP":
         upper[k] = val
@@ -729,12 +689,14 @@ def emit_mps(lp: GeneralLP) -> str:
         out.append(f" {_SENSE_CODES[sense]}  {name}")
 
     out.append("COLUMNS")
+    csc = lp.coefficients.tocsc()
     for j, cname in enumerate(lp.col_names):
         pairs: list[tuple[str, float]] = []
         if lp.objective[j] != 0.0:
             pairs.append((lp.objective_name, float(lp.objective[j])))
-        for i, v in lp.coefficients.col_entries(j):
-            pairs.append((lp.row_names[i], v))
+        seg = slice(csc.indptr[j], csc.indptr[j + 1])
+        pairs += zip([lp.row_names[i] for i in csc.indices[seg].tolist()],
+                     csc.data[seg].tolist())
         if not pairs:
             # a column with no entries must still be declared
             pairs.append((lp.objective_name, 0.0))

@@ -9,8 +9,8 @@ exact big integers, never floats.
 The query count for an s-sparse system with condition number kappa at target
 precision eps is
 
-    Q = 8 * ceil(sqrt(ceil(g^2 lb(g/eps)) * lb((4/eps) ceil(g^2 lb(g/eps)))))
-        * n_qaa,        g = s * kappa,  lb = log base 2,
+    Q = 8 * ceil(sqrt(ceil(g^2 lb(g/eps)) * lb((4/eps) ceil(g^2 lb(g/eps))))),
+        g = s * kappa,  lb = log base 2,
 
 and the total cycle count for reading out a d-dimensional solution in the
 copy-access tomography model multiplies the bracket by 8 (d - 1) / eps^2.
@@ -23,8 +23,8 @@ import math
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
-_START_PREC = 60
-_MAX_PREC = 4000
+_START_PREC = 20
+_MAX_PREC = 5120  # the last rung of 20, 40, 80, ... digits
 
 Rational = int | float | str | Fraction
 
@@ -146,22 +146,18 @@ def _bracket(g: Fraction, eps: Fraction) -> int:
     return ceil_sqrt_log_term(inner, Fraction(4) / eps * inner)
 
 
-def qlsa_query_count(s: int, kappa: Rational, epsilon: Rational,
-                     n_qaa: int = 1) -> int:
+def qlsa_query_count(s: int, kappa: Rational, epsilon: Rational) -> int:
     """Oracle queries of the Chebyshev-based quantum linear solver.
 
     Exact integer evaluation of
-    8 * ceil(sqrt(ceil(s^2 k^2 lb(sk/e)) * lb((4/e) ceil(s^2 k^2 lb(sk/e)))))
-    times the amplitude-amplification repetition count.
+    8 * ceil(sqrt(ceil(s^2 k^2 lb(sk/e)) * lb((4/e) ceil(s^2 k^2 lb(sk/e))))).
     """
     if s < 1:
         raise ValueError(f"sparsity must be >= 1, got {s}")
-    if n_qaa < 1:
-        raise ValueError(f"n_qaa must be >= 1, got {n_qaa}")
     k = to_fraction(kappa)
     if k <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    return 8 * chebyshev_bracket(s * k, epsilon) * n_qaa
+    return 8 * chebyshev_bracket(s * k, epsilon)
 
 
 def total_quantum_cycles(d: int, gamma: Rational, epsilon: Rational) -> int:

@@ -275,23 +275,15 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     cost = np.repeat(sign * np.asarray(lp.objective, dtype=float),
                      width) * t_val
 
-    names: list[str] = []
-    provenance: list[str] = []
-    for name, is_free, is_mirror, is_bounded, lo in zip(
-            lp.col_names, free.tolist(), mirror.tolist(), bounded.tolist(),
-            lower.tolist()):
-        if is_free:
-            names += [name + "+", name + "-"]
-            provenance += ["free_pos", "free_neg"]
+    # a free or mirrored column has lower -inf, so this names them all
+    for j in np.flatnonzero((lower != 0.0) | bounded).tolist():
+        name, lo = lp.col_names[j], float(lower[j])
+        if free[j]:
             log.append(f"split free variable {name}")
-        elif is_mirror:
-            names.append(name + "~")
-            provenance.append("original")
+        elif mirror[j]:
             log.append(f"mirror upper-bounded variable {name}")
         else:
-            names.append(name)
-            provenance.append("original")
-            if is_bounded:
+            if bounded[j]:
                 log.append(f"upper bound of {name} becomes a row")
             if lo != 0.0:
                 log.append(f"shift {name} by {lo}")
@@ -317,11 +309,6 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     b_rows = np.where(eq | surplus, lo, hi) - row_shifts
     slack_rows = np.flatnonzero(~eq)
     m0, n_slack = lp.n_rows, len(slack_rows)
-    for i, is_surplus in zip(slack_rows.tolist(),
-                             surplus[slack_rows].tolist()):
-        name = lp.row_names[i]
-        names.append(f"_su_{name}" if is_surplus else f"_sl_{name}")
-        provenance.append("surplus" if is_surplus else "slack")
     for i in np.flatnonzero(ranged).tolist():
         log.append(f"ranged row {lp.row_names[i]}: bounded slack added")
 
@@ -332,8 +319,6 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     widths = np.concatenate([(upper - lower)[bounded], (hi - lo)[ranged]])
     n_bound = len(bound_cols)
     m, n = m0 + n_bound, n_struct + n_slack + n_bound
-    names += [f"_bs_{names[jcol]}" for jcol in bound_cols.tolist()]
-    provenance += ["bound_slack"] * n_bound
 
     # A: the structural entries, one slack entry per inequality row, and
     # per bound row its column and its bound slack
@@ -349,8 +334,6 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
         A=SparseMatrix.from_entries(m, n, entries),
         b=np.concatenate([b_rows, widths]),
         c=np.concatenate([cost, np.zeros(n_slack + n_bound)]),
-        column_provenance=provenance,
-        column_names=names,
         name=lp.name,
         objective_sign=sign,
         objective_constant=lp.objective_constant + obj_shift,
@@ -544,8 +527,7 @@ def ensure_full_row_rank(std: StandardLP) -> StandardLP:
     kept = np.sort(np.concatenate([covered, rest[piv[:rank]]]))
     return StandardLP(
         A=SparseMatrix(std.A.tocsr()[kept]), b=std.b[kept], c=std.c,
-        column_provenance=std.column_provenance,
-        column_names=std.column_names, name=std.name,
+        name=std.name,
         objective_sign=std.objective_sign,
         objective_constant=std.objective_constant,
         transform_log=log)

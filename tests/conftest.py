@@ -96,8 +96,6 @@ def random_standard_lp(seed: int, m: int, n: int,
         A=SparseMatrix(sparse.csr_matrix(a)),
         b=a @ x0,
         c=a.T @ y0 + s0,
-        column_provenance=["original"] * n,
-        column_names=[f"x{j}" for j in range(n)],
         name=f"rand_{seed}")
 
 

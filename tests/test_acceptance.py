@@ -57,7 +57,7 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_formula_exactness():
     t0 = time.perf_counter()
-    assert qlsa_query_count(1, 1, 0.1, 1) == 48
+    assert qlsa_query_count(1, 1, 0.1) == 48
     assert total_quantum_cycles(2, 1, 0.1) == 4800
     rng = rng_for(0xACCE)
     eps_values = [0.5, 0.1, 0.01]

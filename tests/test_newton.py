@@ -36,9 +36,7 @@ def std_from_dense(a, b=None, c=None):
     return StandardLP(
         A=SparseMatrix(sparse.csr_matrix(a)),
         b=np.zeros(m) if b is None else np.asarray(b, dtype=float),
-        c=np.zeros(n) if c is None else np.asarray(c, dtype=float),
-        column_provenance=["original"] * n,
-        column_names=[f"x{j}" for j in range(n)])
+        c=np.zeros(n) if c is None else np.asarray(c, dtype=float))
 
 
 def op_columns(op):
@@ -695,9 +693,7 @@ class TestRecoverOss:
         y0 = rng.normal(size=4)
         s0 = rng.uniform(0.5, 2.0, size=8)
         c = a.T @ y0 + s0
-        std = StandardLP(
-            A=std.A, b=b, c=c, column_provenance=std.column_provenance,
-            column_names=std.column_names)
+        std = StandardLP(A=std.A, b=b, c=c)
         it = Iterate(x0, y0, s0)
         beta_mu = 0.4
         basis = select_basis(std.A)

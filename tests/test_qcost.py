@@ -31,8 +31,8 @@ def oracle_bracket(gamma: Fraction, eps: Fraction, dps: int = 60) -> int:
     return lo[0]
 
 
-def oracle_query_count(s, kappa, eps, n_qaa=1) -> int:
-    return 8 * oracle_bracket(s * to_fraction(kappa), to_fraction(eps)) * n_qaa
+def oracle_query_count(s, kappa, eps) -> int:
+    return 8 * oracle_bracket(s * to_fraction(kappa), to_fraction(eps))
 
 
 def oracle_cycles(d, gamma, eps) -> int:
@@ -45,7 +45,7 @@ def oracle_cycles(d, gamma, eps) -> int:
 class TestAnchors:
     def test_unit_difficulty_query_count(self):
         # inner = ceil(log2(10)) = 4; bracket = ceil(sqrt(4 log2 160)) = 6
-        assert qlsa_query_count(1, 1, 0.1, 1) == 48
+        assert qlsa_query_count(1, 1, 0.1) == 48
 
     def test_s2_query_count(self):
         # inner = ceil(4 log2 20) = 18; bracket = ceil(sqrt(18 log2 720)) = 14
@@ -53,9 +53,6 @@ class TestAnchors:
 
     def test_cycles_d2(self):
         assert total_quantum_cycles(2, 1, 0.1) == 4800
-
-    def test_n_qaa_is_linear(self):
-        assert qlsa_query_count(1, 1, 0.1, 3) == 3 * qlsa_query_count(1, 1, 0.1)
 
     def test_degenerate_dimension(self):
         assert total_quantum_cycles(1, 5.0, 0.1) == 0
@@ -118,8 +115,8 @@ class TestSharedWork:
 
     def test_escalation_reads_ln2_at_each_precision(self, monkeypatch):
         # gamma^2 log2(2 gamma) lies 1e-99 from 8 on either side of it:
-        # undecided at the starting precision, decided after one doubling.
-        # A ln 2 kept from the first precision (off by about 1e-80) would
+        # undecided up to 80 digits, decided at 160, the third doubling.
+        # A ln 2 kept from the first precision (off by about 1e-40) would
         # push both sides the same way and round one of them wrongly.
         decided = self.qcost._ceil_decided
         precisions = []
@@ -133,7 +130,7 @@ class TestSharedWork:
             g = Fraction(2) + sign * Fraction(1, 10 ** 100)
             precisions.clear()
             assert ceil_log_term(g * g, 2 * g) == expected
-            assert precisions == [60, 120]
+            assert precisions == [20, 40, 80, 160]
 
 
 class TestDomainErrors:
@@ -150,8 +147,6 @@ class TestDomainErrors:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             qlsa_query_count(0, 1, 0.1)
-        with pytest.raises(ValueError):
-            qlsa_query_count(1, 1, 0.1, n_qaa=0)
         with pytest.raises(ValueError):
             total_quantum_cycles(0, 1, 0.1)
 

@@ -392,8 +392,7 @@ def slack_style_lp(seed: int, m: int, k: int) -> StandardLP:
     a = np.hstack([r, np.diag(p)])
     return StandardLP(
         A=SparseMatrix(sparse.csr_matrix(a)), b=a @ np.ones(m + k),
-        c=np.ones(m + k), column_provenance=["original"] * (m + k),
-        column_names=[f"x{j}" for j in range(m + k)], name=f"slack_{seed}")
+        c=np.ones(m + k), name=f"slack_{seed}")
 
 
 def _canonical_oss(std: StandardLP):
@@ -426,8 +425,7 @@ def _edge_form(a: np.ndarray) -> StandardLP:
     m, n = a.shape
     return StandardLP(
         A=SparseMatrix(sparse.csr_matrix(a)), b=np.zeros(m), c=np.ones(n),
-        column_provenance=["original"] * n,
-        column_names=[f"x{j}" for j in range(n)], name="edge")
+        name="edge")
 
 
 class TestComposedOss:

@@ -295,14 +295,13 @@ class TestToStandardForm:
         assert std.A.to_dense().tolist() == [[1.0, -1.0]]
         assert std.b.tolist() == [1.0]
         assert std.c.tolist() == [1.0, 0.0]
-        assert std.column_provenance == ["original", "surplus"]
 
     def test_free_variable_split(self):
         lp = make_lp([("c1", "=", 2.0)], [("y", -INF, INF)],
                      [(0, 0, 1.0)], [0.0])
         std = to_standard_form(lp)
         assert std.A.to_dense().tolist() == [[1.0, -1.0]]
-        assert std.column_provenance == ["free_pos", "free_neg"]
+        assert std.transform_log == ["split free variable y"]
 
     def test_two_sided_bound_becomes_row(self):
         lp = make_lp([("c1", "<=", 3.0)], [("x", 0.0, 5.0)],
@@ -371,8 +370,7 @@ class TestEnsureFullRowRank:
         from qipm_bounds.lp_model import StandardLP
         return StandardLP(
             A=SparseMatrix(sparse.csr_matrix(a)), b=np.asarray(b, dtype=float),
-            c=np.zeros(a.shape[1]), column_provenance=["original"] * a.shape[1],
-            column_names=[f"x{j}" for j in range(a.shape[1])])
+            c=np.zeros(a.shape[1]))
 
     def test_scaled_duplicate_dropped(self):
         std = self._std([[1.0, 1.0], [2.0, 2.0]], [2.0, 4.0])
@@ -590,21 +588,18 @@ def standard_form_digest(lps) -> str:
                     a.data, std.b, std.c):
             h.update(np.ascontiguousarray(arr).tobytes())
             h.update(b"|")
-        h.update(repr((a.shape, std.name, std.column_names,
-                       std.column_provenance, std.objective_sign,
+        h.update(repr((a.shape, std.name, std.objective_sign,
                        repr(float(std.objective_constant)),
                        std.transform_log)).encode())
     return h.hexdigest()
 
 
-# recorded before presolve and to_standard_form moved onto sparse arrays;
-# RANDOM_DIGEST recorded again, from the row-object model, once the constant
-# was hashed as a float: its hand-built LPs held NumPy-scalar bounds, which
-# made the constant a NumPy scalar on the 27 with an empty column
+# recorded when StandardLP lost its column names and provenance, on the
+# tree before that change as well, which gave the same three values
 CORPUS_DIGEST = \
-    "d5405ec26a8f06866dc31ea98a1ee9f534dd008270e43e758e2e956159398f10"
+    "6d1777028b86740920b365967674d8c3f1d1820ba4166ebcdd124f85517e5fe7"
 RANDOM_DIGEST = \
-    "9fe2934c369137d75c4ea9542a2ac96cf4bcbf1d28e52e62fdf90effacd787dc"
+    "d4289038f98bc4cd73a3ac350b982566991289bf5bf96761a2b98beef64ffedc"
 
 
 def general_lp_digest(texts) -> str:
@@ -642,10 +637,11 @@ def random_texts() -> list[str]:
     return [emit_mps(random_general_lp(seed)) for seed in range(200)]
 
 
+# recorded as CORPUS_DIGEST was
+GENERATED_DIGEST = \
+    "5c846d9ea7214bb3776437d68d3990789c4dc76b11868abe61011acaedecfa62"
 # recorded before the reader, presolve and to_standard_form moved onto flat
 # arrays
-GENERATED_DIGEST = \
-    "89527f880393f617d989d57389e680e8e56a4b9ca062f4adf701836404871266"
 PARSED_CORPUS_DIGEST = \
     "77d7f161c3b4f0c7365a681db9120cbd4f781579d68f9705f2c2eadef542edcb"
 PARSED_RANDOM_DIGEST = \
