@@ -48,35 +48,27 @@ class SparseMatrix:
     def __init__(self, csr: sparse.csr_matrix):
         csr = sparse.csr_matrix(csr)
         csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
+        csr.eliminate_zeros()  # keeps the order sum_duplicates sorted
         self._csr = csr
         self._csc: sparse.csc_matrix | None = None
         self._digest: bytes | None = None
 
     @classmethod
-    def from_entries(cls, n_rows: int, n_cols: int,
-                     entries) -> "SparseMatrix":
-        """Build from a (k, 3) array of (row, col, value) rows or an
-        iterable of such triples."""
-        if not isinstance(entries, np.ndarray):
-            entries = np.fromiter(entries, dtype=(float, 3))
-        rows, cols, vals = np.asarray(entries, dtype=float).reshape(
-            len(entries), 3).T
-        bad = ~((0 <= rows) & (rows < n_rows) & (0 <= cols) & (cols < n_cols))
+    def from_entries(cls, n_rows: int, n_cols: int, rows, cols,
+                     values) -> "SparseMatrix":
+        """Build from coordinates: integer rows and columns, float values.
+        Duplicates are summed, in input order within a row whose entries
+        come in column order (as the MPS reader's do), and zeros dropped;
+        an index outside the shape is an IndexError naming the first."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        bad = (rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)
         if bad.any():
             k = int(np.argmax(bad))
-            i, j = (int(x) if x.is_integer() else x
-                    for x in (float(rows[k]), float(cols[k])))
-            raise IndexError(f"entry ({i}, {j}) outside {n_rows}x{n_cols}")
-        # group by row, keeping the entry order within a row, as a COO to
-        # CSR conversion does; construction then sums duplicates in order
-        rows = rows.astype(np.intp)
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+            raise IndexError(
+                f"entry ({rows[k]}, {cols[k]}) outside {n_rows}x{n_cols}")
         return cls(sparse.csr_matrix(
-            (vals[order], cols.astype(np.intp)[order], indptr),
+            (np.asarray(values, dtype=float), (rows, cols)),
             shape=(n_rows, n_cols)))
 
     @classmethod
@@ -553,15 +545,21 @@ def parse_mps(text: str) -> GeneralLP:
     if not np.isfinite(objective).all():
         # every entry is finite, so a column's entries summed past the range
         raise MpsParseError("objective coefficient overflows to infinity")
+    coefficients = SparseMatrix.from_entries(m, n, coef_rows, coef_cols,
+                                             coef_vals)
+    a = coefficients.tocsr()
+    k = np.flatnonzero(~np.isfinite(a.data))[:1]  # the first, if any
+    if len(k):  # likewise a row and column's entries summed past the range
+        i, j = np.searchsorted(a.indptr, k[0], "right") - 1, a.indices[k[0]]
+        raise MpsParseError(f"coefficient of column {col_names[j]!r} in row "
+                            f"{row_names[i]!r} overflows to infinity")
     lp = GeneralLP(
         name=problem_name, objective_sense=objective_sense,
         objective_name=objective_name, row_names=row_names,
         sense=np.array(senses, dtype="<U2"), rhs=_scatter(m, 0.0, rhs_of),
         ranges=_scatter(m, np.nan, range_of), row_lower=np.full(m, np.nan),
         col_names=col_names, lower=lower, upper=upper,
-        coefficients=SparseMatrix.from_entries(
-            m, n, np.column_stack((coef_rows, coef_cols, coef_vals))),
-        objective=objective,
+        coefficients=coefficients, objective=objective,
         objective_constant=objective_constant, warnings=warnings)
     lp.validate()
     return lp

@@ -323,15 +323,16 @@ def to_standard_form(lp: GeneralLP) -> StandardLP:
     # A: the structural entries, one slack entry per inequality row, and
     # per bound row its column and its bound slack
     st = structural.tocoo()
-    entries = np.column_stack((
+    A = SparseMatrix.from_entries(
+        m, n,
         np.concatenate([st.row, slack_rows,
                         np.repeat(m0 + np.arange(n_bound), 2)]),
         np.concatenate([st.col, n_struct + np.arange(n_slack), np.column_stack(
             (bound_cols, n - n_bound + np.arange(n_bound))).ravel()]),
         np.concatenate([st.data, np.where(surplus[slack_rows], -1.0, 1.0),
-                        np.ones(2 * n_bound)])))
+                        np.ones(2 * n_bound)]))
     return StandardLP(
-        A=SparseMatrix.from_entries(m, n, entries),
+        A=A,
         b=np.concatenate([b_rows, widths]),
         c=np.concatenate([cost, np.zeros(n_slack + n_bound)]),
         name=lp.name,

@@ -38,6 +38,7 @@ def general_lp(rows, cols, entries, objective, *, name="test", sense="min",
     None for none; cols: (name, lower, upper); entries: (row, col, value)."""
     ranges = [r[3] if len(r) > 3 and r[3] is not None else math.nan
               for r in rows]
+    coords = list(zip(*entries)) or [[], [], []]  # rows, columns, values
     return GeneralLP(
         name=name, objective_sense=sense, objective_name=objective_name,
         row_names=[r[0] for r in rows],
@@ -48,7 +49,7 @@ def general_lp(rows, cols, entries, objective, *, name="test", sense="min",
         col_names=[c[0] for c in cols],
         lower=np.array([c[1] for c in cols], dtype=float),
         upper=np.array([c[2] for c in cols], dtype=float),
-        coefficients=SparseMatrix.from_entries(len(rows), len(cols), entries),
+        coefficients=SparseMatrix.from_entries(len(rows), len(cols), *coords),
         objective=np.asarray(objective, dtype=float),
         objective_constant=constant)
 

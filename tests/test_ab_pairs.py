@@ -1,4 +1,5 @@
-"""The gain rule of tools/ab_pairs.py on hand-made paired runs."""
+"""The gain and no-regression rules of tools/ab_pairs.py on hand-made
+paired runs, and the src_lines it reads from a run."""
 
 import importlib.util
 from pathlib import Path
@@ -66,3 +67,28 @@ def test_unpaired_runs_are_rejected():
         ab_pairs.verdict(PARENT, PARENT[:-1], "lower")
     with pytest.raises(ValueError, match="same positive number"):
         ab_pairs.verdict([], [], "lower")
+
+
+def test_a_median_worse_past_the_bound_regresses():
+    # parent median 11.5: a bound of 0.1 allows the change up to 12.65
+    for shift, bound, worse in [(1.0, 0.1, False), (1.2, 0.1, True),
+                                (-3.0, 0.1, False), (1.2, 0.25, False)]:
+        v = ab_pairs.verdict(PARENT, [p + shift for p in PARENT], "lower")
+        assert ab_pairs.regressed(v, bound) is worse
+    # higher is better: a drop is the regression
+    down = ab_pairs.verdict(PARENT, [p - 1.2 for p in PARENT], "higher")
+    assert ab_pairs.regressed(down, 0.1)
+    up = ab_pairs.verdict(PARENT, [p + 1.2 for p in PARENT], "higher")
+    assert not ab_pairs.regressed(up, 0.1)
+
+
+def test_bench_reads_src_lines_from_the_meta_line(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json\n"
+        "print(json.dumps({'meta': {'src_lines': 3210}}))\n"
+        "print(' slack setup_s 0.3 s')\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+    run = ab_pairs.bench(tmp_path, "slack", 1, 1)
+    assert run == {"correct": True, "failed": 0, "metrics": {},
+                   "src_lines": 3210}

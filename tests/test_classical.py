@@ -57,7 +57,7 @@ ENDATA
     ], ids=["no-rows-no-columns", "no-rows", "no-rows-negative-cost"])
     def test_form_without_rows(self, c, status, objective):
         n = len(c)
-        std = StandardLP(A=SparseMatrix.from_entries(0, n, []),
+        std = StandardLP(A=SparseMatrix.from_entries(0, n, [], [], []),
                          b=np.zeros(0), c=np.array(c, dtype=float))
         out = solve_internal_ipm(std)
         assert (out.status, out.iterations) == (status, 0)

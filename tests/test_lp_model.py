@@ -30,45 +30,55 @@ ENDATA
 
 class TestSparseMatrix:
     def test_duplicates_are_summed(self):
-        m = SparseMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 0, 2.5)])
+        m = SparseMatrix.from_entries(2, 2, [0, 0], [0, 0], [1.0, 2.5])
         assert m.to_dense()[0, 0] == 3.5
         assert m.nnz == 1
 
     def test_explicit_zeros_dropped(self):
-        m = SparseMatrix.from_entries(2, 2, [(0, 0, 0.0), (1, 1, 1.0),
-                                             (0, 1, 2.0), (0, 1, -2.0)])
+        m = SparseMatrix.from_entries(2, 2, [0, 1, 0, 0], [0, 1, 1, 1],
+                                      [0.0, 1.0, 2.0, -2.0])
         assert m.nnz == 1
+
+    def test_duplicates_are_summed_in_input_order(self):
+        # (1e16 + 1) - 1e16 rounds to 0, while (-1e16 + 1e16) + 1 is 1
+        for vals, data in [([1e16, 1.0, -1e16], []),
+                           ([-1e16, 1e16, 1.0], [1.0])]:
+            csr = SparseMatrix.from_entries(2, 2, [1, 1, 1], [0, 0, 0],
+                                            vals).tocsr()
+            assert csr.indptr.tolist() == [0, 0, len(data)]
+            assert csr.indices.tolist() == [0] * len(data)
+            assert csr.data.tolist() == data
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(IndexError):
-            SparseMatrix.from_entries(2, 2, [(2, 0, 1.0)])
+            SparseMatrix.from_entries(2, 2, [2], [0], [1.0])
 
     def test_first_bad_entry_is_named(self):
-        for entries, bad in [([(0, 0, 1.0), (2, 0, 1.0), (0, 5, 1.0)],
-                              "(2, 0)"),
-                             ([(1, 1, 1.0), (-1, 0, 2.0)], "(-1, 0)"),
-                             ([(0, 2, 1.0)], "(0, 2)")]:
+        for rows, cols, bad in [([0, 2, 0], [0, 0, 5], "(2, 0)"),
+                                ([1, -1], [1, 0], "(-1, 0)"),
+                                ([0], [2], "(0, 2)")]:
             with pytest.raises(IndexError) as exc:
-                SparseMatrix.from_entries(2, 2, entries)
+                SparseMatrix.from_entries(2, 2, rows, cols,
+                                          np.ones(len(rows)))
             assert str(exc.value) == f"entry {bad} outside 2x2"
 
     def test_entries_match_a_loop_reference(self):
         rng = np.random.default_rng(5)
-        entries = [(int(i), int(j), float(v)) for i, j, v in zip(
-            rng.integers(0, 6, 200), rng.integers(0, 9, 200),
-            rng.integers(-4, 5, 200))]
+        rows, cols = rng.integers(0, 6, 200), rng.integers(0, 9, 200)
+        vals = rng.integers(-4, 5, 200).astype(float)
         dense = np.zeros((6, 9))
-        for i, j, v in entries:
+        for i, j, v in zip(rows, cols, vals):
             dense[i, j] += v  # small integers: every order sums exactly
-        m = SparseMatrix.from_entries(6, 9, iter(entries))
+        m = SparseMatrix.from_entries(6, 9, rows, cols, vals)
         assert np.array_equal(m.to_dense(), dense)
-        assert SparseMatrix.from_entries(6, 9, np.array(entries)) == m
+        assert SparseMatrix.from_entries(
+            6, 9, rows.tolist(), cols.tolist(), vals.tolist()) == m
         assert m.nnz == np.count_nonzero(dense)
-        empty = SparseMatrix.from_entries(2, 3, [])
+        empty = SparseMatrix.from_entries(2, 3, [], [], [])
         assert (empty.shape, empty.nnz) == ((2, 3), 0)
 
     def test_equality_and_hash_follow_content(self):
-        a = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
+        a = SparseMatrix.from_entries(2, 3, [0, 1], [1, 2], [2.0, 3.0])
         same = SparseMatrix.from_dense([[0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
         assert a == same and hash(a) == hash(same)
         # the digest is SHA-256 of the shape, indptr and indices as <i8 and
@@ -96,7 +106,7 @@ class TestSparseMatrix:
         assert a != a.to_dense().tolist()
 
     def test_row_col_iteration(self):
-        m = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
+        m = SparseMatrix.from_entries(2, 3, [0, 1], [1, 2], [2.0, 3.0])
         assert list(m.row_nnz()) == [1, 1]
         assert list(m.col_nnz()) == [0, 1, 1]
 
@@ -495,6 +505,9 @@ _ERROR_CASES = [
     # errors come in file order: a bad number before a structural error
     (_HEAD + "COLUMNS\n    x  obj  1  c1  nan\n    y  zz  1\nENDATA\n", 6,
      "COLUMNS value 'nan' is not a number"),
+    # finite duplicate coefficients whose sum overflows
+    (_HEAD + "COLUMNS\n    x  c1  1e308\n    x  c1  1e308\nENDATA\n", None,
+     "coefficient of column 'x' in row 'c1' overflows to infinity"),
 ]
 
 

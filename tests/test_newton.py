@@ -103,8 +103,7 @@ class TestSelectBasis:
         perm = rng.permutation(m)
         shuffled = newton.BasisSelection(
             basic=basis.basic, nonbasic=basis.nonbasic,
-            a_b=SparseMatrix.from_entries(
-                m, m, np.column_stack([np.arange(m), perm, scaled])),
+            a_b=SparseMatrix.from_entries(m, m, np.arange(m), perm, scaled),
             a_n=basis.a_n, lu=None)
         for b in (basis, shuffled):
             lu = splu(b.a_b.tocsc())

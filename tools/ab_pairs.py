@@ -1,4 +1,5 @@
-"""Alternating parent/change pairs of the benchmark, judged by the gain rule.
+"""Alternating parent/change pairs of the benchmark, judged by the gain and
+no-regression rules.
 
     python3 tools/ab_pairs.py --parent HEAD~1 --workload slack --seeds 5 \
         --pairs 10 --seconds 40
@@ -12,8 +13,11 @@ metric of BENCHMARK.json this prints both sides' median and quartiles, the
 pairs the change wins (ties count for neither side), and whether the
 median gap exceeds the parent's interquartile range. A gain can be claimed
 when the change wins at least nine tenths of the pairs and the gap exceeds
-that range. The last line of stdout is one JSON object with every run's
-metrics and each verdict.
+that range. A metric regresses when the change's median is worse than the
+parent's by more than the metric's `bound` times the parent's median. The
+`src/` line count of each tree, from the runs' `meta` lines, is printed
+too. The last line of stdout is one JSON object with every run's metrics
+and each verdict.
 """
 
 from __future__ import annotations
@@ -60,6 +64,12 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def regressed(v: dict, bound: float) -> bool:
+    """The no-regression rule on a verdict: the change's median is worse
+    than the parent's by more than `bound` times the parent's median."""
+    return -v["gap"] > bound * abs(v["parent"][1])
+
+
 def export(rev: str, dest: Path) -> None:
     """Write the committed files of `rev` under `dest`."""
     git = subprocess.Popen(["git", "archive", "--format=tar", rev],
@@ -74,7 +84,8 @@ def export(rev: str, dest: Path) -> None:
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in `tree`; its last stdout line."""
+    """One untraced benchmark run in `tree`: its last stdout line, with
+    the tree's `src_lines` from the run's meta line."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -82,7 +93,10 @@ def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     if out.returncode:
         raise RuntimeError(f"run.py in {tree} exited {out.returncode}: "
                            f"{out.stderr.strip()}")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    meta = next(json.loads(line)["meta"] for line in lines
+                if line.startswith('{"meta"'))
+    return {**json.loads(lines[-1]), "src_lines": meta["src_lines"]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,17 +137,21 @@ def main(argv: list[str] | None = None) -> int:
                   for side in runs}
         v = verdicts[name] = verdict(values["parent"], values["change"],
                                      m["better"])
+        v["regressed"] = regressed(v, m["bound"])
         (p1, pm, p3), (c1, cm, c3) = v["parent"], v["change"]
         print(f"{name:<16} parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change "
               f"{cm:.6g} [{c1:.6g}, {c3:.6g}] {m['unit']}  wins "
               f"{v['wins']}/{v['pairs']}  gap {v['gap']:.4g} vs IQR "
               f"{v['parent_iqr']:.4g} "
               f"({'exceeds' if v['gap_exceeds_iqr'] else 'within'})  "
-              f"gain {'yes' if v['gain'] else 'no'}")
+              f"gain {'yes' if v['gain'] else 'no'}  regressed past "
+              f"{m['bound']:g} of the parent median "
+              f"{'yes' if v['regressed'] else 'no'}")
     for side in runs:
         print(f"{side}: correct {all(r['correct'] for r in runs[side])}, "
               f"failed {sum(r['failed'] for r in runs[side])} of "
-              f"{sum(r['attempted'] for r in runs[side])}")
+              f"{sum(r['attempted'] for r in runs[side])}, src_lines "
+              f"{runs[side][0]['src_lines']}")
     print(json.dumps({"workload": args.workload, "seeds": seeds,
                       "parent": args.parent, "runs": runs,
                       "verdicts": verdicts}))
