@@ -1,14 +1,16 @@
 """Command-line entry points: `analyze <file.mps>` and `suite <dir>`.
 
-A JSON config file given with --config can preset any analysis option
-(`seed`, `sigma_min_timeout`, `sigma_min_samples`); command-line flags
-override it. The QLSA precision and the cycle-duration grid are `qcost`
-constants, not options, and the classical baseline is always the internal
-IPM. Exit code is 0 on full success, 1 when the command line, the config
-file, a flag value, the suite directory, the output path or the report
-formats are invalid (one line: `invalid config <path>: <reason>` or
-`invalid option: <reason>`, before any analysis runs), and 2 when any
-instance errored.
+`analyze` prints one instance's record as JSON; `suite` writes
+records.csv, curves.csv, report.json and two SVG figures under --out and
+prints their paths. A JSON config file given with --config can preset any
+analysis option (`seed`, `sigma_min_timeout`, `sigma_min_samples`);
+command-line flags override it. The QLSA precision and the cycle-duration
+grid are `qcost` constants, not options, and the classical baseline is
+always the internal IPM. Exit code is 0 on full success, 1 when the
+command line, the config file, a flag value or the suite directory is
+invalid or --out cannot be created as a directory (one line:
+`invalid config <path>: <reason>` or `invalid option: <reason>`, before
+any analysis runs), and 2 when any instance errored.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .harness import AnalysisConfig, analyze_instance, run_suite
-from .report import FORMATS, emit_report, record_dict
+from .report import emit_report, record_dict
 
 
 def _load_config(path: str | None) -> AnalysisConfig:
@@ -53,20 +55,17 @@ def _apply_flags(cfg: AnalysisConfig,
         raise SystemExit(f"invalid option: {exc}") from None
 
 
-def _suite_formats(args: argparse.Namespace) -> set[str]:
-    """Check the suite directory, --out and --formats before any analysis
+def _prepare_suite_paths(args: argparse.Namespace) -> None:
+    """Check the suite directory, then create --out, before any analysis
     runs."""
     if not Path(args.directory).is_dir():
         raise SystemExit(
             f"invalid option: {args.directory} is not a directory")
-    if Path(args.out).exists() and not Path(args.out).is_dir():
-        raise SystemExit(f"invalid option: --out {args.out} exists and is "
-                         "not a directory")
-    formats = {f.strip() for f in args.formats.split(",") if f.strip()}
-    if not formats or not formats <= set(FORMATS):
-        raise SystemExit(f"invalid option: --formats {args.formats!r} is "
-                         f"not a subset of {','.join(FORMATS)}")
-    return formats
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(
+            f"invalid option: --out {args.out}: {exc.strerror}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,10 +109,8 @@ def main(argv: list[str] | None = None) -> int:
     p_suite.add_argument("directory", help="directory of .mps files, "
                          "optionally in per-family subdirectories")
     p_suite.add_argument("--out", default="qipm_bounds_report",
-                         help="output directory (default qipm_bounds_report)")
-    p_suite.add_argument("--formats", default=",".join(FORMATS),
-                         help="comma-separated non-empty subset of "
-                         f"{','.join(FORMATS)}")
+                         help="output directory, created before any analysis "
+                         "runs (default qipm_bounds_report)")
     _add_common_flags(p_suite)
 
     args = parser.parse_args(argv)
@@ -125,10 +122,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write("\n")
         return 0 if record.status == "ok" else 2
 
-    formats = _suite_formats(args)
+    _prepare_suite_paths(args)
     report = run_suite(args.directory, cfg)
-    written = emit_report(report, args.out, formats)
-    for path in written:
+    for path in emit_report(report, args.out):
         print(path)
     errored = any(r.status == "error" for r in report.records)
     return 2 if errored else 0

@@ -20,8 +20,6 @@ from pathlib import Path
 
 from .harness import FORMULATIONS, InstanceRecord, SuiteReport
 
-FORMATS = ("csv", "json", "svg")
-
 # FormulationResult fields, one column each under their own name
 FORMULATION_FIELDS = (
     "d", "dilated_dim", "sparsity", "kappa_lower", "gamma", "sigma_max_lb",
@@ -98,32 +96,27 @@ def curves_csv(report: SuiteReport) -> str:
     return buf.getvalue()
 
 
+def _fields_of(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def record_dict(record: InstanceRecord) -> dict:
     """The record as nested dicts in field order, as dataclasses.asdict
     gives it, but built from the fields: lists and dicts of plain values
     are shared, not copied element by element."""
-    def fields_of(obj) -> dict:
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    out = fields_of(record)
-    out["formulations"] = {name: fields_of(f)
+    out = _fields_of(record)
+    out["formulations"] = {name: _fields_of(f)
                            for name, f in record.formulations.items()}
     if record.classical is not None:
-        out["classical"] = fields_of(record.classical)
+        out["classical"] = _fields_of(record.classical)
     return out
 
 
 def report_json(report: SuiteReport) -> str:
-    payload = {
-        "records": [record_dict(r) for r in report.records],
-        "duration_grid": report.duration_grid,
-        "reference_marker": report.reference_marker,
-        "curves": report.curves,
-        "curve_counts": report.curve_counts,
-        "excluded": report.excluded,
-        "config": report.config,
-        "metadata": report.metadata,
-        "warnings": report.warnings,
-    }
+    """The report's fields as JSON, records nested as `record_dict`
+    gives them."""
+    payload = _fields_of(report)
+    payload["records"] = [record_dict(r) for r in report.records]
     return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
 
@@ -292,30 +285,19 @@ def exclusion_svg(report: SuiteReport) -> str:
     return "\n".join(parts)
 
 
-def emit_report(report: SuiteReport, out_dir: str | Path,
-                formats: set[str] | None = None) -> list[Path]:
-    """Write the files of `formats` (None: all); returns the paths written."""
-    formats = set(FORMATS) if formats is None else formats
-    if not formats or not formats <= set(FORMATS):
-        raise ValueError(f"report formats {sorted(formats)} are not a "
-                         f"non-empty subset of {FORMATS}")
+def emit_report(report: SuiteReport, out_dir: str | Path) -> list[Path]:
+    """Write records.csv, curves.csv, report.json, difficulty.svg and
+    exclusion_curves.svg under `out_dir` (created if missing), each as
+    soon as it is built; returns the paths written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    if "csv" in formats:
-        for name, text in (("records.csv", records_csv(report)),
-                           ("curves.csv", curves_csv(report))):
-            p = out / name
-            p.write_text(text)
-            written.append(p)
-    if "json" in formats:
-        p = out / "report.json"
-        p.write_text(report_json(report))
+    for name, build in (("records.csv", records_csv),
+                        ("curves.csv", curves_csv),
+                        ("report.json", report_json),
+                        ("difficulty.svg", difficulty_svg),
+                        ("exclusion_curves.svg", exclusion_svg)):
+        p = out / name
+        p.write_text(build(report))
         written.append(p)
-    if "svg" in formats:
-        for name, text in (("difficulty.svg", difficulty_svg(report)),
-                           ("exclusion_curves.svg", exclusion_svg(report))):
-            p = out / name
-            p.write_text(text)
-            written.append(p)
     return written

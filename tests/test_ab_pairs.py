@@ -1,5 +1,5 @@
-"""The gain and no-regression rules of tools/ab_pairs.py on hand-made
-paired runs, and the src_lines it reads from a run."""
+"""The gain, no-regression and failed-share rules of tools/ab_pairs.py on
+hand-made paired runs, and the src_lines it reads from a run."""
 
 import importlib.util
 from pathlib import Path
@@ -80,6 +80,16 @@ def test_a_median_worse_past_the_bound_regresses():
     assert ab_pairs.regressed(down, 0.1)
     up = ab_pairs.verdict(PARENT, [p + 1.2 for p in PARENT], "higher")
     assert not ab_pairs.regressed(up, 0.1)
+
+
+def test_failed_share_sums_over_a_sides_runs():
+    parent = [{"failed": 1, "attempted": 10}, {"failed": 1, "attempted": 90}]
+    change = [{"failed": 0, "attempted": 10}, {"failed": 3, "attempted": 90}]
+    # the mean of per-run shares would fall (0.056 to 0.017); the summed
+    # share rises, from 2/100 to 3/100
+    assert ab_pairs.failed_share(parent) == 0.02
+    assert ab_pairs.failed_share(change) == 0.03
+    assert ab_pairs.failed_share([{"failed": 0, "attempted": 0}]) == 0.0
 
 
 def test_bench_reads_src_lines_from_the_meta_line(tmp_path):

@@ -24,8 +24,9 @@ from qipm_bounds.harness import (AnalysisConfig, FormulationResult,
                                  exclusion_curve, run_suite)
 from qipm_bounds.lp_model import parse_mps
 from qipm_bounds.qcost import duration_grid, to_fraction
-from qipm_bounds.report import (TIMING_COLUMNS, difficulty_svg, emit_report,
-                                exclusion_svg, records_csv, report_json)
+from qipm_bounds.report import (TIMING_COLUMNS, curves_csv, difficulty_svg,
+                                emit_report, exclusion_svg, records_csv,
+                                report_json)
 from qipm_bounds.standardize import standardize
 
 FAST = AnalysisConfig(sigma_min_timeout=10.0, sigma_min_samples=500)
@@ -836,11 +837,13 @@ class TestReports:
             ["", ""]
 
     def test_emit_report_files(self, suite, tmp_path):
-        written = emit_report(suite, tmp_path, {"csv", "json", "svg"})
-        names = {p.name for p in written}
-        assert names == {"records.csv", "curves.csv", "report.json",
-                         "difficulty.svg", "exclusion_curves.svg"}
-        payload = json.loads((tmp_path / "report.json").read_text())
+        out = tmp_path / "new" / "out"  # created with its parents
+        written = emit_report(suite, out)
+        assert written == [out / name for name in (
+            "records.csv", "curves.csv", "report.json", "difficulty.svg",
+            "exclusion_curves.svg")]
+        assert all(p.stat().st_size for p in written)
+        payload = json.loads((out / "report.json").read_text())
         assert payload["config"] == dataclasses.asdict(FAST)
         classical = [r["classical"] for r in payload["records"]
                      if r["classical"] is not None]
@@ -862,13 +865,31 @@ class TestReports:
         assert exclusion_svg(suite).startswith("<svg")
         assert "8e-10" in exclusion_svg(suite)
 
-    def test_unknown_format_rejected(self, suite, tmp_path):
-        # an empty set is no format, as for --formats; None selects all
-        for formats in ({"pdf"}, set()):
-            with pytest.raises(ValueError, match="non-empty subset"):
-                emit_report(suite, tmp_path / "none", formats)
-        assert not (tmp_path / "none").exists()
-        assert len(emit_report(suite, tmp_path / "all")) == 5
+    def test_curves_csv_rows(self, suite):
+        import csv
+        import io
+        text = curves_csv(suite)
+        assert text.splitlines()[0] == ("family,formulation,duration,"
+                                        "fraction,below_count,total_count")
+        rows = list(csv.DictReader(io.StringIO(text)))
+        grid = duration_grid()
+        families = sorted({r.family for r in suite.records})
+        assert len(families) == 2 and len(rows) == len(families) * 2 * 122
+        assert [(r["family"], r["formulation"], float(r["duration"]))
+                for r in rows] == [(fam, formulation, t) for fam in families
+                                   for formulation in ("mnes", "oss")
+                                   for t in grid]
+        for r in rows:
+            below, total = int(r["below_count"]), int(r["total_count"])
+            assert float(r["fraction"]) == (below / total if total else 0.0)
+        curves, counts, _ = exclusion_curve(suite.records, [8e-10])
+        at_ref = [r for r in rows if float(r["duration"]) == 8e-10]
+        assert len(at_ref) == len(families) * 2
+        for r in at_ref:
+            fam, formulation = r["family"], r["formulation"]
+            assert float(r["fraction"]) == curves[fam][formulation][0]
+            assert [int(r["below_count"]), int(r["total_count"])] == \
+                counts[fam][formulation][0]
 
     def test_fixed_duration_grid(self, suite):
         grid = duration_grid()
@@ -919,21 +940,21 @@ class TestCli:
             (corpus_dir() / "tiny" / "tiny_min.mps").read_text())
         out = tmp_path / "out"
         code = main(["suite", str(data), "--out", str(out),
-                     "--formats", "csv,json",
                      "--sigma-min-timeout", "5",
                      "--sigma-min-samples", "200"])
         assert code == 0
-        assert (out / "records.csv").exists()
-        assert (out / "report.json").exists()
-        assert not (out / "difficulty.svg").exists()
+        names = ["records.csv", "curves.csv", "report.json",
+                 "difficulty.svg", "exclusion_curves.svg"]
+        assert capsys.readouterr().out.splitlines() == \
+            [str(out / name) for name in names]
+        assert all((out / name).stat().st_size for name in names)
 
     def test_suite_exit_code_two_on_error(self, tmp_path):
         from qipm_bounds.cli import main
         data = tmp_path / "data"
         data.mkdir()
         (data / "bad.mps").write_text("garbage\n")
-        code = main(["suite", str(data), "--out", str(tmp_path / "o"),
-                     "--formats", "csv"])
+        code = main(["suite", str(data), "--out", str(tmp_path / "o")])
         assert code == 2
 
     def test_flags_override_config_file(self, tmp_path, capsys):
@@ -1092,19 +1113,21 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_suite", no_analysis)
         out = tmp_path / "out"
-        # an --out that is a file would otherwise fail only in emit_report
+        # an --out that cannot be a directory would otherwise fail only in
+        # emit_report, after the whole suite ran
         out_file = tmp_path / "out.txt"
         out_file.write_text("kept\n")
-        for directory, out_path, formats, match in [
-                (tmp_path / "missing", out, "csv",
+        for args, match in [
+                ([tmp_path / "missing", "--out", out],
                  "missing is not a directory"),
-                (data / "t.mps", out, "csv", "t.mps is not a directory"),
-                (data, out_file, "csv", "exists and is not a directory"),
-                (data, out, "csv,pdf", "'csv,pdf' is not a subset"),
-                (data, out, ",", "',' is not a subset")]:
+                ([data / "t.mps", "--out", out], "t.mps is not a directory"),
+                ([data, "--out", out_file], f"--out {out_file}: File exists"),
+                ([data, "--out", out_file / "sub"],
+                 f"--out {out_file / 'sub'}: Not a directory"),
+                ([data, "--out", out, "--formats", "csv"],
+                 "unrecognized arguments: --formats csv$")]:
             with pytest.raises(SystemExit, match=match) as exc:
-                cli.main(["suite", str(directory), "--out", str(out_path),
-                          "--formats", formats])
+                cli.main(["suite", *map(str, args)])
             assert str(exc.value).startswith("invalid option: ")
         assert not out.exists()
         assert out_file.read_text() == "kept\n"

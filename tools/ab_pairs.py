@@ -1,5 +1,5 @@
-"""Alternating parent/change pairs of the benchmark, judged by the gain and
-no-regression rules.
+"""Alternating parent/change pairs of the benchmark, judged by the gain,
+no-regression and failed-share rules.
 
     python3 tools/ab_pairs.py --parent HEAD~1 --workload slack --seeds 5 \
         --pairs 10 --seconds 40
@@ -14,10 +14,12 @@ pairs the change wins (ties count for neither side), and whether the
 median gap exceeds the parent's interquartile range. A gain can be claimed
 when the change wins at least nine tenths of the pairs and the gap exceeds
 that range. A metric regresses when the change's median is worse than the
-parent's by more than the metric's `bound` times the parent's median. The
-`src/` line count of each tree, from the runs' `meta` lines, is printed
-too. The last line of stdout is one JSON object with every run's metrics
-and each verdict.
+parent's by more than the metric's `bound` times the parent's median. A
+side's failed share is its runs' failed operations over their attempted
+ones; the change must not raise it. The `src/` line count of each tree,
+from the runs' `meta` lines, is printed too. The last line of stdout is
+one JSON object with every run's metrics, each verdict and both failed
+shares.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ def regressed(v: dict, bound: float) -> bool:
     """The no-regression rule on a verdict: the change's median is worse
     than the parent's by more than `bound` times the parent's median."""
     return -v["gap"] > bound * abs(v["parent"][1])
+
+
+def failed_share(runs: list[dict]) -> float:
+    """Failed over attempted operations, summed over one side's runs (0
+    when none was attempted)."""
+    attempted = sum(r["attempted"] for r in runs)
+    return sum(r["failed"] for r in runs) / attempted if attempted else 0.0
 
 
 def export(rev: str, dest: Path) -> None:
@@ -147,14 +156,18 @@ def main(argv: list[str] | None = None) -> int:
               f"gain {'yes' if v['gain'] else 'no'}  regressed past "
               f"{m['bound']:g} of the parent median "
               f"{'yes' if v['regressed'] else 'no'}")
+    shares = {side: failed_share(runs[side]) for side in runs}
     for side in runs:
         print(f"{side}: correct {all(r['correct'] for r in runs[side])}, "
               f"failed {sum(r['failed'] for r in runs[side])} of "
-              f"{sum(r['attempted'] for r in runs[side])}, src_lines "
-              f"{runs[side][0]['src_lines']}")
+              f"{sum(r['attempted'] for r in runs[side])} (share "
+              f"{shares[side]:.6g}), src_lines {runs[side][0]['src_lines']}")
+    share_rose = shares["change"] > shares["parent"]
+    print(f"failed share rose: {'yes' if share_rose else 'no'}")
     print(json.dumps({"workload": args.workload, "seeds": seeds,
                       "parent": args.parent, "runs": runs,
-                      "verdicts": verdicts}))
+                      "verdicts": verdicts, "failed_share": shares,
+                      "failed_share_rose": share_rose}))
     return 0
 
 
